@@ -4,13 +4,31 @@ A PDL element of magnitude gamma (nepers) along unit Stokes axis n acts on Jones
 space as P = e^{-gamma/2} (cosh(gamma/2) I + sinh(gamma/2) n.sigma), a positive
 filter with singular values {1, e^{-gamma}} and det e^{-gamma}. First-order PMD
 at the pair bandwidth acts as a phase flip channel of weight q about its axis.
+
+`propagate` is the one state-through-channel kernel: it sends a base state
+through stacks of local filters, one row per candidate channel, renormalizes
+each row, and reports rates, an extinction mask, Wootters concurrences and
+qubit-A linear entropies. `pdl_filters` builds those stacks from elements.
+`apply_local` and `pdl_operator` are their one-row case; the search, the CLI
+sweeps and the verify suites pass whole stacks.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .qmath import PAULI, SIGMA0, check_state
+from .qmath import (
+    PAULI,
+    SIGMA0,
+    check_state,
+    check_states,
+    concurrences,
+    linear_entropies,
+    reduced_qubit,
+)
+
+EXTINCTION_RATE = 1e-12  # post-selection rates below this extinguish the state
 
 DB_PER_NEPER = 20.0 * np.log10(np.e)  # 8.685889638... dB of PDL per neper
 
@@ -98,29 +116,88 @@ class ChannelOutcome:
     rate: float
 
 
+@dataclass(frozen=True, eq=False)
+class ChannelBatch:
+    """States after N local channels, one row per channel.
+
+    rho holds the normalized states (N, 4, 4) and rate the post-selection
+    rates (N,). Rows flagged in `extinct` (rate below EXTINCTION_RATE) carry a
+    zero matrix and read 0 in `concurrence` and `entropy_a`.
+    """
+
+    rho: np.ndarray
+    rate: np.ndarray
+    extinct: np.ndarray
+
+    @cached_property
+    def concurrence(self) -> np.ndarray:
+        """Wootters concurrence of each row."""
+        return np.where(self.extinct, 0.0, concurrences(self.rho))
+
+    @cached_property
+    def entropy_a(self) -> np.ndarray:
+        """Normalized linear entropy of each row's qubit-A marginal."""
+        return np.where(self.extinct, 0.0, linear_entropies(reduced_qubit(self.rho, "A")))
+
+    def outcome(self, i: int) -> ChannelOutcome:
+        """Row i as a single outcome; raises ExtinctionError on an extinct row."""
+        if self.extinct[i]:
+            raise ExtinctionError(f"channel extinguishes the state: rate {float(self.rate[i])}")
+        return ChannelOutcome(rho=self.rho[i].copy(), rate=float(self.rate[i]))
+
+
+def pdl_filters(elements) -> np.ndarray:
+    """Jones filters (N, 2, 2) of a sequence of PDL elements, in order."""
+    half = np.array([e.gamma for e in elements], dtype=float).reshape(-1, 1, 1) / 2
+    a = np.array([e.axis for e in elements], dtype=float).reshape(-1, 3, 1, 1)
+    # summed left to right from 0, which fixes the sign of zero entries
+    n_sigma = 0 + a[:, 0] * PAULI[0] + a[:, 1] * PAULI[1] + a[:, 2] * PAULI[2]
+    return np.exp(-half) * (np.cosh(half) * SIGMA0 + np.sinh(half) * n_sigma)
+
+
 def pdl_operator(element: PdlElement) -> np.ndarray:
     """Jones-space filter of a PDL element; Hermitian PSD, singular values {1, e^-gamma}."""
-    g = element.gamma
-    n_sigma = sum(a * s for a, s in zip(element.axis, PAULI))
-    return np.exp(-g / 2) * (np.cosh(g / 2) * SIGMA0 + np.sinh(g / 2) * n_sigma)
+    return pdl_filters([element])[0]
+
+
+def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch:
+    """Apply local filter stacks (m_a on qubit A, m_b on qubit B) and renormalize.
+
+    m_a and m_b are (N, 2, 2) stacks, either of which may be a single (1, 2, 2)
+    filter shared by every row; rho is one state (4, 4) or one per row
+    (N, 4, 4). Every filter must be trace-nonincreasing (singular values
+    <= 1), else ValueError. Each live row's normalized state passes
+    check_state; rows whose rate falls below EXTINCTION_RATE are flagged
+    rather than raised, see ChannelBatch.
+    """
+    m_a = np.asarray(m_a, dtype=complex)
+    m_b = np.asarray(m_b, dtype=complex)
+    for name, m in (("m_a", m_a), ("m_b", m_b)):
+        sv = np.linalg.svd(m, compute_uv=False)
+        if sv.size and sv.max() > 1 + 1e-9:
+            raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
+    # Kronecker product of each row pair, laid out as np.kron lays out one pair
+    big = (m_a[:, :, None, :, None] * m_b[:, None, :, None, :]).reshape(-1, 4, 4)
+    filtered = big @ rho @ np.swapaxes(big.conj(), -1, -2)
+    rate = np.trace(filtered, axis1=-2, axis2=-1).real
+    extinct = rate < EXTINCTION_RATE
+    if extinct.any():
+        live = ~extinct
+        states = np.zeros_like(filtered)
+        states[live] = check_states(filtered[live] / rate[live, None, None])
+    else:
+        states = check_states(filtered / rate[:, None, None])
+    return ChannelBatch(rho=states, rate=rate, extinct=extinct)
 
 
 def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelOutcome:
     """Apply local filters (m_a on qubit A, m_b on qubit B) and renormalize.
 
-    Both filters must be trace-nonincreasing (singular values <= 1). Raises
-    ExtinctionError when the post-selection rate falls below 1e-12.
+    The one-row case of `propagate`. Both filters must be trace-nonincreasing
+    (singular values <= 1). Raises ExtinctionError when the post-selection
+    rate falls below EXTINCTION_RATE.
     """
-    for name, m in (("m_a", m_a), ("m_b", m_b)):
-        sv = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-        if sv.max() > 1 + 1e-9:
-            raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
-    big = np.kron(m_a, m_b)
-    filtered = big @ rho @ big.conj().T
-    rate = float(np.trace(filtered).real)
-    if rate < 1e-12:
-        raise ExtinctionError(f"channel extinguishes the state: rate {rate}")
-    return ChannelOutcome(rho=check_state(filtered / rate), rate=rate)
+    return propagate(rho, np.asarray(m_a)[None], np.asarray(m_b)[None]).outcome(0)
 
 
 def pmd_dephase(rho: np.ndarray, element: PmdElement, qubit: str = "A") -> np.ndarray:

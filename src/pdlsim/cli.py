@@ -24,13 +24,13 @@ from .channels import (
     CANONICAL_AXIS,
     PdlElement,
     PmdElement,
-    apply_local,
     axis_from_polar,
     concat_pdl,
-    db_from_gamma,
     gamma_from_db,
+    pdl_filters,
     pdl_operator,
     pmd_dephase,
+    propagate,
 )
 from .compensation import entropy_feedback, fibonacci_sphere
 from .instrument import (
@@ -151,6 +151,19 @@ def _measure(outcome, cfg: RunConfig, sub_seed: int):
     return project_physical(reconstruct(counts, settings))
 
 
+def _observe(batch, i: int, cfg: RunConfig, label: str, seed_index: int):
+    """Row i of a channel batch as a run reports it: (outcome, state, concurrence, S_A).
+
+    Noisy runs replace the exact state with a tomographic reconstruction drawn
+    from the sub-seed (label, seed_index); noiseless runs read the batch.
+    """
+    out = batch.outcome(i)
+    if cfg.noisy:
+        rho = _measure(out, cfg, derive_seed(cfg.seed, label, seed_index))
+        return out, rho, concurrence(rho), entropy_feedback(rho)
+    return out, out.rho, float(batch.concurrence[i]), float(batch.entropy_a[i])
+
+
 def _matrix_rows(rho, label=None):
     rows = []
     for i in range(rho.shape[0]):
@@ -212,24 +225,19 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     base = bell_diagonal([cfg.c_b2b, -cfg.c_b2b, 1.0])
     t = correlation_of(base)
     axes = fibonacci_sphere(orientations_n)
+    emulators = [(db, ax, PdlElement(gamma_from_db(db), ax)) for db in pdl_db_list for ax in axes]
+    m_a = pdl_filters([em for _, _, em in emulators]) @ pdl_operator(src_el)
+    batch = propagate(base, m_a, SIGMA0[None])
     rows = []
-    for db in pdl_db_list:
-        for ax in axes:
-            em = PdlElement(gamma_from_db(db), ax)
-            agg = concat_pdl(src_el, em)
-            m_a = pdl_operator(em) @ pdl_operator(src_el)
-            out = apply_local(base, m_a, SIGMA0)
-            if cfg.noisy:
-                rho = _measure(out, cfg, derive_seed(cfg.seed, "sweep", len(rows)))
-            else:
-                rho = out.rho
-            c = concurrence(rho)
-            if not cfg.noisy and abs(c * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
-                raise RuntimeError("sweep row violates the magnitude-only concurrence law")
-            rows.append([
-                db, ax[0], ax[1], ax[2], agg.gamma_db,
-                kappa(t, src_el.axis, em.axis), c, purity(rho), out.rate,
-            ])
+    for i, (db, ax, em) in enumerate(emulators):
+        agg = concat_pdl(src_el, em)
+        out, rho, c, _ = _observe(batch, i, cfg, "sweep", i)
+        if not cfg.noisy and abs(c * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
+            raise RuntimeError("sweep row violates the magnitude-only concurrence law")
+        rows.append([
+            db, ax[0], ax[1], ax[2], agg.gamma_db,
+            kappa(t, src_el.axis, em.axis), c, purity(rho), out.rate,
+        ])
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
     return [_write_csv(out_dir / "sweep_pdl.csv", header, rows)]
@@ -251,20 +259,17 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     base, chain_c = _chain_state(pmd_q)
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     t = correlation_of(base)
+    ems = [PdlElement(gamma_from_db(pdl_db), axis_from_polar(th)) for th in thetas]
+    aggs = [concat_pdl(src_el, em) for em in ems]
+    plans = [design_compensator(agg, t) for agg in aggs]
+    m_a = pdl_filters(ems) @ pdl_operator(src_el)
+    uncompensated = propagate(base, m_a, SIGMA0[None])
+    compensated = propagate(base, m_a, pdl_filters([plan.element for plan in plans]))
     rows = []
-    for i, th in enumerate(thetas):
-        em = PdlElement(gamma_from_db(pdl_db), axis_from_polar(th))
-        agg = concat_pdl(src_el, em)
-        m_a = pdl_operator(em) @ pdl_operator(src_el)
-        plan = design_compensator(agg, t)
-        out_u = apply_local(base, m_a, SIGMA0)
-        out_c = apply_local(base, m_a, pdl_operator(plan.element))
-        if cfg.noisy:
-            c_u = concurrence(_measure(out_u, cfg, derive_seed(cfg.seed, "compensate", 2 * i)))
-            c_c = concurrence(_measure(out_c, cfg, derive_seed(cfg.seed, "compensate", 2 * i + 1)))
-        else:
-            c_u = concurrence(out_u.rho)
-            c_c = concurrence(out_c.rho)
+    for i, (th, em, agg, plan) in enumerate(zip(thetas, ems, aggs, plans)):
+        out_u, _, c_u, _ = _observe(uncompensated, i, cfg, "compensate", 2 * i)
+        out_c, _, c_c, _ = _observe(compensated, i, cfg, "compensate", 2 * i + 1)
+        if not cfg.noisy:
             if abs(c_u * np.cosh(agg.gamma) - chain_c) > 1e-6:
                 raise RuntimeError("uncompensated row violates the magnitude-only law")
             # physical magnitudes, not the aggregate: the concatenated product
@@ -300,16 +305,12 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     axes.append(t_a / m)
     kappas = [kappa(t, el_a.axis, ax) for ax in axes]
     order = np.argsort(kappas, kind="stable")
+    el_bs = [PdlElement(g, axes[ax_idx]) for ax_idx in order]
+    batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(el_bs))
     out_rows = []
     for emit_idx, ax_idx in enumerate(order):
-        ax = axes[ax_idx]
-        el_b = PdlElement(g, ax)
-        out = apply_local(base, pdl_operator(el_a), pdl_operator(el_b))
-        if cfg.noisy:
-            rho = _measure(out, cfg, derive_seed(cfg.seed, command_id, emit_idx))
-        else:
-            rho = out.rho
-        out_rows.append((kappas[ax_idx], out, rho))
+        out, rho, c, s_a = _observe(batch, emit_idx, cfg, command_id, emit_idx)
+        out_rows.append((kappas[ax_idx], out, rho, c, s_a))
     return base, chain_c, g, out_rows
 
 
@@ -324,8 +325,8 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
         raise ValueError("pdl_db must be >= 0")
     base, chain_c, g, swept = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
     rows = []
-    for kap, out, rho in swept:
-        c_norm = concurrence(rho) / chain_c
+    for kap, out, _, c, _ in swept:
+        c_norm = c / chain_c
         rate_norm = out.rate
         avg = c_norm * rate_norm
         if not cfg.noisy and abs(avg - np.exp(-2 * g)) > 1e-9:
@@ -348,8 +349,8 @@ def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientati
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     rows = []
     reduced = []
-    for kap, out, rho in swept:
-        rows.append([entropy_feedback(rho), scale * concurrence(rho), kap])
+    for kap, _, rho, c, s_a in swept:
+        rows.append([s_a, scale * c, kap])
         reduced.append(reduced_qubit(rho, "A"))
     entropies = np.array([r[0] for r in rows])
     concs = np.array([r[1] for r in rows])
@@ -380,18 +381,16 @@ def cmd_verify(seed: int) -> int:
     return 1 if failures else 0
 
 
-def _parse_db_list(text: str):
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad magnitude list {text!r}")
+def _float_list(what: str):
+    """argparse type for a comma-separated list of floats, named `what` in errors."""
 
+    def parse(text: str):
+        try:
+            return [float(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}")
 
-def _parse_theta_list(text: str):
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad theta list {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,14 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("b2b", parents=[common], help="back-to-back source state")
 
     sp = sub.add_parser("sweep-pdl", parents=[common], help="magnitude x orientation sweep")
-    sp.add_argument("--pdl-db", type=_parse_db_list, default=[1.25, 2.55, 3.7, 5.1, 6.3],
+    sp.add_argument("--pdl-db", type=_float_list("magnitude"), default=[1.25, 2.55, 3.7, 5.1, 6.3],
                     help="comma list of emulator magnitudes in dB")
     sp.add_argument("--orientations", type=int, default=50)
 
     cp = sub.add_parser("compensate", parents=[common], help="designed compensator vs angle")
     cp.add_argument("--pdl-db", type=float, default=5.1)
     cp.add_argument("--theta-count", type=int, default=25)
-    cp.add_argument("--theta-list", type=_parse_theta_list, default=None,
+    cp.add_argument("--theta-list", type=_float_list("theta"), default=None,
                     help="explicit angles in radians (overrides --theta-count)")
     cp.add_argument("--pmd-q", type=float, default=0.0)
 

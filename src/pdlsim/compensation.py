@@ -3,9 +3,11 @@
 Mirrors the experimental protocol: place a candidate PDL element in arm B,
 measure (or compute) the resulting concurrence, and keep the best orientation
 and magnitude. The coarse stage scans a Fibonacci sphere lattice crossed with a
-magnitude grid; a coordinate-descent stage with interval halving then polishes
-the winner. With the noisy flag set the objective is the concurrence of a
-projected tomographic reconstruction instead of the exact state.
+magnitude grid in one `propagate` call; a coordinate-descent stage with
+interval halving then polishes the winner one trial at a time, since each
+trial starts from the previous best. With the noisy flag set the objective is
+the concurrence of a projected tomographic reconstruction instead of the exact
+state, measured candidate by candidate.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +20,10 @@ from .channels import (
     PmdElement,
     apply_local,
     axis_from_polar,
+    pdl_filters,
     pdl_operator,
     pmd_dephase,
+    propagate,
 )
 from .instrument import (
     DetectorModel,
@@ -128,31 +132,32 @@ def optimize_compensator(
     best_c = -1.0
     best_el = None
 
-    def evaluate(element: PdlElement) -> float:
+    def record(element: PdlElement, rate: float, obj: float, s_a: float) -> None:
         nonlocal best_c, best_el
-        idx = len(records)
-        try:
-            out = apply_local(base, m_a, pdl_operator(element))
-        except ExtinctionError:
-            records.append(EvalRecord(element, 0.0, 0.0, 0.0))
-            obj = 0.0
-        else:
-            if cfg.noisy:
-                counts = simulate_counts(
-                    out, settings, cfg.source, cfg.detector, cfg.pulses,
-                    seed=derive_seed(cfg.seed, "cand", idx),
-                )
-                rho_hat = project_physical(reconstruct(counts, settings))
-                obj = concurrence(rho_hat)
-                s_a = entropy_feedback(rho_hat)
-            else:
-                obj = concurrence(out.rho)
-                s_a = entropy_feedback(out.rho)
-            records.append(EvalRecord(element, obj, out.rate, s_a))
+        records.append(EvalRecord(element, obj, rate, s_a))
         if obj > best_c:
             best_c = obj
             best_el = element
-        return obj
+
+    def measure(out) -> tuple[float, float]:
+        # tomographic objective of the candidate about to be recorded
+        counts = simulate_counts(
+            out, settings, cfg.source, cfg.detector, cfg.pulses,
+            seed=derive_seed(cfg.seed, "cand", len(records)),
+        )
+        rho_hat = project_physical(reconstruct(counts, settings))
+        return concurrence(rho_hat), entropy_feedback(rho_hat)
+
+    def evaluate(element: PdlElement) -> None:
+        try:
+            out = apply_local(base, m_a, pdl_operator(element))
+        except ExtinctionError:
+            record(element, 0.0, 0.0, 0.0)
+            return
+        if cfg.noisy:
+            record(element, out.rate, *measure(out))
+        else:
+            record(element, out.rate, concurrence(out.rho), entropy_feedback(out.rho))
 
     if cfg.gamma_grid is not None:
         grid = cfg.gamma_grid
@@ -161,9 +166,16 @@ def optimize_compensator(
     else:
         grid = tuple(np.linspace(0.7 * pdl_a.gamma, 1.3 * pdl_a.gamma, 7))
     axes = fibonacci_sphere(cfg.sphere_points)
-    for g in grid:
-        for ax in axes:
-            evaluate(PdlElement(float(g), ax))
+    lattice = [PdlElement(float(g), ax) for g in grid for ax in axes]
+    batch = propagate(base, m_a[None], pdl_filters(lattice))
+    for i, element in enumerate(lattice):
+        if batch.extinct[i]:
+            record(element, 0.0, 0.0, 0.0)
+        elif cfg.noisy:
+            record(element, float(batch.rate[i]), *measure(batch.outcome(i)))
+        else:
+            record(element, float(batch.rate[i]), float(batch.concurrence[i]),
+                   float(batch.entropy_a[i]))
 
     # polish: coordinate descent on (theta, phi, gamma) with interval halving
     ax = best_el.axis

@@ -130,11 +130,15 @@ _SET16 = [
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSetting:
-    """One coincidence analyzer setting: Jones vectors for arms A and B."""
+    """One coincidence analyzer setting: Jones vectors for arms A and B.
+
+    `ket` is the two-photon projector ket jones_a x jones_b, built once here.
+    """
 
     jones_a: np.ndarray
     jones_b: np.ndarray
     label: str = ""
+    ket: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, v in (("jones_a", self.jones_a), ("jones_b", self.jones_b)):
@@ -143,24 +147,28 @@ class ProjectorSetting:
                 raise ValueError(f"{name} must be a normalized 2-vector")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-
-    @property
-    def ket(self) -> np.ndarray:
-        return np.kron(self.jones_a, self.jones_b)
+        ket = np.kron(self.jones_a, self.jones_b)
+        ket.setflags(write=False)
+        object.__setattr__(self, "ket", ket)
 
 
 def _setting(na: str, nb: str) -> ProjectorSetting:
     return ProjectorSetting(ANALYZERS[na].copy(), ANALYZERS[nb].copy(), label=na + nb)
 
 
+# settings are immutable, so every schedule call hands out the same ones
+_SETTINGS_36 = tuple(_setting(na, nb) for na, nb in product("HVDARL", repeat=2))
+_SETTINGS_16 = tuple(_setting(na, nb) for na, nb in _SET16)
+
+
 def settings_36() -> list[ProjectorSetting]:
     """Full 6x6 analyzer product over H, V, D, A, R, L."""
-    return [_setting(na, nb) for na, nb in product("HVDARL", repeat=2)]
+    return list(_SETTINGS_36)
 
 
 def settings_16() -> list[ProjectorSetting]:
     """Minimal informationally complete subset (exact linear inversion)."""
-    return [_setting(na, nb) for na, nb in _SET16]
+    return list(_SETTINGS_16)
 
 
 @dataclass(frozen=True)
@@ -256,10 +264,6 @@ def _settings_plan(settings: list[ProjectorSetting]) -> _SettingsPlan:
     return plan
 
 
-def _model_matrix(settings: list[ProjectorSetting]) -> np.ndarray:
-    return _settings_plan(settings).model
-
-
 def _basis_groups(settings: list[ProjectorSetting]) -> np.ndarray | None:
     """Group indices when the schedule tiles into complete product bases.
 
@@ -310,7 +314,7 @@ def reconstruct(counts, settings: list[ProjectorSetting]) -> np.ndarray:
     Accepts CountRecord lists (observed counts are used) or a plain sequence of
     nonnegative reals.
     """
-    if counts and isinstance(counts[0], CountRecord):
+    if len(counts) > 0 and isinstance(counts[0], CountRecord):
         counts = [r.observed for r in counts]
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(settings),):

@@ -3,7 +3,10 @@
 Jones convention: |H> = (1, 0), |V> = (0, 1), so sigma_3 = diag(1, -1) and
 Stokes components are ordered (s1, s2, s3) against (sigma_1, sigma_2, sigma_3).
 Density matrices are plain complex ndarrays; validators return a symmetrized
-canonical copy rather than wrapping arrays in a class.
+canonical copy rather than wrapping arrays in a class. The state functions
+with a stack form (`check_states`, `concurrences`, `reduced_qubit`,
+`linear_entropies`) take any leading batch axes and apply the single-state
+arithmetic row by row; the single-state functions are their one-state case.
 """
 
 from enum import Enum
@@ -60,8 +63,8 @@ def bell_state(kind: BellKind) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dag)/2, the canonical form used before validation."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m^dag)/2 of a matrix or of each matrix in a stack."""
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
 def check_state(m: np.ndarray, dim: int = 4, tol: float = 1e-9) -> np.ndarray:
@@ -72,12 +75,24 @@ def check_state(m: np.ndarray, dim: int = 4, tol: float = 1e-9) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    return check_states(m, tol)
+
+
+def check_states(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """check_state applied to every matrix of a stack (..., d, d).
+
+    Raises on any bad row, quoting the worst trace or eigenvalue in the stack.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
     m = symmetrize(m)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} is not 1 within {tol}")
+    if m.size == 0:
+        return m
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    dev = np.abs(tr - 1.0)
+    if dev.max() > tol:
+        raise ValueError(f"trace {tr.flat[dev.argmax()]} is not 1 within {tol}")
     lo = np.linalg.eigvalsh(m).min()
     if lo < -tol:
         raise ValueError(f"negative eigenvalue {lo} beyond tolerance")
@@ -126,31 +141,36 @@ def correlation_of(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def eigvals_desc(m: np.ndarray, imag_tol: float = 1e-9, clamp: float = 1e-12) -> np.ndarray:
-    """Real eigenvalues of m in descending order.
+    """Real eigenvalues of m (or of each matrix in a stack) in descending order.
 
-    Raises if the spectrum is not real within imag_tol. Magnitudes below
+    Raises if any spectrum is not real within imag_tol. Magnitudes below
     `clamp` are zeroed so downstream square roots stay exact on rank-deficient
     products.
     """
     lam = np.linalg.eigvals(np.asarray(m, dtype=complex))
-    if np.abs(lam.imag).max() > imag_tol:
+    if lam.size and np.abs(lam.imag).max() > imag_tol:
         raise ValueError(f"spectrum is not real: max imag {np.abs(lam.imag).max()}")
-    lam = np.sort(lam.real)[::-1]
+    lam = np.sort(lam.real, axis=-1)[..., ::-1]
     lam[np.abs(lam) < clamp] = 0.0
     return lam
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of every state in a stack (..., 4, 4).
 
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
     descending eigenvalues of rho (sy x sy) rho* (sy x sy).
     """
+    rho = np.asarray(rho)
     m = rho @ _YY @ rho.conj() @ _YY
-    lam = eigvals_desc(m)
-    lam = np.clip(lam, 0.0, None)
-    s = np.sqrt(lam)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+    s = np.sqrt(np.clip(eigvals_desc(m), 0.0, None))
+    c = np.subtract.reduce(s, axis=-1)  # s1 - s2 - s3 - s4, left to right
+    return np.where(c > 0.0, c, 0.0)
+
+
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of a two-qubit density matrix (see `concurrences`)."""
+    return float(concurrences(rho))
 
 
 def purity(rho: np.ndarray) -> float:
@@ -163,16 +183,25 @@ def linear_entropy(q: np.ndarray) -> float:
     q = np.asarray(q, dtype=complex)
     if q.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {q.shape}")
-    return float(2.0 * (1.0 - np.trace(q @ q).real))
+    return float(linear_entropies(q))
+
+
+def linear_entropies(q: np.ndarray) -> np.ndarray:
+    """linear_entropy of every single-qubit state in a stack (..., 2, 2)."""
+    return 2.0 * (1.0 - np.trace(q @ q, axis1=-2, axis2=-1).real)
 
 
 def reduced_qubit(rho: np.ndarray, which: str) -> np.ndarray:
-    """Partial trace onto qubit "A" (first factor) or "B" (second factor)."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    """Partial trace onto qubit "A" (first factor) or "B" (second factor).
+
+    Takes one state (4, 4) or a stack (..., 4, 4).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if which == "A":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.trace(r, axis1=-3, axis2=-1)
     if which == "B":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
 
 

@@ -3,7 +3,9 @@
 Each suite exercises one law along two independent routes (closed form vs
 brute-force filtered density matrix, designed optimum vs sampled alternatives,
 forward counts vs inverted state) and reports its worst observed error against
-a fixed tolerance. All suites are seeded and deterministic.
+a fixed tolerance. All suites are seeded and deterministic. Suites that filter
+states draw all their random inputs first, in a fixed order, then send every
+case through one `propagate` call.
 """
 
 import time
@@ -13,11 +15,13 @@ import numpy as np
 
 from . import theory
 from .channels import (
+    DB_PER_NEPER,
     PdlElement,
-    apply_local,
     angle_from_aggregate,
     concat_pdl,
+    pdl_filters,
     pdl_operator,
+    propagate,
 )
 from .compensation import SearchConfig, fibonacci_sphere, optimize_compensator
 from .instrument import (
@@ -36,13 +40,13 @@ from .qmath import (
     bell_diagonal,
     bell_state,
     check_state,
-    concurrence,
+    concurrences,
     correlation_of,
     trace_distance,
 )
 
 DEFAULT_SEED = 20260822
-GAMMA_MAX = 7 / 8.685889638065037  # 7 dB in nepers
+GAMMA_MAX = 7 / DB_PER_NEPER  # 7 dB in nepers
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,19 @@ def _random_element(rng, gamma_max=GAMMA_MAX):
     return PdlElement(float(rng.uniform(0, gamma_max)), _random_axis(rng))
 
 
+def _through(rho, m_a, m_b):
+    """One kernel call for suite cases, none of which may extinguish the state."""
+    batch = propagate(rho, m_a, m_b)
+    for i in np.flatnonzero(batch.extinct):
+        batch.outcome(i)  # raises ExtinctionError
+    return batch
+
+
+def _worst(*errors) -> float:
+    """Largest entry over error arrays, 0 when all are empty."""
+    return max(float(np.max(e, initial=0.0)) for e in errors)
+
+
 def oracle_equivalence(seed=DEFAULT_SEED, cases=1000, predictor=None) -> SuiteResult:
     """Closed-form concurrence vs Wootters concurrence of the filtered matrix.
 
@@ -95,16 +112,18 @@ def oracle_equivalence(seed=DEFAULT_SEED, cases=1000, predictor=None) -> SuiteRe
         predictor = theory.predicted_concurrence
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    rhos, eas, ebs = [], [], []
     for _ in range(cases):
-        rho = _random_bell_diagonal(rng)
-        t = correlation_of(rho)
-        c0 = concurrence(rho)
-        ea, eb = _random_element(rng), _random_element(rng)
-        kap = theory.kappa(t, ea.axis, eb.axis)
-        closed = predictor(c0, ea.gamma, eb.gamma, kap)
-        out = apply_local(rho, pdl_operator(ea), pdl_operator(eb))
-        worst = max(worst, abs(closed - concurrence(out.rho)))
+        rhos.append(_random_bell_diagonal(rng))
+        eas.append(_random_element(rng))
+        ebs.append(_random_element(rng))
+    rhos = np.array(rhos).reshape(-1, 4, 4)
+    closed = [
+        predictor(c0, ea.gamma, eb.gamma, theory.kappa(correlation_of(rho), ea.axis, eb.axis))
+        for rho, c0, ea, eb in zip(rhos, concurrences(rhos), eas, ebs)
+    ]
+    batch = _through(rhos, pdl_filters(eas), pdl_filters(ebs))
+    worst = _worst(np.abs(np.array(closed) - batch.concurrence))
     return _result("oracle-equivalence", worst, 1e-9, cases, t0)
 
 
@@ -112,21 +131,20 @@ def rate_conservation(seed=DEFAULT_SEED, cases=400) -> SuiteResult:
     """Rate x concurrence stays at exp(-(gA+gB)) c0, however the sum is split."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    rhos, totals, eas, ebs = [], [], [], []
     for _ in range(cases):
-        rho = _random_bell_diagonal(rng)
-        c0 = concurrence(rho)
-        total = rng.uniform(0, 2 * GAMMA_MAX)
-        products = []
+        rhos.append(_random_bell_diagonal(rng))
+        totals.append(rng.uniform(0, 2 * GAMMA_MAX))
         for _ in range(3):
-            ga = rng.uniform(0, total)
-            ea = PdlElement(ga, _random_axis(rng))
-            eb = PdlElement(total - ga, _random_axis(rng))
-            out = apply_local(rho, pdl_operator(ea), pdl_operator(eb))
-            prod = out.rate * concurrence(out.rho)
-            worst = max(worst, abs(prod - np.exp(-total) * c0))
-            products.append(prod)
-        worst = max(worst, max(products) - min(products))
+            ga = rng.uniform(0, totals[-1])
+            eas.append(PdlElement(ga, _random_axis(rng)))
+            ebs.append(PdlElement(totals[-1] - ga, _random_axis(rng)))
+    rhos = np.array(rhos).reshape(-1, 4, 4)
+    want = np.exp(-np.array(totals)) * concurrences(rhos)
+    # three splits of each case's total loss, consecutive rows
+    batch = _through(np.repeat(rhos, 3, axis=0), pdl_filters(eas), pdl_filters(ebs))
+    products = (batch.rate * batch.concurrence).reshape(-1, 3)
+    worst = _worst(np.abs(products - want[:, None]), products.max(axis=1) - products.min(axis=1))
     return _result("rate-conservation", worst, 1e-9, cases, t0)
 
 
@@ -136,18 +154,12 @@ def orientation_independence(seed=DEFAULT_SEED, per_magnitude=100) -> SuiteResul
     rng = np.random.default_rng(seed)
     c0 = 0.925
     rho = bell_diagonal([c0, -c0, 1.0])
-    magnitudes_db = (1.25, 2.55, 3.7, 5.1, 6.3)
-    worst = 0.0
-    for db in magnitudes_db:
-        gamma = db / 8.685889638065037
-        vals = []
-        for _ in range(per_magnitude):
-            el = PdlElement(gamma, _random_axis(rng))
-            out = apply_local(rho, pdl_operator(el), SIGMA0)
-            vals.append(concurrence(out.rho))
-        vals = np.array(vals)
-        worst = max(worst, vals.max() - vals.min())
-        worst = max(worst, np.abs(vals - c0 / np.cosh(gamma)).max())
+    gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
+    elements = [PdlElement(gamma, _random_axis(rng)) for gamma in gammas for _ in range(per_magnitude)]
+    batch = _through(rho, pdl_filters(elements), SIGMA0[None])
+    vals = batch.concurrence.reshape(len(gammas), per_magnitude)
+    worst = _worst(vals.max(axis=1) - vals.min(axis=1),
+                   np.abs(vals - c0 / np.cosh(gammas)[:, None]))
     return _result("orientation-independence", worst, 1e-12, 5 * per_magnitude, t0)
 
 
@@ -201,19 +213,18 @@ def compensation_optimality(seed=DEFAULT_SEED, alternatives=500) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     problems = [
-        (bell_state(BellKind.PHI_PLUS), PdlElement(5.1 / 8.685889638065037, (0.0, 0.0, 1.0))),
+        (bell_state(BellKind.PHI_PLUS), PdlElement(5.1 / DB_PER_NEPER, (0.0, 0.0, 1.0))),
         (bell_diagonal([0.69, -0.69, 1.0]), _random_element(rng)),
     ]
     for rho, el_a in problems:
         t = correlation_of(rho)
         plan = theory.design_compensator(el_a, t)
-        out = apply_local(rho, pdl_operator(el_a), pdl_operator(plan.element))
-        designed = concurrence(out.rho)
-        worst = max(worst, abs(designed - plan.predicted_concurrence))
-        for _ in range(alternatives):
-            alt = PdlElement(float(rng.uniform(0, 2 * el_a.gamma + 0.1)), _random_axis(rng))
-            out_alt = apply_local(rho, pdl_operator(el_a), pdl_operator(alt))
-            worst = max(worst, concurrence(out_alt.rho) - designed)
+        alts = [PdlElement(float(rng.uniform(0, 2 * el_a.gamma + 0.1)), _random_axis(rng))
+                for _ in range(alternatives)]
+        batch = _through(rho, pdl_operator(el_a)[None], pdl_filters([plan.element, *alts]))
+        designed = batch.concurrence[0]
+        worst = max(worst, abs(designed - plan.predicted_concurrence),
+                    _worst(batch.concurrence[1:] - designed))
         res = optimize_compensator(el_a, rho, SearchConfig(sphere_points=64, refine_iters=20))
         worst = max(worst, abs(res.best_concurrence - plan.predicted_concurrence))
     return _result("compensation-optimality", worst, 1e-3, 2 * (alternatives + 1), t0)
@@ -226,12 +237,13 @@ def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel(dark_prob=0.0, accidental_floor=0.0)
     worst = 0.0
-    states = [source_state(src)]
+    rhos = []
     for _ in range(cases - 1):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        rho = check_state(m / np.trace(m).real)
-        states.append(apply_local(rho, SIGMA0, SIGMA0))
+        rhos.append(check_state(m / np.trace(m).real))
+    batch = _through(np.array(rhos).reshape(-1, 4, 4), SIGMA0[None], SIGMA0[None])
+    states = [source_state(src)] + [batch.outcome(i) for i in range(len(rhos))]
     for out in states:
         for settings in (settings_16(), settings_36()):
             exact = [expected_coincidences(out, s, src, det, 10**6) for s in settings]
@@ -250,28 +262,23 @@ def envelope_bounds(seed=DEFAULT_SEED, cases=300) -> SuiteResult:
     t = correlation_of(rho)
     worst = 0.0
     for gamma_db in (2.0, 5.1):
-        g = gamma_db / 8.685889638065037
+        g = gamma_db / DB_PER_NEPER
         bounds = theory.rate_bounds(g, g)
         el_a = PdlElement(g, (0.0, 0.0, 1.0))
-        for _ in range(cases):
-            el_b = PdlElement(g, _random_axis(rng))
-            out = apply_local(rho, pdl_operator(el_a), pdl_operator(el_b))
-            c_norm = concurrence(out.rho)
-            worst = max(worst, bounds.c_min - c_norm, c_norm - bounds.c_max_norm)
-            worst = max(
-                worst,
-                bounds.rate_at_kappa_minus1 - out.rate,
-                out.rate - bounds.rate_at_kappa_plus1,
-            )
+        el_bs = [PdlElement(g, _random_axis(rng)) for _ in range(cases)]
         # T zhat = t3 zhat for Bell states, so b = -/+ zhat sits at kappa = -/+ 1
-        for sign, c_want, r_want in (
-            (-1.0, bounds.c_max_norm, bounds.rate_at_kappa_minus1),
-            (+1.0, bounds.c_min, bounds.rate_at_kappa_plus1),
-        ):
-            axis_b = (0.0, 0.0, sign * t[2])
-            out = apply_local(rho, pdl_operator(el_a), pdl_operator(PdlElement(g, axis_b)))
-            worst = max(worst, abs(concurrence(out.rho) - c_want))
-            worst = max(worst, abs(out.rate - r_want))
+        el_bs += [PdlElement(g, (0.0, 0.0, sign * t[2])) for sign in (-1.0, 1.0)]
+        batch = _through(rho, pdl_operator(el_a)[None], pdl_filters(el_bs))
+        c_norm, rate = batch.concurrence[:cases], batch.rate[:cases]
+        worst = max(worst, _worst(
+            bounds.c_min - c_norm, c_norm - bounds.c_max_norm,
+            bounds.rate_at_kappa_minus1 - rate, rate - bounds.rate_at_kappa_plus1,
+        ))
+        c_end, rate_end = batch.concurrence[cases:], batch.rate[cases:]
+        worst = max(worst, _worst(
+            np.abs(c_end - [bounds.c_max_norm, bounds.c_min]),
+            np.abs(rate_end - [bounds.rate_at_kappa_minus1, bounds.rate_at_kappa_plus1]),
+        ))
     return _result("envelope-bounds", worst, 1e-9, 2 * (cases + 2), t0)
 
 

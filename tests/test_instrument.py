@@ -228,6 +228,24 @@ def test_reconstruct_roundtrip_random_states():
             assert trace_distance(recon, rho) < 1e-8
 
 
+def test_reconstruct_accepts_ndarray_counts():
+    src = calibrate_source(0.925, 1.38)
+    s36 = settings_36()
+    records = simulate_counts(source_state(src), s36, src, DetectorModel(), 10**6, seed=17)
+    as_list = reconstruct(records, s36)
+    as_array = reconstruct(np.array([r.observed for r in records]), s36)
+    assert np.array_equal(as_array, as_list)
+    with pytest.raises(ValueError):
+        reconstruct(np.array([]), s36)
+
+
+def test_settings_built_once():
+    assert all(a is b for a, b in zip(settings_36(), settings_36()))
+    assert settings_16() is not settings_16()  # fresh list, shared immutable settings
+    with pytest.raises(ValueError):
+        settings_36()[0].ket[0] = 0.0
+
+
 def test_reconstruct_errors():
     s36 = settings_36()
     with pytest.raises(ValueError):

@@ -1,0 +1,231 @@
+"""The batched state-through-channel kernel `channels.propagate`.
+
+A batch must reproduce, bit for bit, both its own one-row case and a plain
+np.kron + matmul + eigvals loop written out here, so routing the search, the
+CLI and verify through it changes no output.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from pdlsim.channels import (
+    ChannelBatch,
+    ExtinctionError,
+    PdlElement,
+    PmdElement,
+    apply_local,
+    axis_from_polar,
+    concat_pdl,
+    gamma_from_db,
+    pdl_filters,
+    pdl_operator,
+    pmd_dephase,
+    propagate,
+)
+from pdlsim.cli import main
+from pdlsim.compensation import SearchConfig, entropy_feedback, optimize_compensator
+from pdlsim.qmath import (
+    PAULI,
+    SIGMA0,
+    BellKind,
+    bell_diagonal,
+    bell_state,
+    check_state,
+    concurrence,
+)
+
+_YY = np.kron(PAULI[1], PAULI[1])
+
+
+def random_axis(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def random_states(rng, n):
+    """Bell-diagonal, PMD-dephased |phi+> and generic full-rank states, interleaved."""
+    states = []
+    for k in range(n):
+        if k % 3 == 0:
+            w = rng.dirichlet(np.ones(4))
+            rho = sum(wi * bell_state(kind) for wi, kind in zip(w, BellKind))
+        elif k % 3 == 1:
+            el = PmdElement(rng.uniform(0, 0.5), random_axis(rng))
+            rho = pmd_dephase(bell_state(BellKind.PHI_PLUS), el, qubit="A")
+        else:
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T
+            rho = m / np.trace(m).real
+        states.append(check_state(rho))
+    return states
+
+
+def random_elements(rng, n, gamma_max=2.0):
+    return [PdlElement(float(rng.uniform(0, gamma_max)), random_axis(rng)) for _ in range(n)]
+
+
+def loop_filter(element):
+    g = element.gamma
+    n_sigma = sum(a * s for a, s in zip(element.axis, PAULI))
+    return np.exp(-g / 2) * (np.cosh(g / 2) * SIGMA0 + np.sinh(g / 2) * n_sigma)
+
+
+def loop_channel(rho, m_a, m_b):
+    """Filter, renormalize, Wootters and qubit-A entropy, one state at a time."""
+    big = np.kron(m_a, m_b)
+    filtered = big @ rho @ big.conj().T
+    rate = float(np.trace(filtered).real)
+    out = filtered / rate
+    out = (out + out.conj().T) / 2
+    lam = np.linalg.eigvals(out @ _YY @ out.conj() @ _YY)
+    lam = np.sort(lam.real)[::-1]
+    lam[np.abs(lam) < 1e-12] = 0.0
+    s = np.sqrt(np.clip(lam, 0.0, None))
+    c = max(0.0, s[0] - s[1] - s[2] - s[3])
+    q = np.trace(out.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    return out, rate, c, 2.0 * (1.0 - np.trace(q @ q).real)
+
+
+def same_bits(a, b):
+    """Equal bytes, so signed zeros count too (np.array_equal treats -0.0 == 0.0)."""
+    a, b = np.asarray(a, dtype=np.result_type(a, b)), np.asarray(b, dtype=np.result_type(a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_rows_match(batch, i, rho, rate, c, s_a):
+    assert same_bits(batch.rho[i], rho)
+    assert same_bits(batch.rate[i], rate)
+    assert same_bits(batch.concurrence[i], c)
+    assert same_bits(batch.entropy_a[i], s_a)
+
+
+def test_filters_match_loop_and_one_row_case():
+    rng = np.random.default_rng(101)
+    elements = random_elements(rng, 60) + [PdlElement(0.0), PdlElement(0)]
+    stack = pdl_filters(elements)
+    assert stack.shape == (len(elements), 2, 2)
+    for el, m in zip(elements, stack):
+        assert same_bits(m, loop_filter(el))
+        assert same_bits(pdl_operator(el), m)
+    assert pdl_filters([]).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("shared_base", [True, False])
+def test_batch_matches_loop_and_one_row_calls(shared_base):
+    rng = np.random.default_rng(103 + shared_base)
+    n = 90
+    states = random_states(rng, n)
+    els_a, els_b = random_elements(rng, n), random_elements(rng, n)
+    m_a, m_b = pdl_filters(els_a), pdl_filters(els_b)
+    bases = [states[0]] * n if shared_base else states
+    batch = propagate(states[0] if shared_base else np.array(states), m_a, m_b)
+    assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
+    for i in range(n):
+        rho, rate, c, s_a = loop_channel(bases[i], loop_filter(els_a[i]), loop_filter(els_b[i]))
+        assert_rows_match(batch, i, rho, rate, c, s_a)
+        one = apply_local(bases[i], pdl_operator(els_a[i]), pdl_operator(els_b[i]))
+        assert same_bits(one.rho, rho) and same_bits(one.rate, rate)
+        assert same_bits(concurrence(one.rho), c) and same_bits(entropy_feedback(one.rho), s_a)
+
+
+def test_single_filter_broadcasts_over_the_stack():
+    rng = np.random.default_rng(107)
+    base = bell_diagonal([0.925, -0.925, 1.0])
+    el_a = PdlElement(0.6, random_axis(rng))
+    els_b = random_elements(rng, 40)
+    batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(els_b))
+    flipped = propagate(base, pdl_filters(els_b), SIGMA0[None])
+    for i, el_b in enumerate(els_b):
+        assert_rows_match(batch, i, *loop_channel(base, loop_filter(el_a), loop_filter(el_b)))
+        assert_rows_match(flipped, i, *loop_channel(base, loop_filter(el_b), SIGMA0))
+
+
+def test_extinct_rows_are_masked_in_a_batch():
+    vv = np.kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])).astype(complex)
+    strong = np.diag([1.0, np.exp(-15.0)]).astype(complex)
+    mild = np.diag([1.0, np.exp(-2.0)]).astype(complex)
+
+    def passing(rate):  # arm-A filter that leaves |VV> at this rate
+        return np.diag([1.0, np.sqrt(rate)]).astype(complex)
+
+    m_a = np.array([SIGMA0, strong, passing(0.5e-12), passing(2e-12), SIGMA0])
+    m_b = np.array([SIGMA0, strong, SIGMA0, SIGMA0, mild])
+    batch = propagate(vv, m_a, m_b)
+    assert batch.extinct.tolist() == [False, True, True, False, False]
+    for i in (1, 2):
+        assert not batch.rho[i].any()
+        assert batch.concurrence[i] == 0.0 and batch.entropy_a[i] == 0.0
+        with pytest.raises(ExtinctionError):
+            batch.outcome(i)
+    for i in (0, 3, 4):
+        assert_rows_match(batch, i, *loop_channel(vv, m_a[i], m_b[i]))
+    with pytest.raises(ExtinctionError):
+        apply_local(vv, strong, strong)
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_amplifying_filter_anywhere_in_a_stack_raises(row):
+    rng = np.random.default_rng(109)
+    stack = pdl_filters(random_elements(rng, 7))
+    stack[row] = stack[row] * 1.01
+    rho = bell_state(BellKind.PHI_PLUS)
+    with pytest.raises(ValueError, match="m_a is not trace-nonincreasing"):
+        propagate(rho, stack, SIGMA0[None])
+    with pytest.raises(ValueError, match="m_b is not trace-nonincreasing"):
+        propagate(rho, SIGMA0[None], stack)
+
+
+# SHA-256 pins of search traces and CLI files, recorded from the scalar route
+# before the kernel existed (numpy 2.4, OpenBLAS 0.3.31, x86-64). Another
+# numeric stack may round differently and need fresh pins.
+SEARCH_PINS = {
+    "pdl": "89a26361906c82709d90e57eb4859234e8275792264d64d4d34be21208883940",
+    "pmd": "bbac11d24772e4df5ee839c8917bea226163234c454fb784b1d48e2722de6c22",
+}
+CSV_PINS = {
+    ("sweep-pdl",): {
+        "sweep_pdl.csv": "ac208a94c8ca7f0052328153284667b99d86fdfb1d5e6b363d05979e53f1d884",
+    },
+    ("compensate", "--pmd-q", "0.155"): {
+        "compensate.csv": "cb0018a122053b1823ee418e7da85f287deea2884cfe812d2950e2cfe54ab664",
+    },
+    ("tradeoff",): {
+        "tradeoff.csv": "a81b1dd3d522fb19b79ed88f360f526987a3e0eb1894fbd8c21c99728aa9d56d",
+    },
+    ("entropy-feedback",): {
+        "entropy_feedback.csv": "be3ca831622376133b5ea98a8356be73ff361437f54b1423f8434739fdbd2544",
+        "entropy_feedback_reduced.csv":
+            "1c9a207852056b92097f845f5752ea69ee0f590621388891b7374ab20eeeb2e5",
+    },
+}
+
+
+def trace_sha256(result):
+    h = hashlib.sha256()
+    for r in result.evaluations:
+        h.update(np.array([r.element.gamma, *r.element.axis, r.concurrence, r.rate,
+                           r.linear_entropy_a]).tobytes())
+    h.update(np.array([result.best.gamma, *result.best.axis, result.best_concurrence]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["pdl", "pmd"])
+def test_search_trace_pinned(kind):
+    src = PdlElement(np.log(1.38) / 2)
+    theta, phi, pmd = (2.0, 0.7, None) if kind == "pdl" else (1.1, 2.5, PmdElement(0.155))
+    agg = concat_pdl(src, PdlElement(gamma_from_db(5.1), axis_from_polar(theta, phi)))
+    cfg = SearchConfig(sphere_points=64, refine_iters=20)
+    res = optimize_compensator(agg, bell_state(BellKind.PHI_PLUS), cfg, pmd)
+    assert trace_sha256(res) == SEARCH_PINS[kind]
+
+
+@pytest.mark.parametrize("argv", list(CSV_PINS))
+def test_cli_csv_pinned(tmp_path, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == CSV_PINS[argv]
