@@ -10,7 +10,9 @@ through stacks of local filters, one row per candidate channel, renormalizes
 each row, and reports rates, an extinction mask, Wootters concurrences and
 qubit-A linear entropies. `pdl_filters` builds those stacks from elements.
 `apply_local` and `pdl_operator` are their one-row case; the search, the CLI
-sweeps and the verify suites pass whole stacks.
+sweeps and the verify suites pass whole stacks. `concat_pdls` aggregates
+stacks of cascaded element pairs the same way, `concat_pdl` being its
+one-row case.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +60,7 @@ def unit_axis(axis, tol: float = 1e-9) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"axis must have 3 components, got shape {a.shape}")
-    nrm = np.linalg.norm(a)
+    nrm = np.sqrt(a.dot(a))  # np.linalg.norm's own route for a real vector
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"axis is not unit length: |a| = {nrm}")
     a = a / nrm
@@ -228,21 +230,33 @@ def _stokes(v: np.ndarray) -> np.ndarray:
     return np.array([(v.conj() @ s @ v).real for s in PAULI])
 
 
-def concat_pdl(first: PdlElement, second: PdlElement) -> PdlElement:
-    """Aggregate PDL element equivalent to `first` followed by `second`.
+def concat_pdls(firsts, seconds) -> list[PdlElement]:
+    """Aggregate PDL elements of cascades, row i being `firsts[i]` then `seconds[i]`.
 
     The product M = P2 P1 factors as (unitary) x (PDL of magnitude
     gamma_tot = ln(s_max/s_min)); the aggregate axis is the input-referred
     direction of maximum transmission, the Stokes image of the right singular
     vector for the larger singular value. Magnitudes satisfy
-    cosh(gamma_tot) = cosh g1 cosh g2 + (a1.a2) sinh g1 sinh g2.
+    cosh(gamma_tot) = cosh g1 cosh g2 + (a1.a2) sinh g1 sinh g2. The products
+    and their singular value decompositions are computed as one stack.
     """
-    m = pdl_operator(second) @ pdl_operator(first)
-    _, sv, vh = np.linalg.svd(m)
-    gamma_tot = float(np.log(sv[0] / sv[1]))
-    if gamma_tot < 1e-12:
-        return PdlElement(0.0)
-    return PdlElement(gamma_tot, _stokes(vh[0].conj()))
+    _, sv, vh = np.linalg.svd(pdl_filters(seconds) @ pdl_filters(firsts))
+    out = []
+    for s, v in zip(sv, vh):
+        gamma_tot = float(np.log(s[0] / s[1]))
+        if gamma_tot < 1e-12:
+            out.append(PdlElement(0.0))
+        else:
+            out.append(PdlElement(gamma_tot, _stokes(v[0].conj())))
+    return out
+
+
+def concat_pdl(first: PdlElement, second: PdlElement) -> PdlElement:
+    """Aggregate PDL element equivalent to `first` followed by `second`.
+
+    The one-row case of `concat_pdls`.
+    """
+    return concat_pdls([first], [second])[0]
 
 
 def angle_from_aggregate(g1: float, g2: float, gamma_tot: float, tol: float = 1e-9) -> float:

@@ -25,7 +25,7 @@ from .channels import (
     PdlElement,
     PmdElement,
     axis_from_polar,
-    concat_pdl,
+    concat_pdls,
     gamma_from_db,
     pdl_filters,
     pdl_operator,
@@ -226,11 +226,12 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     t = correlation_of(base)
     axes = fibonacci_sphere(orientations_n)
     emulators = [(db, ax, PdlElement(gamma_from_db(db), ax)) for db in pdl_db_list for ax in axes]
-    m_a = pdl_filters([em for _, _, em in emulators]) @ pdl_operator(src_el)
+    ems = [em for _, _, em in emulators]
+    m_a = pdl_filters(ems) @ pdl_operator(src_el)
     batch = propagate(base, m_a, SIGMA0[None])
+    aggs = concat_pdls([src_el] * len(ems), ems)
     rows = []
-    for i, (db, ax, em) in enumerate(emulators):
-        agg = concat_pdl(src_el, em)
+    for i, ((db, ax, em), agg) in enumerate(zip(emulators, aggs)):
         out, rho, c, _ = _observe(batch, i, cfg, "sweep", i)
         if not cfg.noisy and abs(c * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
@@ -260,7 +261,7 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     t = correlation_of(base)
     ems = [PdlElement(gamma_from_db(pdl_db), axis_from_polar(th)) for th in thetas]
-    aggs = [concat_pdl(src_el, em) for em in ems]
+    aggs = concat_pdls([src_el] * len(ems), ems)
     plans = [design_compensator(agg, t) for agg in aggs]
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     uncompensated = propagate(base, m_a, SIGMA0[None])

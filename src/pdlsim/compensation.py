@@ -4,21 +4,22 @@ Mirrors the experimental protocol: place a candidate PDL element in arm B,
 measure (or compute) the resulting concurrence, and keep the best orientation
 and magnitude. The coarse stage scans a Fibonacci sphere lattice crossed with a
 magnitude grid in one `propagate` call; a coordinate-descent stage with
-interval halving then polishes the winner one trial at a time, since each
-trial starts from the previous best. With the noisy flag set the objective is
-the concurrence of a projected tomographic reconstruction instead of the exact
-state, measured candidate by candidate.
+interval halving then polishes the winner. Each refine trial starts from the
+best point so far, so a sweep sends its remaining trials through one
+`propagate` call, records them in order up to the first improvement, and
+rebuilds the rest from the new point: the trace is the one a trial-at-a-time
+loop gives. With the noisy flag set the objective is the concurrence of a
+projected tomographic reconstruction instead of the exact state, measured
+candidate by candidate for the recorded rows only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
-    ExtinctionError,
     PdlElement,
     PmdElement,
-    apply_local,
     axis_from_polar,
     pdl_filters,
     pdl_operator,
@@ -148,16 +149,14 @@ def optimize_compensator(
         rho_hat = project_physical(reconstruct(counts, settings))
         return concurrence(rho_hat), entropy_feedback(rho_hat)
 
-    def evaluate(element: PdlElement) -> None:
-        try:
-            out = apply_local(base, m_a, pdl_operator(element))
-        except ExtinctionError:
+    def record_row(element: PdlElement, batch, i: int) -> None:
+        if batch.extinct[i]:
             record(element, 0.0, 0.0, 0.0)
-            return
-        if cfg.noisy:
-            record(element, out.rate, *measure(out))
+        elif cfg.noisy:
+            record(element, float(batch.rate[i]), *measure(batch.outcome(i)))
         else:
-            record(element, out.rate, concurrence(out.rho), entropy_feedback(out.rho))
+            record(element, float(batch.rate[i]), float(batch.concurrence[i]),
+                   float(batch.entropy_a[i]))
 
     if cfg.gamma_grid is not None:
         grid = cfg.gamma_grid
@@ -169,37 +168,38 @@ def optimize_compensator(
     lattice = [PdlElement(float(g), ax) for g in grid for ax in axes]
     batch = propagate(base, m_a[None], pdl_filters(lattice))
     for i, element in enumerate(lattice):
-        if batch.extinct[i]:
-            record(element, 0.0, 0.0, 0.0)
-        elif cfg.noisy:
-            record(element, float(batch.rate[i]), *measure(batch.outcome(i)))
-        else:
-            record(element, float(batch.rate[i]), float(batch.concurrence[i]),
-                   float(batch.entropy_a[i]))
+        record_row(element, batch, i)
 
-    # polish: coordinate descent on (theta, phi, gamma) with interval halving
+    # polish: coordinate descent on (theta, phi, gamma) with interval halving.
+    # Moves after an improving one must start from the improved point, so a
+    # batch is recorded only up to its first improvement.
     ax = best_el.axis
-    th = float(np.arccos(np.clip(ax[2], -1, 1)))
-    ph = float(np.arctan2(ax[1], ax[0]))
-    g = best_el.gamma
+    point = (float(np.arccos(np.clip(ax[2], -1, 1))), float(np.arctan2(ax[1], ax[0])),
+             best_el.gamma)
     step_ang = np.sqrt(4 * np.pi / cfg.sphere_points)
     diffs = np.diff(sorted(set(grid)))
     step_g = float(diffs.max()) if diffs.size else 0.1 * max(pdl_a.gamma, 0.5)
+    moves = [(coord, sign) for coord in range(3) for sign in (1.0, -1.0)]
     for _ in range(cfg.refine_iters):
         before = best_c
-        for coord, step in (("th", step_ang), ("ph", step_ang), ("g", step_g)):
-            for sign in (1.0, -1.0):
-                t_th, t_ph, t_g = th, ph, g
-                if coord == "th":
-                    t_th = th + sign * step
-                elif coord == "ph":
-                    t_ph = ph + sign * step
-                else:
-                    t_g = max(g + sign * step, 0.0)
-                trial = PdlElement(t_g, axis_from_polar(t_th, t_ph))
-                evaluate(trial)
+        steps = (step_ang, step_ang, step_g)
+        k = 0
+        while k < len(moves):
+            points = []
+            for coord, sign in moves[k:]:
+                p = list(point)
+                p[coord] += sign * steps[coord]
+                if coord == 2:
+                    p[2] = max(p[2], 0.0)
+                points.append(tuple(p))
+            trials = [PdlElement(g, axis_from_polar(th, ph)) for th, ph, g in points]
+            batch = propagate(base, m_a[None], pdl_filters(trials))
+            for i, trial in enumerate(trials):
+                record_row(trial, batch, i)
+                k += 1
                 if best_el is trial:
-                    th, ph, g = t_th, t_ph, t_g
+                    point = points[i]
+                    break
         if best_c - before < cfg.refine_tol:
             step_ang /= 2
             step_g /= 2

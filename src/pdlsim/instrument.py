@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .channels import CANONICAL_AXIS, ChannelOutcome, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, BellKind, PAULI, bell_diagonal, check_state, symmetrize
+from .qmath import SIGMA0, PAULI, bell_diagonal, check_state, symmetrize
 
 MU_RANGE = (0.001, 0.1)
 
@@ -41,15 +41,12 @@ class SourceModel:
     werner_v: float
     source_pdl: PdlElement
     mu: float = 0.01
-    pulse_rate_hz: float = 5e7
 
     def __post_init__(self):
         if not 1 / 3 <= self.werner_v <= 1:
             raise ValueError(f"werner_v must lie in [1/3, 1], got {self.werner_v}")
         if not MU_RANGE[0] <= self.mu <= MU_RANGE[1]:
             raise ValueError(f"mu must lie in {MU_RANGE}, got {self.mu}")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be > 0")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ def calibrate_source(
     target_c: float,
     hh_vv_ratio: float,
     mu: float = 0.01,
-    pulse_rate_hz: float = 5e7,
 ) -> SourceModel:
     """Source model whose back-to-back state has the given concurrence and imbalance.
 
@@ -95,7 +91,6 @@ def calibrate_source(
         werner_v=float(v),
         source_pdl=PdlElement(float(gamma_s), CANONICAL_AXIS.copy()),
         mu=mu,
-        pulse_rate_hz=pulse_rate_hz,
     )
 
 

@@ -18,6 +18,7 @@ from .channels import PdlElement, unit_axis
 from .qmath import bell_weights
 
 _ONE_TOL = 1e-9
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def kappa(t, axis_a, axis_b) -> float:
@@ -36,8 +37,16 @@ def _check_gamma(g: float, name: str) -> float:
     return float(g)
 
 
-def _denominator(gamma_a: float, gamma_b: float, kap: float) -> float:
-    return np.cosh(gamma_a) * np.cosh(gamma_b) + kap * np.sinh(gamma_a) * np.sinh(gamma_b)
+def _scaled_rate(gamma_a: float, gamma_b: float, kap: float) -> float:
+    """e^{-(gA+gB)} (cosh gA cosh gB + kappa sinh gA sinh gB), from terms that cannot overflow.
+
+    Expanding cosh and sinh gives
+    1/4 [(1+kappa)(1 + e^{-2(gA+gB)}) + (1-kappa)(e^{-2gA} + e^{-2gB})].
+    """
+    return 0.25 * (
+        (1 + kap) * (1 + np.exp(-2 * (gamma_a + gamma_b)))
+        + (1 - kap) * (np.exp(-2 * gamma_a) + np.exp(-2 * gamma_b))
+    )
 
 
 def predicted_concurrence(c0: float, gamma_a: float, gamma_b: float, kap: float) -> float:
@@ -48,16 +57,25 @@ def predicted_concurrence(c0: float, gamma_a: float, gamma_b: float, kap: float)
         raise ValueError(f"kappa must lie in [-1, 1], got {kap}")
     gamma_a = _check_gamma(gamma_a, "gamma_a")
     gamma_b = _check_gamma(gamma_b, "gamma_b")
-    return float(c0 / _denominator(gamma_a, gamma_b, np.clip(kap, -1.0, 1.0)))
+    kap = np.clip(kap, -1.0, 1.0)
+    rate = _scaled_rate(gamma_a, gamma_b, kap)
+    if rate < _TINY:
+        # 1 + kappa is 0 or >= 2^-53 for a double, so only kappa = -1 gets
+        # here; the denominator is then cosh(gA - gB)
+        d = abs(gamma_a - gamma_b)
+        return float(2 * c0 * np.exp(-d) / (1 + np.exp(-2 * d)))
+    # C' = c0 e^{-(gA+gB)} / rate, with e^{-(gA+gB)} split in two so that
+    # neither factor leaves the normal range while the result is in it; the
+    # denominator is >= 1, so rounding past c0 is cut back to it
+    half = np.exp(-(gamma_a + gamma_b) / 2)
+    return float(min(c0 * half / rate * half, c0))
 
 
 def predicted_rate(gamma_a: float, gamma_b: float, kap: float) -> float:
     """Post-selection rate after two-sided PDL on a Bell-diagonal state."""
     gamma_a = _check_gamma(gamma_a, "gamma_a")
     gamma_b = _check_gamma(gamma_b, "gamma_b")
-    return float(
-        np.exp(-(gamma_a + gamma_b)) * _denominator(gamma_a, gamma_b, np.clip(kap, -1.0, 1.0))
-    )
+    return float(_scaled_rate(gamma_a, gamma_b, np.clip(kap, -1.0, 1.0)))
 
 
 def average_entanglement(c0: float, gamma_a: float, gamma_b: float) -> float:

@@ -18,12 +18,12 @@ from .channels import (
     DB_PER_NEPER,
     PdlElement,
     angle_from_aggregate,
-    concat_pdl,
+    concat_pdls,
     pdl_filters,
     pdl_operator,
     propagate,
 )
-from .compensation import SearchConfig, fibonacci_sphere, optimize_compensator
+from .compensation import SearchConfig, optimize_compensator
 from .instrument import (
     DetectorModel,
     calibrate_source,
@@ -186,10 +186,10 @@ def concatenation_law(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     """Aggregate magnitude of two cascaded elements follows the cosh law."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    pairs = [(_random_element(rng), _random_element(rng)) for _ in range(cases)]
+    aggs = concat_pdls([e1 for e1, _ in pairs], [e2 for _, e2 in pairs])
     worst = 0.0
-    for _ in range(cases):
-        e1, e2 = _random_element(rng), _random_element(rng)
-        agg = concat_pdl(e1, e2)
+    for (e1, e2), agg in zip(pairs, aggs):
         want = (
             np.cosh(e1.gamma) * np.cosh(e2.gamma)
             + float(e1.axis @ e2.axis) * np.sinh(e1.gamma) * np.sinh(e2.gamma)

@@ -2,7 +2,9 @@
 
 A batch must reproduce, bit for bit, both its own one-row case and a plain
 np.kron + matmul + eigvals loop written out here, so routing the search, the
-CLI and verify through it changes no output.
+CLI and verify through it changes no output. The same holds for stacked
+element aggregation, and the search's pinned traces hold however its refine
+stage batches trials.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import numpy as np
 import pytest
 
+from pdlsim import compensation
 from pdlsim.channels import (
     ChannelBatch,
     ExtinctionError,
@@ -20,6 +23,7 @@ from pdlsim.channels import (
     apply_local,
     axis_from_polar,
     concat_pdl,
+    concat_pdls,
     gamma_from_db,
     pdl_filters,
     pdl_operator,
@@ -28,6 +32,7 @@ from pdlsim.channels import (
 )
 from pdlsim.cli import main
 from pdlsim.compensation import SearchConfig, entropy_feedback, optimize_compensator
+from pdlsim.instrument import DetectorModel, calibrate_source
 from pdlsim.qmath import (
     PAULI,
     SIGMA0,
@@ -114,6 +119,32 @@ def test_filters_match_loop_and_one_row_case():
     assert pdl_filters([]).shape == (0, 2, 2)
 
 
+def loop_concat(first, second):
+    """Cascade aggregate of one pair: filter product, SVD, Stokes image of vh[0]."""
+    _, sv, vh = np.linalg.svd(pdl_operator(second) @ pdl_operator(first))
+    gamma_tot = float(np.log(sv[0] / sv[1]))
+    if gamma_tot < 1e-12:
+        return PdlElement(0.0)
+    v = vh[0].conj()
+    return PdlElement(gamma_tot, np.array([(v.conj() @ s @ v).real for s in PAULI]))
+
+
+def test_concat_stack_matches_loop_and_one_row_case():
+    rng = np.random.default_rng(113)
+    firsts, seconds = random_elements(rng, 2000), random_elements(rng, 2000)
+    # lossless elements, one element twice, and one cancelled by its reverse
+    el = firsts[10]
+    firsts[:4] = [PdlElement(0.0), el, PdlElement(0.0), el]
+    seconds[:4] = [seconds[0], el, PdlElement(0.0), PdlElement(el.gamma, -el.axis)]
+    aggs = concat_pdls(firsts, seconds)
+    assert len(aggs) == len(firsts) and aggs[3].gamma == 0.0
+    for e1, e2, agg in zip(firsts, seconds, aggs):
+        want = loop_concat(e1, e2)
+        for got in (agg, concat_pdl(e1, e2)):
+            assert same_bits(got.gamma, want.gamma) and same_bits(got.axis, want.axis)
+    assert concat_pdls([], []) == []
+
+
 @pytest.mark.parametrize("shared_base", [True, False])
 def test_batch_matches_loop_and_one_row_calls(shared_base):
     rng = np.random.default_rng(103 + shared_base)
@@ -185,6 +216,10 @@ def test_amplifying_filter_anywhere_in_a_stack_raises(row):
 SEARCH_PINS = {
     "pdl": "89a26361906c82709d90e57eb4859234e8275792264d64d4d34be21208883940",
     "pmd": "bbac11d24772e4df5ee839c8917bea226163234c454fb784b1d48e2722de6c22",
+    # recorded from the one-trial-at-a-time refine stage
+    "noisy": "2a7a51454d32776c05218eae7bf2077004777f258b9979c9a87721bfe6db7433",
+    "zero-pdl": "9cdb00d3cc08aa4ac45612b5ee7d9f0dce94ce49fcdbfb51c7940d49f013eaa1",
+    "grid": "20643e9adab37cc533d9c144953f5f8fbc0201722d8325328ce7cbf2e1552608",
 }
 CSV_PINS = {
     ("sweep-pdl",): {
@@ -201,6 +236,13 @@ CSV_PINS = {
         "entropy_feedback_reduced.csv":
             "1c9a207852056b92097f845f5752ea69ee0f590621388891b7374ab20eeeb2e5",
     },
+    # recorded from the per-row concat_pdl loop
+    ("compensate",): {
+        "compensate.csv": "46c44f2c7256c21a000373fcc1fcc276da2e504c78aca49d74c15992636c3d02",
+    },
+    ("sweep-pdl", "--noisy"): {
+        "sweep_pdl.csv": "02b9696756c0b1ee0b19035114f9c41e2b0b5fef70dad09c9a813a322743b83d",
+    },
 }
 
 
@@ -213,14 +255,58 @@ def trace_sha256(result):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("kind", ["pdl", "pmd"])
-def test_search_trace_pinned(kind):
+def search_case(kind):
+    """Arguments of optimize_compensator for each pinned search."""
+    phi_plus = bell_state(BellKind.PHI_PLUS)
     src = PdlElement(np.log(1.38) / 2)
-    theta, phi, pmd = (2.0, 0.7, None) if kind == "pdl" else (1.1, 2.5, PmdElement(0.155))
-    agg = concat_pdl(src, PdlElement(gamma_from_db(5.1), axis_from_polar(theta, phi)))
-    cfg = SearchConfig(sphere_points=64, refine_iters=20)
-    res = optimize_compensator(agg, bell_state(BellKind.PHI_PLUS), cfg, pmd)
+    if kind in ("pdl", "pmd"):
+        theta, phi, pmd = (2.0, 0.7, None) if kind == "pdl" else (1.1, 2.5, PmdElement(0.155))
+        agg = concat_pdl(src, PdlElement(gamma_from_db(5.1), axis_from_polar(theta, phi)))
+        return agg, phi_plus, SearchConfig(sphere_points=64, refine_iters=20), pmd
+    if kind == "noisy":
+        agg = concat_pdl(src, PdlElement(gamma_from_db(2.55), axis_from_polar(1.3, 0.4)))
+        cfg = SearchConfig(sphere_points=48, refine_iters=12, noisy=True, seed=0,
+                           source=calibrate_source(0.925, 1.38), detector=DetectorModel())
+        return agg, phi_plus, cfg, None
+    if kind == "zero-pdl":
+        return PdlElement(0.0), phi_plus, SearchConfig(sphere_points=32, refine_iters=5), None
+    cfg = SearchConfig(sphere_points=40, gamma_grid=(0.2, 0.45, 0.5, 0.9), refine_iters=15)
+    return PdlElement(0.45, np.array([0, 0.6, 0.8])), bell_state(BellKind.PSI_PLUS), cfg, None
+
+
+@pytest.mark.parametrize("kind", list(SEARCH_PINS))
+def test_search_trace_pinned(kind):
+    res = optimize_compensator(*search_case(kind))
     assert trace_sha256(res) == SEARCH_PINS[kind]
+
+
+@pytest.mark.parametrize("kind", ["pdl", "pmd", "grid"])
+def test_refine_makes_one_kernel_call_per_sweep_and_improvement(kind, monkeypatch):
+    rows = []
+
+    def counting(rho, m_a, m_b):
+        rows.append(len(m_b))
+        return propagate(rho, m_a, m_b)
+
+    monkeypatch.setattr(compensation, "propagate", counting)
+    res = optimize_compensator(*search_case(kind))
+    lattice, refine = rows[0], res.evaluations[rows[0]:]
+    # a sweep records its six moves in order, so a call starts at each sweep
+    # and after each improving trial that is not the sweep's last, and holds
+    # the moves left in that sweep
+    assert len(refine) % 6 == 0
+    best = max(r.concurrence for r in res.evaluations[:lattice])
+    expected, improved, improving_nonfinal = [], False, 0
+    for i, r in enumerate(refine):
+        if i % 6 == 0 or improved:
+            expected.append(6 - i % 6)
+        improved = r.concurrence > best
+        if improved:
+            best = r.concurrence
+            improving_nonfinal += i % 6 != 5
+    assert improving_nonfinal > 0
+    assert len(rows) - 1 == len(refine) // 6 + improving_nonfinal
+    assert rows[1:] == expected
 
 
 @pytest.mark.parametrize("argv", list(CSV_PINS))

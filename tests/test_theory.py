@@ -1,5 +1,7 @@
 """Closed-form law checks, each against an independent brute-force route."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,47 @@ def test_predicted_concurrence_validation():
         predicted_concurrence(0.9, -0.1, 0.1, 0.0)
     with pytest.raises(ValueError):
         predicted_concurrence(0.9, 0.1, 0.1, 1.5)
+
+
+def test_closed_forms_where_cosh_products_overflow_or_cancel():
+    assert abs(predicted_rate(360, 360, 0.3) - 0.325) < 1e-15
+    assert abs(predicted_rate(400, 400, 0.3) - 0.325) < 1e-15
+    # kappa = -1: the denominator cosh gA cosh gB - sinh gA sinh gB is cosh(gA - gB)
+    assert predicted_concurrence(1, 30, 30, -1) == 1.0
+    assert abs(predicted_rate(30, 30, -1) / np.exp(-60) - 1) < 1e-15
+    assert predicted_concurrence(0.9, 400, 400, -1) == 0.9
+    assert abs(predicted_concurrence(0.9, 400, 401, -1) - 0.9 / np.cosh(1.0)) < 1e-15
+
+
+def test_closed_forms_finite_and_exact_across_the_domain():
+    """gamma up to 700 Np per arm, kappa over [-1, 1], no warning raised."""
+    rng = np.random.default_rng(61)
+    gammas = np.concatenate([
+        [0.0, 1e-300, 1e-8, 0.1, 1.0, 5.0, 30.0, 354.0, 355.0, 360.0, 400.0, 700.0],
+        rng.uniform(0, 700, 10),
+    ])
+    kappas = np.concatenate([
+        [-1.0, np.nextafter(-1.0, 0), -0.5, 0.0, 0.3, np.nextafter(1.0, 0), 1.0],
+        rng.uniform(-1, 1, 6),
+    ])
+    tiny = np.finfo(float).tiny
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        for g_a in gammas:
+            for g_b in gammas:
+                for kap in kappas:
+                    rate = predicted_rate(g_a, g_b, kap)
+                    assert np.isfinite(rate) and 0 <= rate <= 1
+                    for c0 in (1.0, 0.3):
+                        c = predicted_concurrence(c0, g_a, g_b, kap)
+                        assert np.isfinite(c) and 0 <= c <= c0
+                        product = np.exp(-(g_a + g_b)) * c0
+                        if c * rate >= tiny and product >= tiny:
+                            assert abs(c * rate - product) <= 1e-12 * product
+                        if c >= tiny and rate >= tiny:
+                            # the same law in log space, which no underflow touches
+                            want = c0 * np.exp(-(g_a + g_b) - np.log(rate))
+                            assert abs(c - min(want, c0)) <= 1e-12 * c
 
 
 def test_laws_against_brute_force():
