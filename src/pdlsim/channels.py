@@ -23,6 +23,7 @@ import numpy as np
 from .qmath import (
     PAULI,
     SIGMA0,
+    TOL,
     check_state,
     check_states,
     concurrences,
@@ -55,13 +56,13 @@ def db_from_gamma(gamma: float) -> float:
     return gamma * DB_PER_NEPER
 
 
-def unit_axis(axis, tol: float = 1e-9) -> np.ndarray:
-    """Validate a Stokes axis (unit norm within tol) and return it renormalized."""
+def unit_axis(axis) -> np.ndarray:
+    """Validate a Stokes axis (unit norm within TOL) and return it renormalized."""
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"axis must have 3 components, got shape {a.shape}")
     nrm = np.sqrt(a.dot(a))  # np.linalg.norm's own route for a real vector
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > TOL:
         raise ValueError(f"axis is not unit length: |a| = {nrm}")
     a = a / nrm
     a.setflags(write=False)
@@ -259,18 +260,18 @@ def concat_pdl(first: PdlElement, second: PdlElement) -> PdlElement:
     return concat_pdls([first], [second])[0]
 
 
-def angle_from_aggregate(g1: float, g2: float, gamma_tot: float, tol: float = 1e-9) -> float:
+def angle_from_aggregate(g1: float, g2: float, gamma_tot: float) -> float:
     """Angle between two PDL axes recovered from the aggregate magnitude.
 
     Inverts the concatenation law; raises when either magnitude is zero (the
-    angle is undefined) or gamma_tot lies outside [|g1-g2|, g1+g2] beyond tol.
+    angle is undefined) or gamma_tot lies outside [|g1-g2|, g1+g2] beyond TOL.
     """
     if g1 <= 0 or g2 <= 0:
         raise ValueError("angle is undefined when either magnitude is zero")
     cos_theta = (np.cosh(gamma_tot) - np.cosh(g1) * np.cosh(g2)) / (
         np.sinh(g1) * np.sinh(g2)
     )
-    if not -1 - tol <= cos_theta <= 1 + tol:
+    if not -1 - TOL <= cos_theta <= 1 + TOL:
         raise ValueError(
             f"aggregate {gamma_tot} outside reachable range for ({g1}, {g2}):"
             f" cos theta = {cos_theta}"

@@ -33,16 +33,7 @@ from .channels import (
     propagate,
 )
 from .compensation import entropy_feedback, fibonacci_sphere
-from .instrument import (
-    DetectorModel,
-    calibrate_source,
-    derive_seed,
-    project_physical,
-    reconstruct,
-    settings_36,
-    simulate_counts,
-    source_state,
-)
+from .instrument import DetectorModel, calibrate_source, derive_seed, measure, source_state
 from .qmath import (
     SIGMA0,
     BellKind,
@@ -143,14 +134,6 @@ def _write_keyvals(path: Path, pairs):
     return path
 
 
-def _measure(outcome, cfg: RunConfig, sub_seed: int):
-    settings = settings_36()
-    counts = simulate_counts(
-        outcome, settings, _source(cfg), _detector(cfg), cfg.pulses, seed=sub_seed
-    )
-    return project_physical(reconstruct(counts, settings))
-
-
 def _observe(batch, i: int, cfg: RunConfig, label: str, seed_index: int):
     """Row i of a channel batch as a run reports it: (outcome, state, concurrence, S_A).
 
@@ -159,7 +142,8 @@ def _observe(batch, i: int, cfg: RunConfig, label: str, seed_index: int):
     """
     out = batch.outcome(i)
     if cfg.noisy:
-        rho = _measure(out, cfg, derive_seed(cfg.seed, label, seed_index))
+        rho = measure(out, _source(cfg), _detector(cfg), cfg.pulses,
+                      derive_seed(cfg.seed, label, seed_index))
         return out, rho, concurrence(rho), entropy_feedback(rho)
     return out, out.rho, float(batch.concurrence[i]), float(batch.entropy_a[i])
 
@@ -195,7 +179,7 @@ def cmd_b2b(cfg: RunConfig, out_dir: Path) -> list[Path]:
     src = _source(cfg)
     outcome = source_state(src)
     if cfg.noisy:
-        rho = _measure(outcome, cfg, derive_seed(cfg.seed, "b2b", 0))
+        rho = measure(outcome, src, _detector(cfg), cfg.pulses, derive_seed(cfg.seed, "b2b", 0))
     else:
         rho = outcome.rho
     metrics = [

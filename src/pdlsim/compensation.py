@@ -8,8 +8,8 @@ interval halving then polishes the winner. Each refine trial starts from the
 best point so far, so a sweep sends its remaining trials through one
 `propagate` call, records them in order up to the first improvement, and
 rebuilds the rest from the new point: the trace is the one a trial-at-a-time
-loop gives. With the noisy flag set the objective is the concurrence of a
-projected tomographic reconstruction instead of the exact state, measured
+loop gives. With the noisy flag set the objective is the concurrence of the
+state `instrument.measure` estimates instead of the exact state, measured
 candidate by candidate for the recorded rows only.
 """
 
@@ -26,15 +26,7 @@ from .channels import (
     pmd_dephase,
     propagate,
 )
-from .instrument import (
-    DetectorModel,
-    SourceModel,
-    derive_seed,
-    project_physical,
-    reconstruct,
-    settings_36,
-    simulate_counts,
-)
+from .instrument import DetectorModel, SourceModel, derive_seed, measure
 from .qmath import check_state, concurrence, linear_entropy, reduced_qubit
 
 
@@ -124,10 +116,8 @@ def optimize_compensator(
     if pmd_a is not None:
         base = pmd_dephase(base, pmd_a, qubit="A")
     m_a = pdl_operator(pdl_a)
-    if cfg.noisy:
-        if cfg.source is None or cfg.detector is None:
-            raise ValueError("noisy search needs source and detector models")
-        settings = settings_36()
+    if cfg.noisy and (cfg.source is None or cfg.detector is None):
+        raise ValueError("noisy search needs source and detector models")
 
     records: list[EvalRecord] = []
     best_c = -1.0
@@ -140,20 +130,15 @@ def optimize_compensator(
             best_c = obj
             best_el = element
 
-    def measure(out) -> tuple[float, float]:
-        # tomographic objective of the candidate about to be recorded
-        counts = simulate_counts(
-            out, settings, cfg.source, cfg.detector, cfg.pulses,
-            seed=derive_seed(cfg.seed, "cand", len(records)),
-        )
-        rho_hat = project_physical(reconstruct(counts, settings))
-        return concurrence(rho_hat), entropy_feedback(rho_hat)
-
     def record_row(element: PdlElement, batch, i: int) -> None:
         if batch.extinct[i]:
             record(element, 0.0, 0.0, 0.0)
         elif cfg.noisy:
-            record(element, float(batch.rate[i]), *measure(batch.outcome(i)))
+            # tomographic objective, one sub-seed per recorded candidate
+            rho_hat = measure(batch.outcome(i), cfg.source, cfg.detector, cfg.pulses,
+                              derive_seed(cfg.seed, "cand", len(records)))
+            record(element, float(batch.rate[i]), concurrence(rho_hat),
+                   entropy_feedback(rho_hat))
         else:
             record(element, float(batch.rate[i]), float(batch.concurrence[i]),
                    float(batch.entropy_a[i]))

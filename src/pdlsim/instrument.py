@@ -5,7 +5,8 @@ target Bell state) filtered by a fixed internal PDL along s3, calibrated so
 back-to-back measurements reproduce a chosen concurrence and HH/VV imbalance.
 Projective two-arm settings, Poissonian coincidence counts, and linear
 least-squares state reconstruction mirror a standard polarization tomography
-bench.
+bench; `measure` chains them into the one route from a channel outcome to its
+estimated state.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .channels import CANONICAL_AXIS, ChannelOutcome, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, PAULI, bell_diagonal, check_state, symmetrize
+from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_state, symmetrize
 
 MU_RANGE = (0.001, 0.1)
 
@@ -331,17 +332,17 @@ def reconstruct(counts, settings: list[ProjectorSetting]) -> np.ndarray:
     return symmetrize(op / trace)
 
 
-def project_physical(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def project_physical(m: np.ndarray) -> np.ndarray:
     """Nearest-physical repair of a Hermitian unit-trace reconstruction.
 
     Eigendecompose once, then repeatedly zero the most negative eigenvalue and
     spread its deficit uniformly over the remaining nonzero eigenvalues until
     all are nonnegative. Physical inputs pass through unchanged; the operation
-    is idempotent.
+    is idempotent. The trace must be 1 within TOL.
     """
     m = symmetrize(np.asarray(m, dtype=complex))
-    if abs(np.trace(m).real - 1) > tol:
-        raise ValueError(f"trace {np.trace(m).real} is not 1 within {tol}")
+    if abs(np.trace(m).real - 1) > TOL:
+        raise ValueError(f"trace {np.trace(m).real} is not 1 within {TOL}")
     vals, vecs = np.linalg.eigh(m)
     if vals.min() >= 0:
         return m
@@ -355,3 +356,20 @@ def project_physical(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             raise ValueError("projection exhausted all eigenvalues")
         vals[alive] += deficit / alive.sum()
     return check_state((vecs * vals) @ vecs.conj().T)
+
+
+def measure(
+    outcome: ChannelOutcome,
+    src: SourceModel,
+    det: DetectorModel,
+    pulses: int,
+    seed: int,
+) -> np.ndarray:
+    """Tomographic estimate of a channel outcome, the one noisy measurement route.
+
+    Poissonian counts on the 36-setting schedule drawn from `seed`, linear
+    inversion, then the nearest-physical repair.
+    """
+    settings = settings_36()
+    counts = simulate_counts(outcome, settings, src, det, pulses, seed=seed)
+    return project_physical(reconstruct(counts, settings))

@@ -21,8 +21,8 @@ PAULI = (SIGMA1, SIGMA2, SIGMA3)
 for _m in (SIGMA0, SIGMA1, SIGMA2, SIGMA3):
     _m.setflags(write=False)
 
-# np.kron is the tensor-product workhorse; re-exported so callers stay in one namespace.
-kron = np.kron
+TOL = 1e-9  # slack on unit traces and norms, eigenvalue signs and imaginary parts
+EIG_CLAMP = 1e-12  # eigenvalue magnitudes below this read as exact zeros
 
 _YY = np.kron(SIGMA2, SIGMA2)
 _YY.setflags(write=False)
@@ -67,18 +67,18 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
-def check_state(m: np.ndarray, dim: int = 4, tol: float = 1e-9) -> np.ndarray:
-    """Validate a density matrix and return its symmetrized canonical copy.
+def check_state(m: np.ndarray) -> np.ndarray:
+    """Validate a 4x4 density matrix and return its symmetrized canonical copy.
 
-    Requires finite entries, unit trace within tol, and eigenvalues >= -tol.
+    Requires finite entries, unit trace within TOL, and eigenvalues >= -TOL.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    return check_states(m, tol)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+    return check_states(m)
 
 
-def check_states(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_states(m: np.ndarray) -> np.ndarray:
     """check_state applied to every matrix of a stack (..., d, d).
 
     Raises on any bad row, quoting the worst trace or eigenvalue in the stack.
@@ -91,10 +91,10 @@ def check_states(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         return m
     tr = np.trace(m, axis1=-2, axis2=-1).real
     dev = np.abs(tr - 1.0)
-    if dev.max() > tol:
-        raise ValueError(f"trace {tr.flat[dev.argmax()]} is not 1 within {tol}")
+    if dev.max() > TOL:
+        raise ValueError(f"trace {tr.flat[dev.argmax()]} is not 1 within {TOL}")
     lo = np.linalg.eigvalsh(m).min()
-    if lo < -tol:
+    if lo < -TOL:
         raise ValueError(f"negative eigenvalue {lo} beyond tolerance")
     return m
 
@@ -115,13 +115,13 @@ def bell_weights(t) -> np.ndarray:
     )
 
 
-def bell_diagonal(t, tol: float = 1e-9) -> np.ndarray:
+def bell_diagonal(t) -> np.ndarray:
     """Bell-diagonal density matrix (1/4)(I + sum_j t_j sigma_j x sigma_j).
 
-    The triple t must give nonnegative Bell weights within tol.
+    The triple t must give nonnegative Bell weights within TOL.
     """
     w = bell_weights(t)
-    if w.min() < -tol:
+    if w.min() < -TOL:
         raise ValueError(f"unphysical correlation triple {tuple(t)}: weight {w.min()}")
     rho = np.eye(4, dtype=complex)
     for tj, s in zip(t, PAULI):
@@ -129,29 +129,29 @@ def bell_diagonal(t, tol: float = 1e-9) -> np.ndarray:
     return rho / 4
 
 
-def correlation_of(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Diagonal correlation triple t_j = Tr[rho (sigma_j x sigma_j)]."""
+def correlation_of(rho: np.ndarray) -> np.ndarray:
+    """Diagonal correlation triple t_j = Tr[rho (sigma_j x sigma_j)], each real within TOL."""
     t = np.empty(3)
     for j, s in enumerate(PAULI):
         val = np.trace(rho @ np.kron(s, s))
-        if abs(val.imag) > tol:
+        if abs(val.imag) > TOL:
             raise ValueError(f"correlation t{j + 1} has imaginary part {val.imag}")
         t[j] = val.real
     return t
 
 
-def eigvals_desc(m: np.ndarray, imag_tol: float = 1e-9, clamp: float = 1e-12) -> np.ndarray:
+def eigvals_desc(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of m (or of each matrix in a stack) in descending order.
 
-    Raises if any spectrum is not real within imag_tol. Magnitudes below
-    `clamp` are zeroed so downstream square roots stay exact on rank-deficient
+    Raises if any spectrum is not real within TOL. Magnitudes below EIG_CLAMP
+    are zeroed so downstream square roots stay exact on rank-deficient
     products.
     """
     lam = np.linalg.eigvals(np.asarray(m, dtype=complex))
-    if lam.size and np.abs(lam.imag).max() > imag_tol:
+    if lam.size and np.abs(lam.imag).max() > TOL:
         raise ValueError(f"spectrum is not real: max imag {np.abs(lam.imag).max()}")
     lam = np.sort(lam.real, axis=-1)[..., ::-1]
-    lam[np.abs(lam) < clamp] = 0.0
+    lam[np.abs(lam) < EIG_CLAMP] = 0.0
     return lam
 
 
@@ -205,11 +205,11 @@ def reduced_qubit(rho: np.ndarray, which: str) -> np.ndarray:
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
 
 
-def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray, tol: float = 1e-9) -> float:
-    """<psi|rho|psi> for a normalized pure target state psi."""
+def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
+    """<psi|rho|psi> for a target state psi normalized within TOL."""
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > TOL:
         raise ValueError(f"psi is not normalized: |psi| = {nrm}")
     return float((psi.conj() @ rho @ psi).real)
 

@@ -162,23 +162,24 @@ def rate_bounds(gamma_a: float, gamma_b: float) -> RateBounds:
     g_a = _check_gamma(gamma_a, "gamma_a")
     g_b = _check_gamma(gamma_b, "gamma_b")
     return RateBounds(
-        c_min=float(1.0 / np.cosh(g_a + g_b)),
+        # 1/cosh(x) as 2e^{-x}/(1 + e^{-2x}), which cannot overflow
+        c_min=float(2 * np.exp(-(g_a + g_b)) / (1 + np.exp(-2 * (g_a + g_b)))),
         c_max_norm=1.0,
         rate_at_kappa_minus1=float((np.exp(-2 * g_a) + np.exp(-2 * g_b)) / 2),
         rate_at_kappa_plus1=float((1.0 + np.exp(-2 * (g_a + g_b))) / 2),
     )
 
 
-def estimate_gamma_from_concurrence(c0: float, c_meas: float, slack: float = 1e-9) -> float:
+def estimate_gamma_from_concurrence(c0: float, c_meas: float) -> float:
     """Infer a single-arm PDL magnitude from a measured concurrence drop.
 
-    Inverts C = c0 / cosh(gamma). c_meas may exceed c0 by at most `slack`
+    Inverts C = c0 / cosh(gamma). c_meas may exceed c0 by at most 1e-9
     (measurement jitter at zero PDL); anything larger is a domain error.
     """
     if not 0 < c0 <= 1 + _ONE_TOL:
         raise ValueError(f"c0 must lie in (0, 1], got {c0}")
     if c_meas <= 0:
         raise ValueError(f"c_meas must be > 0, got {c_meas}")
-    if c_meas > c0 + slack:
+    if c_meas > c0 + _ONE_TOL:
         raise ValueError(f"measured concurrence {c_meas} exceeds the baseline {c0}")
     return float(np.arccosh(max(c0 / c_meas, 1.0)))

@@ -85,8 +85,8 @@ def _random_bell_diagonal(rng):
     return check_state(rho)
 
 
-def _random_element(rng, gamma_max=GAMMA_MAX):
-    return PdlElement(float(rng.uniform(0, gamma_max)), _random_axis(rng))
+def _random_element(rng):
+    return PdlElement(float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng))
 
 
 def _through(rho, m_a, m_b):
@@ -102,14 +102,12 @@ def _worst(*errors) -> float:
     return max(float(np.max(e, initial=0.0)) for e in errors)
 
 
-def oracle_equivalence(seed=DEFAULT_SEED, cases=1000, predictor=None) -> SuiteResult:
+def oracle_equivalence(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     """Closed-form concurrence vs Wootters concurrence of the filtered matrix.
 
-    `predictor` is injectable so a deliberately corrupted formula can be shown
-    to fail the suite.
+    `theory.predicted_concurrence` is looked up at call time, so a test can
+    patch in a corrupted formula and watch the suite fail.
     """
-    if predictor is None:
-        predictor = theory.predicted_concurrence
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     rhos, eas, ebs = [], [], []
@@ -119,7 +117,8 @@ def oracle_equivalence(seed=DEFAULT_SEED, cases=1000, predictor=None) -> SuiteRe
         ebs.append(_random_element(rng))
     rhos = np.array(rhos).reshape(-1, 4, 4)
     closed = [
-        predictor(c0, ea.gamma, eb.gamma, theory.kappa(correlation_of(rho), ea.axis, eb.axis))
+        theory.predicted_concurrence(
+            c0, ea.gamma, eb.gamma, theory.kappa(correlation_of(rho), ea.axis, eb.axis))
         for rho, c0, ea, eb in zip(rhos, concurrences(rhos), eas, ebs)
     ]
     batch = _through(rhos, pdl_filters(eas), pdl_filters(ebs))
@@ -164,21 +163,24 @@ def orientation_independence(seed=DEFAULT_SEED, per_magnitude=100) -> SuiteResul
 
 
 def equivalence_mapping(seed=DEFAULT_SEED, per_state=100) -> SuiteResult:
-    """Moving a PDL element across arms along T gives the identical matrix."""
+    """Moving a PDL element across arms along T gives the identical matrix.
+
+    The filtered matrices are compared unnormalized, one filter stack per arm
+    and Bell state.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for kind in BellKind:
         rho = bell_state(kind)
-        t = np.array(kind.correlation, dtype=float)
-        for _ in range(per_state):
-            el = _random_element(rng)
-            mapped = theory.equivalence_map(el, t)
-            ma = np.kron(pdl_operator(el), SIGMA0)
-            mb = np.kron(SIGMA0, pdl_operator(mapped))
-            left = ma @ rho @ ma.conj().T
-            right = mb @ rho @ mb.conj().T
-            worst = max(worst, np.abs(left - right).max())
+        els = [_random_element(rng) for _ in range(per_state)]
+        mapped = [theory.equivalence_map(el, kind.correlation) for el in els]
+        # np.kron of a (N, 2, 2) stack and a 2x2 filter is the (N, 4, 4) stack of row krons
+        ma = np.kron(pdl_filters(els), SIGMA0)
+        mb = np.kron(SIGMA0, pdl_filters(mapped))
+        left = ma @ rho @ np.swapaxes(ma.conj(), -1, -2)
+        right = mb @ rho @ np.swapaxes(mb.conj(), -1, -2)
+        worst = max(worst, _worst(np.abs(left - right)))
     return _result("equivalence-mapping", worst, 1e-12, 4 * per_state, t0)
 
 

@@ -32,9 +32,7 @@ from pdlsim.instrument import (
     source_state,
 )
 from pdlsim.qmath import (
-    SIGMA0,
     BellKind,
-    bell_diagonal,
     bell_state,
     bell_vector,
     concurrence,
@@ -43,11 +41,15 @@ from pdlsim.qmath import (
     trace_distance,
 )
 from pdlsim.theory import design_compensator, equivalence_map
-from pdlsim.verify import oracle_equivalence
+from pdlsim.verify import (
+    equivalence_mapping,
+    oracle_equivalence,
+    orientation_independence,
+    rate_conservation,
+)
 
 G51 = gamma_from_db(5.1)
 GS = np.log(1.38) / 2
-PAPER_DB = (1.25, 2.55, 3.7, 5.1, 6.3)
 
 
 def report(n, detail):
@@ -57,18 +59,6 @@ def report(n, detail):
 def random_axis(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
-
-
-def random_bd(rng):
-    w = rng.dirichlet(np.ones(4))
-    t = np.array(
-        [
-            w[0] - w[1] + w[2] - w[3],
-            -w[0] + w[1] + w[2] - w[3],
-            w[0] + w[1] - w[2] - w[3],
-        ]
-    )
-    return t, max(0.0, 2 * w.max() - 1)
 
 
 def test_criterion_01_concurrence_oracle_equivalence():
@@ -83,72 +73,40 @@ def test_criterion_01_concurrence_oracle_equivalence():
 
 
 def test_criterion_02_orientation_independence():
-    rng = np.random.default_rng(202)
-    base = bell_diagonal((0.925, -0.925, 1.0))
+    r = orientation_independence(seed=202)
+    assert r.cases == 500
+    # spread over the orientations and distance of every value from
+    # 0.925/cosh(g), at each of the five magnitudes
+    assert r.max_err <= 1e-12
+    # every value sits within 1e-5 of the printed decimals
     printed = {1.25: 0.915507, 2.55: 0.886527, 5.1: 0.785643, 6.3: 0.725617}
-    worst_spread, worst_central = 0.0, 0.0
-    for db in PAPER_DB:
-        g = gamma_from_db(db)
-        cs = []
-        for _ in range(100):
-            el = PdlElement(g, random_axis(rng))
-            cs.append(concurrence(apply_local(base, pdl_operator(el), SIGMA0).rho))
-        cs = np.array(cs)
-        spread = cs.max() - cs.min()
-        central = abs(np.median(cs) - 0.925 / np.cosh(g))
-        assert spread <= 1e-12
-        assert central <= 1e-5
-        if db in printed:
-            assert abs(np.median(cs) - printed[db]) <= 1e-5
-        worst_spread = max(worst_spread, spread)
-        worst_central = max(worst_central, central)
-    report(2, f"five magnitudes x 100 orientations, spread <= {worst_spread:.2e}, "
-              f"central vs 0.925/cosh within {worst_central:.2e}")
+    for db, value in printed.items():
+        assert abs(0.925 / np.cosh(gamma_from_db(db)) - value) <= 1e-5 - r.max_err
+    report(2, f"five magnitudes x 100 orientations, spread and deviation from "
+              f"0.925/cosh within {r.max_err:.2e}")
 
 
 def test_criterion_03_equivalence_mapping():
+    r = equivalence_mapping(seed=303)
+    assert r.cases == 400
+    assert r.max_err <= 1e-12
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for kind in BellKind:
-        rho = bell_state(kind)
-        for _ in range(100):
-            el = PdlElement(rng.uniform(0, gamma_from_db(7.0)), random_axis(rng))
-            mapped = equivalence_map(el, kind.correlation)
-            pa = np.kron(pdl_operator(el), SIGMA0)
-            pb = np.kron(SIGMA0, pdl_operator(mapped))
-            lhs = pa @ rho @ pa.conj().T
-            rhs = pb @ rho @ pb.conj().T
-            worst = max(worst, np.abs(lhs - rhs).max())
-            if kind is BellKind.PSI_MINUS:
-                assert np.allclose(mapped.axis, -el.axis, atol=1e-12)
-    assert worst <= 1e-12
-    report(3, f"both filtered matrices agree elementwise within {worst:.2e} "
+    for _ in range(100):
+        el = PdlElement(rng.uniform(0, gamma_from_db(7.0)), random_axis(rng))
+        mapped = equivalence_map(el, BellKind.PSI_MINUS.correlation)
+        assert np.allclose(mapped.axis, -el.axis, atol=1e-12)
+    report(3, f"both filtered matrices agree elementwise within {r.max_err:.2e} "
               f"(4 Bell states x 100 elements; singlet inverts all axes)")
 
 
 def test_criterion_04_rate_concurrence_conservation():
-    rng = np.random.default_rng(404)
-    worst, worst_part = 0.0, 0.0
-    for _ in range(200):
-        t, c0 = random_bd(rng)
-        total = rng.uniform(0.1, 2 * gamma_from_db(7.0))
-        expect = np.exp(-total) * c0
-        products = []
-        for _ in range(2):
-            split = rng.uniform(0, total)
-            out = apply_local(
-                bell_diagonal(t),
-                pdl_operator(PdlElement(split, random_axis(rng))),
-                pdl_operator(PdlElement(total - split, random_axis(rng))),
-            )
-            prod = concurrence(out.rho) * out.rate
-            worst = max(worst, abs(prod - expect))
-            products.append(prod)
-        worst_part = max(worst_part, abs(products[0] - products[1]))
-    assert worst <= 1e-9
-    assert worst_part <= 1e-9
-    report(4, f"C' x rate = e^-(gA+gB) C within {worst:.2e}; partition "
-              f"invariance within {worst_part:.2e}")
+    r = rate_conservation(seed=404)
+    assert r.cases == 400
+    # both |C' x rate - e^-(gA+gB) C| and the spread over three splits of
+    # each case's total loss
+    assert r.max_err <= 1e-9
+    report(4, f"C' x rate = e^-(gA+gB) C and partition invariance within "
+              f"{r.max_err:.2e} (400 cases x 3 splits)")
 
 
 def test_criterion_05_compensation_protocol():

@@ -211,7 +211,7 @@ def test_check_state():
     with pytest.raises(ValueError):
         check_state(np.full((4, 4), np.nan))
     with pytest.raises(ValueError):
-        check_state(np.eye(2, dtype=complex) / 2)  # wrong shape for dim=4
+        check_state(np.eye(2, dtype=complex) / 2)  # not 4x4
 
 
 def test_symmetrize():

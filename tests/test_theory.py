@@ -244,6 +244,16 @@ def test_rate_bounds_frozen():
     assert abs(rb.rate_at_kappa_plus1 - 0.5477496293010718) < 1e-12
 
 
+def test_rate_bounds_finite_past_cosh_overflow():
+    # cosh overflows from about 710 on; the envelope floor rounds to 0 silently
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        rb = rate_bounds(400.0, 400.0)
+    assert rb.c_min == 0.0
+    assert rb.rate_at_kappa_minus1 == 0.0
+    assert rb.rate_at_kappa_plus1 == 0.5
+
+
 def test_rate_bounds_bracket_brute_force():
     rng = np.random.default_rng(71)
     g_a, g_b = 0.35, 0.5
