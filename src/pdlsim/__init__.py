@@ -6,140 +6,4 @@ against brute-force density-matrix propagation, and reproduces the nonlocal
 compensation protocol (designed and searched) with optional tomography noise.
 """
 
-from .channels import (
-    CANONICAL_AXIS,
-    DB_PER_NEPER,
-    ChannelOutcome,
-    ExtinctionError,
-    PdlElement,
-    PmdElement,
-    angle_from_aggregate,
-    apply_local,
-    axis_from_polar,
-    concat_pdl,
-    db_from_gamma,
-    dephasing_from_dgd,
-    gamma_from_db,
-    pdl_operator,
-    pmd_dephase,
-    unit_axis,
-)
-from .compensation import (
-    EvalRecord,
-    SearchConfig,
-    SearchResult,
-    entropy_feedback,
-    fibonacci_sphere,
-    optimize_compensator,
-)
-from .instrument import (
-    ANALYZERS,
-    CountRecord,
-    DetectorModel,
-    ProjectorSetting,
-    SourceModel,
-    calibrate_source,
-    derive_rng,
-    derive_seed,
-    expected_coincidences,
-    project_physical,
-    reconstruct,
-    settings_16,
-    settings_36,
-    simulate_counts,
-    source_state,
-)
-from .qmath import (
-    BellKind,
-    bell_diagonal,
-    bell_state,
-    bell_vector,
-    bell_weights,
-    concurrence,
-    correlation_of,
-    fidelity_to_pure,
-    linear_entropy,
-    purity,
-    reduced_qubit,
-    trace_distance,
-)
-from .theory import (
-    CompensatorPlan,
-    RateBounds,
-    average_entanglement,
-    design_compensator,
-    equivalence_map,
-    estimate_gamma_from_concurrence,
-    kappa,
-    predicted_concurrence,
-    predicted_rate,
-    rate_bounds,
-)
-from .verify import ALL_SUITES, SuiteResult, run_all
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANALYZERS",
-    "ALL_SUITES",
-    "BellKind",
-    "CANONICAL_AXIS",
-    "ChannelOutcome",
-    "CompensatorPlan",
-    "CountRecord",
-    "DB_PER_NEPER",
-    "DetectorModel",
-    "EvalRecord",
-    "ExtinctionError",
-    "PdlElement",
-    "PmdElement",
-    "ProjectorSetting",
-    "RateBounds",
-    "SearchConfig",
-    "SearchResult",
-    "SourceModel",
-    "SuiteResult",
-    "angle_from_aggregate",
-    "apply_local",
-    "average_entanglement",
-    "axis_from_polar",
-    "bell_diagonal",
-    "bell_state",
-    "bell_vector",
-    "bell_weights",
-    "calibrate_source",
-    "concat_pdl",
-    "concurrence",
-    "correlation_of",
-    "db_from_gamma",
-    "dephasing_from_dgd",
-    "derive_rng",
-    "derive_seed",
-    "design_compensator",
-    "entropy_feedback",
-    "equivalence_map",
-    "estimate_gamma_from_concurrence",
-    "expected_coincidences",
-    "fibonacci_sphere",
-    "fidelity_to_pure",
-    "gamma_from_db",
-    "kappa",
-    "linear_entropy",
-    "optimize_compensator",
-    "pdl_operator",
-    "pmd_dephase",
-    "predicted_concurrence",
-    "predicted_rate",
-    "project_physical",
-    "purity",
-    "rate_bounds",
-    "reconstruct",
-    "reduced_qubit",
-    "run_all",
-    "settings_16",
-    "settings_36",
-    "simulate_counts",
-    "source_state",
-    "trace_distance",
-    "unit_axis",
-]

@@ -95,15 +95,10 @@ class PdlElement:
 
 @dataclass(frozen=True, eq=False)
 class PmdElement:
-    """First-order PMD dephasing: phase-flip weight q about a unit Stokes axis.
-
-    tau_ps records the differential group delay the weight was derived from;
-    it is bookkeeping only and does not enter the channel action.
-    """
+    """First-order PMD dephasing: phase-flip weight q about a unit Stokes axis."""
 
     q: float
     axis: np.ndarray = field(default_factory=lambda: CANONICAL_AXIS.copy())
-    tau_ps: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 0.5:

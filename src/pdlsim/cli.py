@@ -211,17 +211,19 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     axes = fibonacci_sphere(orientations_n)
     emulators = [(db, ax, PdlElement(gamma_from_db(db), ax)) for db in pdl_db_list for ax in axes]
     ems = [em for _, _, em in emulators]
+    # kappa depends on the orientation only: one per axis, shared by every magnitude
+    kappas = [kappa(t, src_el.axis, em.axis) for em in ems[:len(axes)]]
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     batch = propagate(base, m_a, SIGMA0[None])
     aggs = concat_pdls([src_el] * len(ems), ems)
     rows = []
-    for i, ((db, ax, em), agg) in enumerate(zip(emulators, aggs)):
+    for i, ((db, ax, _), agg) in enumerate(zip(emulators, aggs)):
         out, rho, c, _ = _observe(batch, i, cfg, "sweep", i)
         if not cfg.noisy and abs(c * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
         rows.append([
             db, ax[0], ax[1], ax[2], agg.gamma_db,
-            kappa(t, src_el.axis, em.axis), c, purity(rho), out.rate,
+            kappas[i % len(axes)], c, purity(rho), out.rate,
         ])
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]

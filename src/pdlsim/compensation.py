@@ -29,6 +29,8 @@ from .channels import (
 from .instrument import DetectorModel, SourceModel, derive_seed, measure
 from .qmath import check_state, concurrence, linear_entropy, reduced_qubit
 
+REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -37,7 +39,6 @@ class SearchConfig:
     sphere_points: int = 128
     gamma_grid: tuple[float, ...] | None = None
     refine_iters: int = 40
-    refine_tol: float = 1e-6
     noisy: bool = False
     seed: int = 0
     source: SourceModel | None = None
@@ -49,8 +50,6 @@ class SearchConfig:
             raise ValueError(f"sphere_points must be >= 32, got {self.sphere_points}")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be > 0")
         if self.pulses < 1:
             raise ValueError("pulses must be >= 1")
         if self.gamma_grid is not None:
@@ -185,7 +184,7 @@ def optimize_compensator(
                 if best_el is trial:
                     point = points[i]
                     break
-        if best_c - before < cfg.refine_tol:
+        if best_c - before < REFINE_TOL:
             step_ang /= 2
             step_g /= 2
             if max(step_ang, step_g) < 1e-10:

@@ -5,12 +5,15 @@ target Bell state) filtered by a fixed internal PDL along s3, calibrated so
 back-to-back measurements reproduce a chosen concurrence and HH/VV imbalance.
 Projective two-arm settings, Poissonian coincidence counts, and linear
 least-squares state reconstruction mirror a standard polarization tomography
-bench; `measure` chains them into the one route from a channel outcome to its
-estimated state.
+bench. Counts are plain arrays with one entry per setting, in schedule order:
+`expected_coincidences` gives the means, `simulate_counts` draws integer
+counts from them, and `reconstruct` inverts either. `measure` chains them into
+the one route from a channel outcome to its estimated state.
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -167,20 +170,20 @@ def settings_16() -> list[ProjectorSetting]:
     return list(_SETTINGS_16)
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Expected and observed coincidences for one setting index."""
+def expected_coincidences(
+    outcome: ChannelOutcome,
+    settings: list[ProjectorSetting],
+    src: SourceModel,
+    det: DetectorModel,
+    pulses: int,
+) -> np.ndarray:
+    """Mean coincidences over `pulses` at each setting, in schedule order.
 
-    index: int
-    expected: float
-    observed: int
-
-    def __post_init__(self):
-        if self.observed < 0 or self.expected < 0:
-            raise ValueError("counts must be nonnegative")
-
-
-def _expected_vector(outcome, kets, src, det, pulses) -> np.ndarray:
+    pulses * (mu eta^2 rate <ab|rho|ab> + accidental_floor + dark_prob^2):
+    bright pairs thinned by both detectors and the channel rate, plus flat
+    accidental and dark-dark floors.
+    """
+    kets = _settings_plan(tuple(settings)).kets
     p_bright = np.einsum("ki,ij,kj->k", kets.conj(), outcome.rho, kets).real
     per_pulse = (
         src.mu * det.efficiency**2 * outcome.rate * p_bright
@@ -190,22 +193,6 @@ def _expected_vector(outcome, kets, src, det, pulses) -> np.ndarray:
     return pulses * per_pulse
 
 
-def expected_coincidences(
-    outcome: ChannelOutcome,
-    setting: ProjectorSetting,
-    src: SourceModel,
-    det: DetectorModel,
-    pulses: int,
-) -> float:
-    """Mean coincidences over `pulses` at one setting.
-
-    pulses * (mu eta^2 rate <ab|rho|ab> + accidental_floor + dark_prob^2):
-    bright pairs thinned by both detectors and the channel rate, plus flat
-    accidental and dark-dark floors.
-    """
-    return float(_expected_vector(outcome, setting.ket[None, :], src, det, pulses)[0])
-
-
 def simulate_counts(
     outcome: ChannelOutcome,
     settings: list[ProjectorSetting],
@@ -213,15 +200,12 @@ def simulate_counts(
     det: DetectorModel,
     pulses: int,
     seed: int,
-) -> list[CountRecord]:
+) -> np.ndarray:
     """Poissonian coincidence counts, one deterministic sub-stream per setting."""
-    expected = _expected_vector(
-        outcome, _settings_plan(settings).kets, src, det, pulses
+    expected = expected_coincidences(outcome, settings, src, det, pulses)
+    return np.array(
+        [derive_rng(seed, idx).poisson(e) for idx, e in enumerate(expected)], dtype=np.int64
     )
-    return [
-        CountRecord(index=idx, expected=float(e), observed=int(derive_rng(seed, idx).poisson(e)))
-        for idx, e in enumerate(expected)
-    ]
 
 
 _HERM_BASIS = np.array(
@@ -238,29 +222,20 @@ class _SettingsPlan:
     groups: np.ndarray | None
 
 
-_plan_cache: dict[bytes, _SettingsPlan] = {}
-
-
-def _settings_plan(settings: list[ProjectorSetting]) -> _SettingsPlan:
-    # derived quantities of a measurement schedule, cached across repeated use
+@lru_cache(maxsize=16)
+def _settings_plan(settings: tuple[ProjectorSetting, ...]) -> _SettingsPlan:
+    # derived quantities of a measurement schedule; settings hash by identity
     kets = np.array([s.ket for s in settings])
-    key = kets.tobytes()
-    plan = _plan_cache.get(key)
-    if plan is None:
-        model = np.einsum("ki,mij,kj->km", kets.conj(), _HERM_BASIS, kets).real
-        plan = _SettingsPlan(
-            kets=kets,
-            model=model,
-            rank=int(np.linalg.matrix_rank(model)),
-            groups=_basis_groups(settings),
-        )
-        if len(_plan_cache) > 16:
-            _plan_cache.clear()
-        _plan_cache[key] = plan
-    return plan
+    model = np.einsum("ki,mij,kj->km", kets.conj(), _HERM_BASIS, kets).real
+    return _SettingsPlan(
+        kets=kets,
+        model=model,
+        rank=int(np.linalg.matrix_rank(model)),
+        groups=_basis_groups(settings),
+    )
 
 
-def _basis_groups(settings: list[ProjectorSetting]) -> np.ndarray | None:
+def _basis_groups(settings: tuple[ProjectorSetting, ...]) -> np.ndarray | None:
     """Group indices when the schedule tiles into complete product bases.
 
     Two analyzers belong to one basis when orthogonal; a complete group is the
@@ -307,17 +282,17 @@ def reconstruct(counts, settings: list[ProjectorSetting]) -> np.ndarray:
     to the fit. Either way the result is trace normalized; it is Hermitian but
     may be unphysical under shot noise, see project_physical.
 
-    Accepts CountRecord lists (observed counts are used) or a plain sequence of
-    nonnegative reals.
+    `counts` holds one finite, nonnegative number per setting (an array or
+    any sequence), as `simulate_counts` and `expected_coincidences` return.
     """
-    if len(counts) > 0 and isinstance(counts[0], CountRecord):
-        counts = [r.observed for r in counts]
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(settings),):
         raise ValueError(f"need one count per setting, got shape {counts.shape}")
+    if not (np.isfinite(counts) & (counts >= 0)).all():
+        raise ValueError("counts must be finite and nonnegative")
     if counts.sum() <= 0:
         raise ValueError("all counts are zero")
-    plan = _settings_plan(settings)
+    plan = _settings_plan(tuple(settings))
     if plan.rank < 16:
         raise ValueError("settings are not informationally complete (rank-deficient)")
     if plan.groups is not None:

@@ -24,8 +24,11 @@ for _m in (SIGMA0, SIGMA1, SIGMA2, SIGMA3):
 TOL = 1e-9  # slack on unit traces and norms, eigenvalue signs and imaginary parts
 EIG_CLAMP = 1e-12  # eigenvalue magnitudes below this read as exact zeros
 
-_YY = np.kron(SIGMA2, SIGMA2)
-_YY.setflags(write=False)
+# sigma_j x sigma_j for j = 1, 2, 3: the Bell-diagonal correlators
+_CORRELATORS = tuple(np.kron(s, s) for s in PAULI)
+for _m in _CORRELATORS:
+    _m.setflags(write=False)
+_YY = _CORRELATORS[1]
 
 
 class BellKind(Enum):
@@ -124,16 +127,16 @@ def bell_diagonal(t) -> np.ndarray:
     if w.min() < -TOL:
         raise ValueError(f"unphysical correlation triple {tuple(t)}: weight {w.min()}")
     rho = np.eye(4, dtype=complex)
-    for tj, s in zip(t, PAULI):
-        rho = rho + float(tj) * np.kron(s, s)
+    for tj, ss in zip(t, _CORRELATORS):
+        rho = rho + float(tj) * ss
     return rho / 4
 
 
 def correlation_of(rho: np.ndarray) -> np.ndarray:
     """Diagonal correlation triple t_j = Tr[rho (sigma_j x sigma_j)], each real within TOL."""
     t = np.empty(3)
-    for j, s in enumerate(PAULI):
-        val = np.trace(rho @ np.kron(s, s))
+    for j, ss in enumerate(_CORRELATORS):
+        val = np.trace(rho @ ss)
         if abs(val.imag) > TOL:
             raise ValueError(f"correlation t{j + 1} has imaginary part {val.imag}")
         t[j] = val.real

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PdlElement, unit_axis
-from .qmath import bell_weights
+from .qmath import TOL, bell_weights
 
-_ONE_TOL = 1e-9
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
@@ -26,7 +25,7 @@ def kappa(t, axis_a, axis_b) -> float:
     a = unit_axis(axis_a)
     b = unit_axis(axis_b)
     t = np.asarray(t, dtype=float)
-    if np.abs(t).max() > 1 + _ONE_TOL:
+    if np.abs(t).max() > 1 + TOL:
         raise ValueError(f"correlation components must lie in [-1, 1], got {t}")
     return float(np.clip(np.sum(a * b * t), -1.0, 1.0))
 
@@ -51,9 +50,9 @@ def _scaled_rate(gamma_a: float, gamma_b: float, kap: float) -> float:
 
 def predicted_concurrence(c0: float, gamma_a: float, gamma_b: float, kap: float) -> float:
     """Concurrence after two-sided PDL on a Bell-diagonal state of concurrence c0."""
-    if not 0 <= c0 <= 1 + _ONE_TOL:
+    if not 0 <= c0 <= 1 + TOL:
         raise ValueError(f"c0 must lie in [0, 1], got {c0}")
-    if abs(kap) > 1 + _ONE_TOL:
+    if abs(kap) > 1 + TOL:
         raise ValueError(f"kappa must lie in [-1, 1], got {kap}")
     gamma_a = _check_gamma(gamma_a, "gamma_a")
     gamma_b = _check_gamma(gamma_b, "gamma_b")
@@ -95,7 +94,7 @@ def equivalence_map(element: PdlElement, t) -> PdlElement:
     For the singlet this inverts all three axes.
     """
     t = np.asarray(t, dtype=float)
-    if np.abs(np.abs(t) - 1.0).max() > _ONE_TOL:
+    if np.abs(np.abs(t) - 1.0).max() > TOL:
         raise ValueError(f"equivalence mapping requires a Bell correlation triple, got {t}")
     return PdlElement(element.gamma, np.sign(t) * element.axis)
 
@@ -120,7 +119,7 @@ def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
     """
     t = np.asarray(t, dtype=float)
     w = bell_weights(t)
-    if w.min() < -_ONE_TOL:
+    if w.min() < -TOL:
         raise ValueError(f"unphysical correlation triple {tuple(t)}")
     c0 = max(0.0, 2 * w.max() - 1)
     ta = t * element_a.axis
@@ -176,10 +175,10 @@ def estimate_gamma_from_concurrence(c0: float, c_meas: float) -> float:
     Inverts C = c0 / cosh(gamma). c_meas may exceed c0 by at most 1e-9
     (measurement jitter at zero PDL); anything larger is a domain error.
     """
-    if not 0 < c0 <= 1 + _ONE_TOL:
+    if not 0 < c0 <= 1 + TOL:
         raise ValueError(f"c0 must lie in (0, 1], got {c0}")
     if c_meas <= 0:
         raise ValueError(f"c_meas must be > 0, got {c_meas}")
-    if c_meas > c0 + _ONE_TOL:
+    if c_meas > c0 + TOL:
         raise ValueError(f"measured concurrence {c_meas} exceeds the baseline {c0}")
     return float(np.arccosh(max(c0 / c_meas, 1.0)))

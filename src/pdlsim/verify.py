@@ -248,7 +248,7 @@ def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
     states = [source_state(src)] + [batch.outcome(i) for i in range(len(rhos))]
     for out in states:
         for settings in (settings_16(), settings_36()):
-            exact = [expected_coincidences(out, s, src, det, 10**6) for s in settings]
+            exact = expected_coincidences(out, settings, src, det, 10**6)
             rho_hat = reconstruct(exact, settings)
             worst = max(worst, trace_distance(rho_hat, out.rho))
             repaired = project_physical(rho_hat)

@@ -231,7 +231,7 @@ def test_criterion_10_tomography():
     # noiseless round trip, both schedules, background free
     worst_td = 0.0
     for settings in (settings_36(), settings_16()):
-        expect = [expected_coincidences(out, s, src, quiet, 10**6) for s in settings]
+        expect = expected_coincidences(out, settings, src, quiet, 10**6)
         rho = project_physical(reconstruct(expect, settings))
         worst_td = max(worst_td, trace_distance(rho, out.rho))
     assert worst_td <= 1e-8

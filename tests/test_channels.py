@@ -124,7 +124,7 @@ def test_apply_local_extinction():
 
 def test_pmd_element_validation():
     PmdElement(0.0)
-    PmdElement(0.5, np.array([1.0, 0, 0]), tau_ps=6.6)
+    PmdElement(0.5, np.array([1.0, 0, 0]))
     with pytest.raises(ValueError):
         PmdElement(0.51)
     with pytest.raises(ValueError):

@@ -52,8 +52,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(refine_iters=-1)
     with pytest.raises(ValueError):
-        SearchConfig(refine_tol=0.0)
-    with pytest.raises(ValueError):
         SearchConfig(gamma_grid=(0.1, -0.2))
     with pytest.raises(ValueError):
         SearchConfig(pulses=0)

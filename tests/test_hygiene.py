@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pdlsim"
-# the package __init__ imports names to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -23,12 +22,51 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_private_names(source: str) -> list[str]:
+    """Module-level private names (`_x`, not dunders) the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
 def test_detector_flags_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(d)\n") == [
         "os (line 1)", "b (line 2)"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
+def test_detector_flags_an_unreferenced_private_name():
+    source = (
+        "_cache: dict = {}\n"
+        "_A, _B = 1, 2\n"
+        "def _helper():\n    return _B\n"
+        "class _Plan:\n    pass\n"
+        "__version__ = '1'\n"
+        "def public():\n    return _helper()\n"
+    )
+    assert unreferenced_private_names(source) == [
+        "_cache (line 1)", "_A (line 2)", "_Plan (line 5)"]
+    # a store alone is not a read
+    assert unreferenced_private_names("_x = 1\n_x = 2\n") == ["_x (line 1)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unreferenced_private_names(path):
+    assert unreferenced_private_names(path.read_text()) == []

@@ -4,7 +4,6 @@ import pytest
 from pdlsim.channels import ChannelOutcome, PdlElement
 from pdlsim.instrument import (
     ANALYZERS,
-    CountRecord,
     DetectorModel,
     ProjectorSetting,
     SourceModel,
@@ -31,15 +30,8 @@ from pdlsim.qmath import (
 
 
 def exact_counts(outcome, settings, src, det, pulses):
-    """Noise-free count records: observed set to the rounded expectation."""
-    return [
-        CountRecord(
-            index=i,
-            expected=expected_coincidences(outcome, s, src, det, pulses),
-            observed=int(round(expected_coincidences(outcome, s, src, det, pulses))),
-        )
-        for i, s in enumerate(settings)
-    ]
+    """Noise-free counts: each setting's expectation rounded to an integer."""
+    return np.round(expected_coincidences(outcome, settings, src, det, pulses))
 
 
 def random_state(rng):
@@ -151,24 +143,36 @@ def test_expected_coincidences_frozen():
     out = source_state(src)
     hh = ProjectorSetting(ANALYZERS["H"].copy(), ANALYZERS["H"].copy())
     vv = ProjectorSetting(ANALYZERS["V"].copy(), ANALYZERS["V"].copy())
-    n_hh = expected_coincidences(out, hh, src, det, 1_000_000)
-    n_vv = expected_coincidences(out, vv, src, det, 1_000_000)
+    n_hh, n_vv = expected_coincidences(out, [hh, vv], src, det, 1_000_000)
     assert abs(n_hh - 195.80297508217956) < 1e-9
     assert abs(n_vv - 141.8866544073765) < 1e-9
     # dark floor included: dark_prob^2 * pulses = 1.6e-3
     assert abs(n_hh / n_vv - 1.38) < 1e-4
-    assert abs(expected_coincidences(out, hh, src, det, 2_000_000) - 2 * n_hh) < 1e-9
+    assert abs(expected_coincidences(out, [hh], src, det, 2_000_000)[0] - 2 * n_hh) < 1e-9
 
 
 def test_expected_coincidences_floors():
     src = calibrate_source(0.925, 1.38)
     out = source_state(src)
     hh = ProjectorSetting(ANALYZERS["H"].copy(), ANALYZERS["H"].copy())
-    base = expected_coincidences(out, hh, src, QUIET, 1_000_000)
+    base = expected_coincidences(out, [hh], src, QUIET, 1_000_000)
     with_floor = expected_coincidences(
-        out, hh, src, DetectorModel(efficiency=0.20, dark_prob=0.0, accidental_floor=1e-6), 1_000_000
+        out, [hh], src, DetectorModel(efficiency=0.20, dark_prob=0.0, accidental_floor=1e-6), 1_000_000
     )
-    assert abs(with_floor - base - 1.0) < 1e-9
+    assert abs(with_floor[0] - base[0] - 1.0) < 1e-9
+
+
+def test_expected_coincidences_stack_matches_one_setting_calls():
+    rng = np.random.default_rng(11)
+    src = calibrate_source(0.925, 1.38)
+    det = DetectorModel()
+    for settings in (settings_36(), settings_16()):
+        for _ in range(5):
+            out = ChannelOutcome(rho=random_state(rng), rate=float(rng.uniform(0.1, 1.0)))
+            stacked = expected_coincidences(out, settings, src, det, 1_000_000)
+            assert stacked.shape == (len(settings),)
+            singles = [expected_coincidences(out, [s], src, det, 1_000_000)[0] for s in settings]
+            assert np.array_equal(stacked, singles)
 
 
 def test_simulate_counts_deterministic():
@@ -179,11 +183,13 @@ def test_simulate_counts_deterministic():
     a = simulate_counts(out, s36, src, det, 1_000_000, seed=42)
     b = simulate_counts(out, s36, src, det, 1_000_000, seed=42)
     c = simulate_counts(out, s36, src, det, 1_000_000, seed=43)
-    assert [r.observed for r in a] == [r.observed for r in b]
-    assert [r.observed for r in a] != [r.observed for r in c]
-    for i, r in enumerate(a):
-        assert r.index == i and r.observed >= 0
-        assert abs(r.expected - expected_coincidences(out, s36[i], src, det, 1_000_000)) < 1e-9
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (36,) and a.dtype.kind == "i" and (a >= 0).all()
+    # setting idx draws from its own sub-stream derive_rng(seed, idx)
+    expected = expected_coincidences(out, s36, src, det, 1_000_000)
+    for i, e in enumerate(expected):
+        assert a[i] == derive_rng(42, i).poisson(e)
 
 
 def test_simulate_counts_poisson_mean():
@@ -194,15 +200,19 @@ def test_simulate_counts_poisson_mean():
     totals = np.zeros(36)
     n_rep = 200
     for k in range(n_rep):
-        totals += [r.observed for r in simulate_counts(out, s36, src, det, 1_000_000, seed=k)]
-    expect = np.array([r.expected for r in simulate_counts(out, s36, src, det, 1_000_000, seed=0)])
+        totals += simulate_counts(out, s36, src, det, 1_000_000, seed=k)
+    expect = expected_coincidences(out, s36, src, det, 1_000_000)
     # relative agreement ~ 5 sigma / sqrt(n_rep * N)
     assert np.abs(totals / n_rep - expect).max() < 5 * np.sqrt(expect.max() / n_rep)
 
 
-def test_count_record_validation():
-    with pytest.raises(ValueError):
-        CountRecord(index=0, expected=1.0, observed=-1)
+def test_reconstruct_rejects_negative_count():
+    s36 = settings_36()
+    counts = np.full(36, 100.0)
+    reconstruct(counts, s36)
+    counts[5] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        reconstruct(counts, s36)
 
 
 def test_reconstruct_roundtrip_exact():
@@ -221,19 +231,17 @@ def test_reconstruct_roundtrip_random_states():
         for _ in range(10):
             rho = random_state(rng)
             outcome = ChannelOutcome(rho=rho, rate=1.0)
-            expect = [
-                expected_coincidences(outcome, s, src, QUIET, 1_000_000) for s in settings
-            ]
-            recon = reconstruct(expect, settings)  # plain reals accepted
+            expect = expected_coincidences(outcome, settings, src, QUIET, 1_000_000)
+            recon = reconstruct(expect, settings)  # real, non-integer counts accepted
             assert trace_distance(recon, rho) < 1e-8
 
 
 def test_reconstruct_accepts_ndarray_counts():
     src = calibrate_source(0.925, 1.38)
     s36 = settings_36()
-    records = simulate_counts(source_state(src), s36, src, DetectorModel(), 10**6, seed=17)
-    as_list = reconstruct(records, s36)
-    as_array = reconstruct(np.array([r.observed for r in records]), s36)
+    counts = simulate_counts(source_state(src), s36, src, DetectorModel(), 10**6, seed=17)
+    as_list = reconstruct([int(n) for n in counts], s36)
+    as_array = reconstruct(counts, s36)
     assert np.array_equal(as_array, as_list)
     with pytest.raises(ValueError):
         reconstruct(np.array([]), s36)
@@ -254,6 +262,8 @@ def test_reconstruct_errors():
         reconstruct([1.0] * 10, s36)  # wrong length
     with pytest.raises(ValueError):
         reconstruct([1.0] * 10, s36[:10])  # rank deficient
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct([np.nan] + [1.0] * 35, s36)
 
 
 def test_project_physical():
