@@ -198,15 +198,10 @@ def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelOut
     return propagate(rho, np.asarray(m_a)[None], np.asarray(m_b)[None]).outcome(0)
 
 
-def pmd_dephase(rho: np.ndarray, element: PmdElement, qubit: str = "A") -> np.ndarray:
-    """Phase-flip channel (1-q) rho + q (n.sigma) rho (n.sigma) on one qubit."""
+def pmd_dephase(rho: np.ndarray, element: PmdElement) -> np.ndarray:
+    """Phase-flip channel (1-q) rho + q (n.sigma) rho (n.sigma) on qubit A."""
     n_sigma = sum(a * s for a, s in zip(element.axis, PAULI))
-    if qubit == "A":
-        u = np.kron(n_sigma, SIGMA0)
-    elif qubit == "B":
-        u = np.kron(SIGMA0, n_sigma)
-    else:
-        raise ValueError(f"qubit must be 'A' or 'B', got {qubit!r}")
+    u = np.kron(n_sigma, SIGMA0)
     return check_state((1 - element.q) * rho + element.q * (u @ rho @ u))
 
 

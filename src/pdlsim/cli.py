@@ -134,18 +134,24 @@ def _write_keyvals(path: Path, pairs):
     return path
 
 
-def _observe(batch, i: int, cfg: RunConfig, label: str, seed_index: int):
-    """Row i of a channel batch as a run reports it: (outcome, state, concurrence, S_A).
+def _observer(cfg: RunConfig, label: str):
+    """One command's reader of channel-batch rows, as the run reports them.
 
-    Noisy runs replace the exact state with a tomographic reconstruction drawn
-    from the sub-seed (label, seed_index); noiseless runs read the batch.
+    `observe(batch, i, seed_index)` gives row i as (outcome, state,
+    concurrence, S_A). Noisy runs replace the exact state with a tomographic
+    reconstruction drawn from the sub-seed (label, seed_index), using source
+    and detector models built once here; noiseless runs read the batch.
     """
-    out = batch.outcome(i)
-    if cfg.noisy:
-        rho = measure(out, _source(cfg), _detector(cfg), cfg.pulses,
-                      derive_seed(cfg.seed, label, seed_index))
-        return out, rho, concurrence(rho), entropy_feedback(rho)
-    return out, out.rho, float(batch.concurrence[i]), float(batch.entropy_a[i])
+    src, det = (_source(cfg), _detector(cfg)) if cfg.noisy else (None, None)
+
+    def observe(batch, i: int, seed_index: int):
+        out = batch.outcome(i)
+        if cfg.noisy:
+            rho = measure(out, src, det, cfg.pulses, derive_seed(cfg.seed, label, seed_index))
+            return out, rho, concurrence(rho), entropy_feedback(rho)
+        return out, out.rho, float(batch.concurrence[i]), float(batch.entropy_a[i])
+
+    return observe
 
 
 def _matrix_rows(rho, label=None):
@@ -163,7 +169,7 @@ def _chain_state(pmd_q: float):
     """Ideal-chain input and its baseline concurrence for the protocol commands."""
     rho = bell_state(BellKind.PHI_PLUS)
     if pmd_q > 0:
-        rho = pmd_dephase(rho, PmdElement(pmd_q, CANONICAL_AXIS.copy()), qubit="A")
+        rho = pmd_dephase(rho, PmdElement(pmd_q, CANONICAL_AXIS.copy()))
     return rho, concurrence(rho)
 
 
@@ -216,9 +222,10 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     batch = propagate(base, m_a, SIGMA0[None])
     aggs = concat_pdls([src_el] * len(ems), ems)
+    observe = _observer(cfg, "sweep")
     rows = []
     for i, ((db, ax, _), agg) in enumerate(zip(emulators, aggs)):
-        out, rho, c, _ = _observe(batch, i, cfg, "sweep", i)
+        out, rho, c, _ = observe(batch, i, i)
         if not cfg.noisy and abs(c * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
         rows.append([
@@ -252,10 +259,11 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     uncompensated = propagate(base, m_a, SIGMA0[None])
     compensated = propagate(base, m_a, pdl_filters([plan.element for plan in plans]))
+    observe = _observer(cfg, "compensate")
     rows = []
     for i, (th, em, agg, plan) in enumerate(zip(thetas, ems, aggs, plans)):
-        out_u, _, c_u, _ = _observe(uncompensated, i, cfg, "compensate", 2 * i)
-        out_c, _, c_c, _ = _observe(compensated, i, cfg, "compensate", 2 * i + 1)
+        out_u, _, c_u, _ = observe(uncompensated, i, 2 * i)
+        out_c, _, c_c, _ = observe(compensated, i, 2 * i + 1)
         if not cfg.noisy:
             if abs(c_u * np.cosh(agg.gamma) - chain_c) > 1e-6:
                 raise RuntimeError("uncompensated row violates the magnitude-only law")
@@ -294,9 +302,10 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     order = np.argsort(kappas, kind="stable")
     el_bs = [PdlElement(g, axes[ax_idx]) for ax_idx in order]
     batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(el_bs))
+    observe = _observer(cfg, command_id)
     out_rows = []
     for emit_idx, ax_idx in enumerate(order):
-        out, rho, c, s_a = _observe(batch, emit_idx, cfg, command_id, emit_idx)
+        out, rho, c, s_a = observe(batch, emit_idx, emit_idx)
         out_rows.append((kappas[ax_idx], out, rho, c, s_a))
     return base, chain_c, g, out_rows
 

@@ -113,7 +113,7 @@ def optimize_compensator(
     """
     base = check_state(base)
     if pmd_a is not None:
-        base = pmd_dephase(base, pmd_a, qubit="A")
+        base = pmd_dephase(base, pmd_a)
     m_a = pdl_operator(pdl_a)
     if cfg.noisy and (cfg.source is None or cfg.detector is None):
         raise ValueError("noisy search needs source and detector models")

@@ -5,15 +5,17 @@ target Bell state) filtered by a fixed internal PDL along s3, calibrated so
 back-to-back measurements reproduce a chosen concurrence and HH/VV imbalance.
 Projective two-arm settings, Poissonian coincidence counts, and linear
 least-squares state reconstruction mirror a standard polarization tomography
-bench. Counts are plain arrays with one entry per setting, in schedule order:
+bench. The bench uses two fixed analyzer schedules, the module constants
+`SETTINGS_36` (full 6x6 product) and `SETTINGS_16` (James et al. 2001), each
+built once at import with its projector kets, model matrix and basis groups.
+Counts are plain arrays with one entry per setting, in schedule order:
 `expected_coincidences` gives the means, `simulate_counts` draws integer
 counts from them, and `reconstruct` inverts either. `measure` chains them into
 the one route from a channel outcome to its estimated state.
 """
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -55,19 +57,16 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Per-arm detection efficiency plus dark and accidental coincidence floors."""
+    """Per-arm detection efficiency and dark-count probability."""
 
     efficiency: float = 0.20
     dark_prob: float = 4e-5
-    accidental_floor: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
         if not 0 <= self.dark_prob < 1:
             raise ValueError(f"dark_prob must lie in [0, 1), got {self.dark_prob}")
-        if self.accidental_floor < 0:
-            raise ValueError("accidental_floor must be >= 0")
 
 
 def calibrate_source(
@@ -118,84 +117,73 @@ ANALYZERS = {
 for _vec in ANALYZERS.values():
     _vec.setflags(write=False)
 
-# Informationally complete 16-projector schedule (standard two-qubit set).
-_SET16 = [
-    ("H", "H"), ("H", "V"), ("V", "V"), ("V", "H"),
-    ("R", "H"), ("R", "V"), ("D", "V"), ("D", "H"),
-    ("D", "R"), ("D", "D"), ("R", "D"), ("H", "D"),
-    ("V", "D"), ("V", "L"), ("H", "L"), ("R", "L"),
-]
+_HERM_BASIS = np.array(
+    [np.kron(si, sj) for si in (SIGMA0, *PAULI) for sj in (SIGMA0, *PAULI)]
+)
+_HERM_BASIS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectorSetting:
-    """One coincidence analyzer setting: Jones vectors for arms A and B.
+class Schedule:
+    """A fixed analyzer schedule and everything tomography derives from it.
 
-    `ket` is the two-photon projector ket jones_a x jones_b, built once here.
+    Row k is the setting `labels[k]` (arm-A then arm-B analyzer letter):
+    `kets[k]` its two-photon projector ket, `model[k]` its row of the linear
+    map from Pauli-product coefficients to projector probabilities. `groups`
+    names the complete product basis each setting belongs to, or is None when
+    the settings do not tile into such bases. All arrays are read-only.
     """
 
-    jones_a: np.ndarray
-    jones_b: np.ndarray
-    label: str = ""
-    ket: np.ndarray = field(init=False, repr=False)
+    labels: tuple[str, ...]
+    kets: np.ndarray
+    model: np.ndarray
+    groups: np.ndarray | None
 
-    def __post_init__(self):
-        for name, v in (("jones_a", self.jones_a), ("jones_b", self.jones_b)):
-            v = np.asarray(v, dtype=complex)
-            if v.shape != (2,) or abs(np.linalg.norm(v) - 1) > 1e-12:
-                raise ValueError(f"{name} must be a normalized 2-vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        ket = np.kron(self.jones_a, self.jones_b)
-        ket.setflags(write=False)
-        object.__setattr__(self, "ket", ket)
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-def _setting(na: str, nb: str) -> ProjectorSetting:
-    return ProjectorSetting(ANALYZERS[na].copy(), ANALYZERS[nb].copy(), label=na + nb)
+def _schedule(labels: list[str], grouped: bool) -> Schedule:
+    kets = np.array([np.kron(ANALYZERS[a], ANALYZERS[b]) for a, b in labels])
+    model = np.einsum("ki,mij,kj->km", kets.conj(), _HERM_BASIS, kets).real
+    # "HVDARL" lists the analyzers as three orthogonal pairs, one per basis
+    groups = (np.array([3 * ("HVDARL".index(a) // 2) + "HVDARL".index(b) // 2
+                        for a, b in labels]) if grouped else None)
+    for arr in (kets, model, groups):
+        if arr is not None:
+            arr.setflags(write=False)
+    return Schedule(tuple(labels), kets, model, groups)
 
 
-# settings are immutable, so every schedule call hands out the same ones
-_SETTINGS_36 = tuple(_setting(na, nb) for na, nb in product("HVDARL", repeat=2))
-_SETTINGS_16 = tuple(_setting(na, nb) for na, nb in _SET16)
-
-
-def settings_36() -> list[ProjectorSetting]:
-    """Full 6x6 analyzer product over H, V, D, A, R, L."""
-    return list(_SETTINGS_36)
-
-
-def settings_16() -> list[ProjectorSetting]:
-    """Minimal informationally complete subset (exact linear inversion)."""
-    return list(_SETTINGS_16)
+# Full 6x6 analyzer product over H, V, D, A, R, L: nine complete product bases.
+SETTINGS_36 = _schedule([a + b for a, b in product("HVDARL", repeat=2)], grouped=True)
+# Minimal informationally complete 16-projector set (James et al. 2001).
+SETTINGS_16 = _schedule(
+    "HH HV VV VH RH RV DV DH DR DD RD HD VD VL HL RL".split(), grouped=False
+)
 
 
 def expected_coincidences(
     outcome: ChannelOutcome,
-    settings: list[ProjectorSetting],
+    settings: Schedule,
     src: SourceModel,
     det: DetectorModel,
     pulses: int,
 ) -> np.ndarray:
     """Mean coincidences over `pulses` at each setting, in schedule order.
 
-    pulses * (mu eta^2 rate <ab|rho|ab> + accidental_floor + dark_prob^2):
-    bright pairs thinned by both detectors and the channel rate, plus flat
-    accidental and dark-dark floors.
+    pulses * (mu eta^2 rate <ab|rho|ab> + dark_prob^2): bright pairs thinned
+    by both detectors and the channel rate, plus a flat dark-dark floor.
     """
-    kets = _settings_plan(tuple(settings)).kets
+    kets = settings.kets
     p_bright = np.einsum("ki,ij,kj->k", kets.conj(), outcome.rho, kets).real
-    per_pulse = (
-        src.mu * det.efficiency**2 * outcome.rate * p_bright
-        + det.accidental_floor
-        + det.dark_prob**2
-    )
+    per_pulse = src.mu * det.efficiency**2 * outcome.rate * p_bright + det.dark_prob**2
     return pulses * per_pulse
 
 
 def simulate_counts(
     outcome: ChannelOutcome,
-    settings: list[ProjectorSetting],
+    settings: Schedule,
     src: SourceModel,
     det: DetectorModel,
     pulses: int,
@@ -208,78 +196,13 @@ def simulate_counts(
     )
 
 
-_HERM_BASIS = np.array(
-    [np.kron(si, sj) for si in (SIGMA0, *PAULI) for sj in (SIGMA0, *PAULI)]
-)
-_HERM_BASIS.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class _SettingsPlan:
-    kets: np.ndarray
-    model: np.ndarray
-    rank: int
-    groups: np.ndarray | None
-
-
-@lru_cache(maxsize=16)
-def _settings_plan(settings: tuple[ProjectorSetting, ...]) -> _SettingsPlan:
-    # derived quantities of a measurement schedule; settings hash by identity
-    kets = np.array([s.ket for s in settings])
-    model = np.einsum("ki,mij,kj->km", kets.conj(), _HERM_BASIS, kets).real
-    return _SettingsPlan(
-        kets=kets,
-        model=model,
-        rank=int(np.linalg.matrix_rank(model)),
-        groups=_basis_groups(settings),
-    )
-
-
-def _basis_groups(settings: tuple[ProjectorSetting, ...]) -> np.ndarray | None:
-    """Group indices when the schedule tiles into complete product bases.
-
-    Two analyzers belong to one basis when orthogonal; a complete group is the
-    2x2 product of an A-basis and a B-basis. Returns None unless every setting
-    sits in a full group of four.
-    """
-
-    def basis_ids(kets):
-        reps, ids = [], []
-        for k in kets:
-            for bid, r in enumerate(reps):
-                ov = abs(r.conj() @ k)
-                if ov > 1 - 1e-9 or ov < 1e-9:
-                    ids.append(bid)
-                    break
-            else:
-                ids.append(len(reps))
-                reps.append(k)
-        return ids
-
-    ids_a = basis_ids([s.jones_a for s in settings])
-    ids_b = basis_ids([s.jones_b for s in settings])
-    keys = {}
-    gid = np.empty(len(settings), dtype=int)
-    for k, key in enumerate(zip(ids_a, ids_b)):
-        gid[k] = keys.setdefault(key, len(keys))
-    counts = np.bincount(gid)
-    if (counts != 4).any():
-        return None
-    # a complete group's projectors must sum to the identity
-    for g in range(len(counts)):
-        tot = sum(np.outer(settings[k].ket, settings[k].ket.conj()) for k in np.flatnonzero(gid == g))
-        if np.abs(tot - np.eye(4)).max() > 1e-9:
-            return None
-    return gid
-
-
-def reconstruct(counts, settings: list[ProjectorSetting]) -> np.ndarray:
+def reconstruct(counts, settings: Schedule) -> np.ndarray:
     """Least-squares linear inversion of normalized count frequencies.
 
-    When the settings tile into complete product bases (the 6x6 schedule does)
+    When the settings tile into complete product bases (`SETTINGS_36` does)
     each count is normalized by its basis-group total, turning the fit into one
-    over per-basis outcome probabilities. Otherwise the overall scale is left
-    to the fit. Either way the result is trace normalized; it is Hermitian but
+    over per-basis outcome probabilities. Otherwise (`SETTINGS_16`) the overall
+    scale is left to the fit. Either way the result is trace normalized; it is Hermitian but
     may be unphysical under shot noise, see project_physical.
 
     `counts` holds one finite, nonnegative number per setting (an array or
@@ -292,14 +215,12 @@ def reconstruct(counts, settings: list[ProjectorSetting]) -> np.ndarray:
         raise ValueError("counts must be finite and nonnegative")
     if counts.sum() <= 0:
         raise ValueError("all counts are zero")
-    plan = _settings_plan(tuple(settings))
-    if plan.rank < 16:
-        raise ValueError("settings are not informationally complete (rank-deficient)")
-    if plan.groups is not None:
-        group_tot = np.bincount(plan.groups, weights=counts)
+    groups = settings.groups
+    if groups is not None:
+        group_tot = np.bincount(groups, weights=counts)
         if (group_tot > 0).all():
-            counts = counts / group_tot[plan.groups]
-    x, *_ = np.linalg.lstsq(plan.model, counts, rcond=None)
+            counts = counts / group_tot[groups]
+    x, *_ = np.linalg.lstsq(settings.model, counts, rcond=None)
     op = np.tensordot(x, _HERM_BASIS, axes=1)
     trace = np.trace(op).real
     if abs(trace) < 1e-12:
@@ -345,6 +266,5 @@ def measure(
     Poissonian counts on the 36-setting schedule drawn from `seed`, linear
     inversion, then the nearest-physical repair.
     """
-    settings = settings_36()
-    counts = simulate_counts(outcome, settings, src, det, pulses, seed=seed)
-    return project_physical(reconstruct(counts, settings))
+    counts = simulate_counts(outcome, SETTINGS_36, src, det, pulses, seed=seed)
+    return project_physical(reconstruct(counts, SETTINGS_36))

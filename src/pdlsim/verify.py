@@ -25,13 +25,13 @@ from .channels import (
 )
 from .compensation import SearchConfig, optimize_compensator
 from .instrument import (
+    SETTINGS_16,
+    SETTINGS_36,
     DetectorModel,
     calibrate_source,
     expected_coincidences,
     project_physical,
     reconstruct,
-    settings_16,
-    settings_36,
     source_state,
 )
 from .qmath import (
@@ -237,7 +237,7 @@ def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     src = calibrate_source(0.925, 1.38)
-    det = DetectorModel(dark_prob=0.0, accidental_floor=0.0)
+    det = DetectorModel(dark_prob=0.0)
     worst = 0.0
     rhos = []
     for _ in range(cases - 1):
@@ -247,7 +247,7 @@ def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
     batch = _through(np.array(rhos).reshape(-1, 4, 4), SIGMA0[None], SIGMA0[None])
     states = [source_state(src)] + [batch.outcome(i) for i in range(len(rhos))]
     for out in states:
-        for settings in (settings_16(), settings_36()):
+        for settings in (SETTINGS_16, SETTINGS_36):
             exact = expected_coincidences(out, settings, src, det, 10**6)
             rho_hat = reconstruct(exact, settings)
             worst = max(worst, trace_distance(rho_hat, out.rho))

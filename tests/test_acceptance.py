@@ -21,13 +21,13 @@ from pdlsim.channels import (
 from pdlsim.cli import main as cli_main
 from pdlsim.compensation import SearchConfig, optimize_compensator
 from pdlsim.instrument import (
+    SETTINGS_16,
+    SETTINGS_36,
     DetectorModel,
     calibrate_source,
     expected_coincidences,
     project_physical,
     reconstruct,
-    settings_16,
-    settings_36,
     simulate_counts,
     source_state,
 )
@@ -226,11 +226,11 @@ def test_criterion_09_aggregate_angle_range():
 def test_criterion_10_tomography():
     t0 = time.perf_counter()
     src = calibrate_source(0.925, 1.38)
-    quiet = DetectorModel(efficiency=0.20, dark_prob=0.0, accidental_floor=0.0)
+    quiet = DetectorModel(efficiency=0.20, dark_prob=0.0)
     out = source_state(src)
     # noiseless round trip, both schedules, background free
     worst_td = 0.0
-    for settings in (settings_36(), settings_16()):
+    for settings in (SETTINGS_36, SETTINGS_16):
         expect = expected_coincidences(out, settings, src, quiet, 10**6)
         rho = project_physical(reconstruct(expect, settings))
         worst_td = max(worst_td, trace_distance(rho, out.rho))
@@ -238,7 +238,7 @@ def test_criterion_10_tomography():
 
     # default noise, 100 seeds: the averaged reconstruction is unbiased
     det = DetectorModel()
-    s36 = settings_36()
+    s36 = SETTINGS_36
     raws, per_seed = [], []
     for seed in range(100):
         counts = simulate_counts(out, s36, src, det, 1_000_000, seed=seed)

@@ -19,6 +19,7 @@ from pdlsim.channels import (
     unit_axis,
 )
 from pdlsim.qmath import (
+    PAULI,
     SIGMA0,
     BellKind,
     bell_diagonal,
@@ -137,8 +138,6 @@ def test_pmd_dephase_limits():
     # q = 1/2 on z kills the transverse correlations
     full = pmd_dephase(rho, PmdElement(0.5))
     assert np.allclose(correlation_of(full), [0, 0, 1], atol=1e-12)
-    with pytest.raises(ValueError):
-        pmd_dephase(rho, PmdElement(0.1), qubit="X")
 
 
 def test_pmd_dephase_concurrence():
@@ -150,12 +149,12 @@ def test_pmd_dephase_concurrence():
 
 
 def test_pmd_dephase_arm_symmetry():
-    # Bell-diagonal input, same axis: dephasing either arm gives the same state
+    # Bell-diagonal input, same axis: dephasing arm A gives the state that the
+    # same phase flip on arm B would
     rho = bell_diagonal((0.9, -0.9, 1.0))
     el = PmdElement(0.2, np.array([0, 0, 1.0]))
-    assert np.allclose(
-        pmd_dephase(rho, el, qubit="A"), pmd_dephase(rho, el, qubit="B"), atol=1e-12
-    )
+    u_b = np.kron(SIGMA0, PAULI[2])
+    assert np.allclose(pmd_dephase(rho, el), 0.8 * rho + 0.2 * (u_b @ rho @ u_b), atol=1e-12)
 
 
 def test_dephasing_from_dgd():

@@ -70,3 +70,37 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text()) == []
+
+
+SPANS = SRC.parents[1] / "benchmark" / "spans.py"
+
+
+def traced_names(source: str) -> dict:
+    """The `TRACED` mapping (module -> function names) of a spans file, read with ast."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("no TRACED assignment")
+
+
+def module_functions(name: str) -> dict:
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_traced_names_reader():
+    assert traced_names("x = 1\nTRACED = {'m': ('f', 'g')}\n") == {"m": ("f", "g")}
+    with pytest.raises(LookupError):
+        traced_names("TRACE = {}\n")
+
+
+def test_benchmark_traced_functions_exist():
+    traced = traced_names(SPANS.read_text())
+    assert traced
+    missing = [f"{mod}.{fn}" for mod, names in traced.items()
+               for fn in names if fn not in module_functions(mod)]
+    assert missing == []
+    # the tracer counts simulated settings as len() of simulate_counts' second
+    # argument, passed by position or as `settings`
+    assert module_functions("instrument")["simulate_counts"].args.args[1].arg == "settings"

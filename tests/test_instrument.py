@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pdlsim.channels import ChannelOutcome, PdlElement
 from pdlsim.instrument import (
     ANALYZERS,
+    SETTINGS_16,
+    SETTINGS_36,
     DetectorModel,
-    ProjectorSetting,
     SourceModel,
     calibrate_source,
     derive_rng,
@@ -13,8 +16,6 @@ from pdlsim.instrument import (
     expected_coincidences,
     project_physical,
     reconstruct,
-    settings_16,
-    settings_36,
     simulate_counts,
     source_state,
 )
@@ -40,7 +41,7 @@ def random_state(rng):
     return m / np.trace(m).real
 
 
-QUIET = DetectorModel(efficiency=0.20, dark_prob=0.0, accidental_floor=0.0)
+QUIET = DetectorModel(efficiency=0.20, dark_prob=0.0)
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -99,8 +100,6 @@ def test_detector_model_validation():
         DetectorModel(efficiency=0.0)
     with pytest.raises(ValueError):
         DetectorModel(efficiency=0.2, dark_prob=1.0)
-    with pytest.raises(ValueError):
-        DetectorModel(efficiency=0.2, accidental_floor=-1e-9)
 
 
 def test_source_model_validation():
@@ -122,56 +121,70 @@ def test_analyzers():
 
 
 def test_settings_schedules():
-    s36 = settings_36()
-    s16 = settings_16()
-    assert len(s36) == 36 and len(s16) == 16
-    assert len({s.label for s in s36}) == 36
-    for s in s36:
-        assert abs(np.linalg.norm(s.ket) - 1) < 1e-12
+    assert len(SETTINGS_36) == 36 and len(SETTINGS_16) == 16
+    assert len(set(SETTINGS_36.labels)) == 36 and len(set(SETTINGS_16.labels)) == 16
+    assert set(SETTINGS_16.labels) <= set(SETTINGS_36.labels)
+    for settings in (SETTINGS_36, SETTINGS_16):
+        assert settings.kets.shape == (len(settings), 4)
+        assert settings.model.shape == (len(settings), 16)
 
 
 def test_projector_setting_validation():
-    with pytest.raises(ValueError):
-        ProjectorSetting(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    s = ProjectorSetting(ANALYZERS["D"].copy(), ANALYZERS["L"].copy())
-    assert np.allclose(s.ket, np.kron(ANALYZERS["D"], ANALYZERS["L"]))
+    # every analyzer is a normalized, read-only Jones vector, and every
+    # setting's ket is the product of its two arms' analyzers
+    for vec in ANALYZERS.values():
+        assert vec.shape == (2,) and abs(np.linalg.norm(vec) - 1) < 1e-12
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+    for settings in (SETTINGS_36, SETTINGS_16):
+        for (a, b), ket in zip(settings.labels, settings.kets):
+            assert np.array_equal(ket, np.kron(ANALYZERS[a], ANALYZERS[b]))
+            assert abs(np.linalg.norm(ket) - 1) < 1e-12
+
+
+def test_schedules_informationally_complete():
+    for settings in (SETTINGS_36, SETTINGS_16):
+        assert np.linalg.matrix_rank(settings.model) == 16
+    # the 36 settings tile into nine complete product bases, the 16 do not
+    assert SETTINGS_16.groups is None
+    groups = SETTINGS_36.groups
+    assert np.bincount(groups).tolist() == [4] * 9
+    for g in range(9):
+        kets = SETTINGS_36.kets[groups == g]
+        assert np.abs(kets.T @ kets.conj() - np.eye(4)).max() < 1e-12
+
+
+def one_setting_counts(out, settings, k, src, det, pulses):
+    """Setting k alone: the expected-count formula on a one-row schedule."""
+    ket = settings.kets[k:k + 1]
+    p_bright = np.einsum("ki,ij,kj->k", ket.conj(), out.rho, ket).real
+    return (pulses * (src.mu * det.efficiency**2 * out.rate * p_bright + det.dark_prob**2))[0]
 
 
 def test_expected_coincidences_frozen():
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()
     out = source_state(src)
-    hh = ProjectorSetting(ANALYZERS["H"].copy(), ANALYZERS["H"].copy())
-    vv = ProjectorSetting(ANALYZERS["V"].copy(), ANALYZERS["V"].copy())
-    n_hh, n_vv = expected_coincidences(out, [hh, vv], src, det, 1_000_000)
+    hh, vv = SETTINGS_36.labels.index("HH"), SETTINGS_36.labels.index("VV")
+    n_hh, n_vv = expected_coincidences(out, SETTINGS_36, src, det, 1_000_000)[[hh, vv]]
     assert abs(n_hh - 195.80297508217956) < 1e-9
     assert abs(n_vv - 141.8866544073765) < 1e-9
     # dark floor included: dark_prob^2 * pulses = 1.6e-3
     assert abs(n_hh / n_vv - 1.38) < 1e-4
-    assert abs(expected_coincidences(out, [hh], src, det, 2_000_000)[0] - 2 * n_hh) < 1e-9
-
-
-def test_expected_coincidences_floors():
-    src = calibrate_source(0.925, 1.38)
-    out = source_state(src)
-    hh = ProjectorSetting(ANALYZERS["H"].copy(), ANALYZERS["H"].copy())
-    base = expected_coincidences(out, [hh], src, QUIET, 1_000_000)
-    with_floor = expected_coincidences(
-        out, [hh], src, DetectorModel(efficiency=0.20, dark_prob=0.0, accidental_floor=1e-6), 1_000_000
-    )
-    assert abs(with_floor[0] - base[0] - 1.0) < 1e-9
+    assert abs(expected_coincidences(out, SETTINGS_36, src, det, 2_000_000)[hh] - 2 * n_hh) < 1e-9
 
 
 def test_expected_coincidences_stack_matches_one_setting_calls():
     rng = np.random.default_rng(11)
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()
-    for settings in (settings_36(), settings_16()):
+    for settings in (SETTINGS_36, SETTINGS_16):
         for _ in range(5):
             out = ChannelOutcome(rho=random_state(rng), rate=float(rng.uniform(0.1, 1.0)))
             stacked = expected_coincidences(out, settings, src, det, 1_000_000)
             assert stacked.shape == (len(settings),)
-            singles = [expected_coincidences(out, [s], src, det, 1_000_000)[0] for s in settings]
+            singles = [one_setting_counts(out, settings, k, src, det, 1_000_000)
+                       for k in range(len(settings))]
             assert np.array_equal(stacked, singles)
 
 
@@ -179,7 +192,7 @@ def test_simulate_counts_deterministic():
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()
     out = source_state(src)
-    s36 = settings_36()
+    s36 = SETTINGS_36
     a = simulate_counts(out, s36, src, det, 1_000_000, seed=42)
     b = simulate_counts(out, s36, src, det, 1_000_000, seed=42)
     c = simulate_counts(out, s36, src, det, 1_000_000, seed=43)
@@ -196,7 +209,7 @@ def test_simulate_counts_poisson_mean():
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()
     out = source_state(src)
-    s36 = settings_36()
+    s36 = SETTINGS_36
     totals = np.zeros(36)
     n_rep = 200
     for k in range(n_rep):
@@ -207,7 +220,7 @@ def test_simulate_counts_poisson_mean():
 
 
 def test_reconstruct_rejects_negative_count():
-    s36 = settings_36()
+    s36 = SETTINGS_36
     counts = np.full(36, 100.0)
     reconstruct(counts, s36)
     counts[5] = -1.0
@@ -218,7 +231,7 @@ def test_reconstruct_rejects_negative_count():
 def test_reconstruct_roundtrip_exact():
     src = calibrate_source(0.925, 1.38)
     out = source_state(src)
-    for settings in (settings_36(), settings_16()):
+    for settings in (SETTINGS_36, SETTINGS_16):
         counts = exact_counts(out, settings, src, QUIET, 10**10)
         rho = project_physical(reconstruct(counts, settings))
         assert trace_distance(rho, out.rho) < 1e-6  # rounding-limited at 1e10 pulses
@@ -227,7 +240,7 @@ def test_reconstruct_roundtrip_exact():
 def test_reconstruct_roundtrip_random_states():
     rng = np.random.default_rng(73)
     src = calibrate_source(0.925, 1.38)
-    for settings in (settings_36(), settings_16()):
+    for settings in (SETTINGS_36, SETTINGS_16):
         for _ in range(10):
             rho = random_state(rng)
             outcome = ChannelOutcome(rho=rho, rate=1.0)
@@ -238,7 +251,7 @@ def test_reconstruct_roundtrip_random_states():
 
 def test_reconstruct_accepts_ndarray_counts():
     src = calibrate_source(0.925, 1.38)
-    s36 = settings_36()
+    s36 = SETTINGS_36
     counts = simulate_counts(source_state(src), s36, src, DetectorModel(), 10**6, seed=17)
     as_list = reconstruct([int(n) for n in counts], s36)
     as_array = reconstruct(counts, s36)
@@ -248,20 +261,23 @@ def test_reconstruct_accepts_ndarray_counts():
 
 
 def test_settings_built_once():
-    assert all(a is b for a, b in zip(settings_36(), settings_36()))
-    assert settings_16() is not settings_16()  # fresh list, shared immutable settings
+    # module constants, frozen, with read-only arrays
+    for settings in (SETTINGS_36, SETTINGS_16):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.kets = settings.kets.copy()
+        for arr in (settings.kets, settings.model):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
     with pytest.raises(ValueError):
-        settings_36()[0].ket[0] = 0.0
+        SETTINGS_36.groups[0] = 1
 
 
 def test_reconstruct_errors():
-    s36 = settings_36()
+    s36 = SETTINGS_36
     with pytest.raises(ValueError):
         reconstruct([0.0] * 36, s36)
     with pytest.raises(ValueError):
         reconstruct([1.0] * 10, s36)  # wrong length
-    with pytest.raises(ValueError):
-        reconstruct([1.0] * 10, s36[:10])  # rank deficient
     with pytest.raises(ValueError, match="finite"):
         reconstruct([np.nan] + [1.0] * 35, s36)
 
@@ -286,7 +302,7 @@ def test_noisy_reconstruction_sanity():
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()
     out = source_state(src)
-    s36 = settings_36()
+    s36 = SETTINGS_36
     counts = simulate_counts(out, s36, src, det, 1_000_000, seed=2026)
     rho = project_physical(reconstruct(counts, s36))
     assert trace_distance(rho, out.rho) < 0.1

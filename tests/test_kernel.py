@@ -32,7 +32,15 @@ from pdlsim.channels import (
 )
 from pdlsim.cli import main
 from pdlsim.compensation import SearchConfig, entropy_feedback, optimize_compensator
-from pdlsim.instrument import DetectorModel, calibrate_source
+from pdlsim.instrument import (
+    SETTINGS_16,
+    DetectorModel,
+    calibrate_source,
+    expected_coincidences,
+    reconstruct,
+    simulate_counts,
+    source_state,
+)
 from pdlsim.qmath import (
     PAULI,
     SIGMA0,
@@ -60,7 +68,7 @@ def random_states(rng, n):
             rho = sum(wi * bell_state(kind) for wi, kind in zip(w, BellKind))
         elif k % 3 == 1:
             el = PmdElement(rng.uniform(0, 0.5), random_axis(rng))
-            rho = pmd_dephase(bell_state(BellKind.PHI_PLUS), el, qubit="A")
+            rho = pmd_dephase(bell_state(BellKind.PHI_PLUS), el)
         else:
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
@@ -243,7 +251,16 @@ CSV_PINS = {
     ("sweep-pdl", "--noisy"): {
         "sweep_pdl.csv": "02b9696756c0b1ee0b19035114f9c41e2b0b5fef70dad09c9a813a322743b83d",
     },
+    # recorded from the settings-object schedules
+    ("b2b", "--noisy"): {
+        "b2b_density_matrix.csv": "83eee0a422f66048b0b8167cbfa99f2192cea664179dca9b85c061ee186af2c0",
+        "b2b_metrics.txt": "6fd4517c594f0a2d378be67956de0399a540cf3680e049ec90a6db6d3dcfb15d",
+    },
 }
+# reconstructions on the 16-setting schedule, which has no basis groups, so
+# the overall count scale is left to the fit; recorded from the
+# settings-object schedules
+RECONSTRUCT_16_PIN = "5b9740e2eeaf33b2a8ea5809239c7811f228866138d7a50c381f3eab695a91c7"
 
 
 def trace_sha256(result):
@@ -307,6 +324,23 @@ def test_refine_makes_one_kernel_call_per_sweep_and_improvement(kind, monkeypatc
     assert improving_nonfinal > 0
     assert len(rows) - 1 == len(refine) // 6 + improving_nonfinal
     assert rows[1:] == expected
+
+
+def test_reconstruct_16_pinned():
+    rng = np.random.default_rng(131)
+    src, det = calibrate_source(0.925, 1.38), DetectorModel()
+    outcomes = [source_state(src)]
+    for _ in range(4):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        outcomes.append(apply_local(g @ g.conj().T / np.trace(g @ g.conj().T).real,
+                                    SIGMA0, SIGMA0))
+    h = hashlib.sha256()
+    for k, out in enumerate(outcomes):
+        h.update(reconstruct(expected_coincidences(out, SETTINGS_16, src, det, 10**6),
+                             SETTINGS_16).tobytes())
+        h.update(reconstruct(simulate_counts(out, SETTINGS_16, src, det, 10**6, seed=k),
+                             SETTINGS_16).tobytes())
+    assert h.hexdigest() == RECONSTRUCT_16_PIN
 
 
 @pytest.mark.parametrize("argv", list(CSV_PINS))
