@@ -108,10 +108,14 @@ class PmdElement:
 
 @dataclass(frozen=True, eq=False)
 class ChannelOutcome:
-    """Normalized post-channel state and the post-selection rate that produced it."""
+    """Normalized post-channel state and the post-selection rate that produced it.
+
+    The instrument functions also take a stack: rho (..., 4, 4) with one rate
+    per state in rate (...).
+    """
 
     rho: np.ndarray
-    rate: float
+    rate: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from .channels import (
     pmd_dephase,
     propagate,
 )
-from .compensation import entropy_feedback, fibonacci_sphere
+from .compensation import fibonacci_sphere
 from .instrument import DetectorModel, calibrate_source, derive_seed, measure, source_state
 from .qmath import (
     SIGMA0,
@@ -41,8 +41,10 @@ from .qmath import (
     bell_state,
     bell_vector,
     concurrence,
+    concurrences,
     correlation_of,
     fidelity_to_pure,
+    linear_entropies,
     purity,
     reduced_qubit,
 )
@@ -135,21 +137,25 @@ def _write_keyvals(path: Path, pairs):
 
 
 def _observer(cfg: RunConfig, label: str):
-    """One command's reader of channel-batch rows, as the run reports them.
+    """One command's reader of a channel batch, as the run reports its rows.
 
-    `observe(batch, i, seed_index)` gives row i as (outcome, state,
-    concurrence, S_A). Noisy runs replace the exact state with a tomographic
-    reconstruction drawn from the sub-seed (label, seed_index), using source
-    and detector models built once here; noiseless runs read the batch.
+    `observe(batch, seed_indices)` gives the rows' (states, concurrences, S_A)
+    as stacks, and raises ExtinctionError on an extinct row. Noisy runs
+    replace the exact states with tomographic reconstructions, the whole
+    batch measured in one call with row i drawn from the sub-seed
+    (label, seed_indices[i]), using source and detector models built once
+    here; noiseless runs read the batch.
     """
     src, det = (_source(cfg), _detector(cfg)) if cfg.noisy else (None, None)
 
-    def observe(batch, i: int, seed_index: int):
-        out = batch.outcome(i)
+    def observe(batch, seed_indices):
+        if batch.extinct.any():
+            batch.outcome(int(batch.extinct.argmax()))  # raises ExtinctionError
         if cfg.noisy:
-            rho = measure(out, src, det, cfg.pulses, derive_seed(cfg.seed, label, seed_index))
-            return out, rho, concurrence(rho), entropy_feedback(rho)
-        return out, out.rho, float(batch.concurrence[i]), float(batch.entropy_a[i])
+            seeds = [derive_seed(cfg.seed, label, k) for k in seed_indices]
+            rho = measure(batch, src, det, cfg.pulses, seeds)
+            return rho, concurrences(rho), linear_entropies(reduced_qubit(rho, "A"))
+        return batch.rho, batch.concurrence, batch.entropy_a
 
     return observe
 
@@ -222,15 +228,14 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     batch = propagate(base, m_a, SIGMA0[None])
     aggs = concat_pdls([src_el] * len(ems), ems)
-    observe = _observer(cfg, "sweep")
+    rhos, cs, _ = _observer(cfg, "sweep")(batch, range(len(ems)))
     rows = []
     for i, ((db, ax, _), agg) in enumerate(zip(emulators, aggs)):
-        out, rho, c, _ = observe(batch, i, i)
-        if not cfg.noisy and abs(c * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
+        if not cfg.noisy and abs(cs[i] * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
         rows.append([
             db, ax[0], ax[1], ax[2], agg.gamma_db,
-            kappas[i % len(axes)], c, purity(rho), out.rate,
+            kappas[i % len(axes)], cs[i], purity(rhos[i]), batch.rate[i],
         ])
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
@@ -260,23 +265,26 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     uncompensated = propagate(base, m_a, SIGMA0[None])
     compensated = propagate(base, m_a, pdl_filters([plan.element for plan in plans]))
     observe = _observer(cfg, "compensate")
+    # sub-seeds interleave: row i reads 2i uncompensated and 2i + 1 compensated
+    _, cs_u, _ = observe(uncompensated, range(0, 2 * len(ems), 2))
+    _, cs_c, _ = observe(compensated, range(1, 2 * len(ems), 2))
     rows = []
     for i, (th, em, agg, plan) in enumerate(zip(thetas, ems, aggs, plans)):
-        out_u, _, c_u, _ = observe(uncompensated, i, 2 * i)
-        out_c, _, c_c, _ = observe(compensated, i, 2 * i + 1)
+        c_u, c_c = cs_u[i], cs_c[i]
+        rate_u, rate_c = uncompensated.rate[i], compensated.rate[i]
         if not cfg.noisy:
             if abs(c_u * np.cosh(agg.gamma) - chain_c) > 1e-6:
                 raise RuntimeError("uncompensated row violates the magnitude-only law")
             # physical magnitudes, not the aggregate: the concatenated product
             # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
             total = src_el.gamma + em.gamma + plan.element.gamma
-            if abs(out_c.rate * c_c - np.exp(-total) * chain_c) > 1e-9:
+            if abs(rate_c * c_c - np.exp(-total) * chain_c) > 1e-9:
                 raise RuntimeError("compensated row violates rate-concurrence conservation")
         ax_b = plan.element.axis
         rows.append([
             th, agg.gamma_db, scale * c_u, scale * c_c,
             plan.element.gamma_db, ax_b[0], ax_b[1], ax_b[2],
-            out_u.rate, out_c.rate,
+            rate_u, rate_c,
         ])
     header = ["theta", "aggregate_pdl_db", "c_uncompensated", "c_compensated",
               "gammaB_db", "axB1", "axB2", "axB3", "rate_uncomp", "rate_comp"]
@@ -302,11 +310,9 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     order = np.argsort(kappas, kind="stable")
     el_bs = [PdlElement(g, axes[ax_idx]) for ax_idx in order]
     batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(el_bs))
-    observe = _observer(cfg, command_id)
-    out_rows = []
-    for emit_idx, ax_idx in enumerate(order):
-        out, rho, c, s_a = observe(batch, emit_idx, emit_idx)
-        out_rows.append((kappas[ax_idx], out, rho, c, s_a))
+    rhos, cs, s_as = _observer(cfg, command_id)(batch, range(len(order)))
+    out_rows = [(kappas[ax_idx], batch.rate[i], rhos[i], cs[i], s_as[i])
+                for i, ax_idx in enumerate(order)]
     return base, chain_c, g, out_rows
 
 
@@ -321,9 +327,8 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
         raise ValueError("pdl_db must be >= 0")
     base, chain_c, g, swept = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
     rows = []
-    for kap, out, _, c, _ in swept:
+    for kap, rate_norm, _, c, _ in swept:
         c_norm = c / chain_c
-        rate_norm = out.rate
         avg = c_norm * rate_norm
         if not cfg.noisy and abs(avg - np.exp(-2 * g)) > 1e-9:
             raise RuntimeError("tradeoff row violates rate-concurrence conservation")

@@ -9,8 +9,10 @@ best point so far, so a sweep sends its remaining trials through one
 `propagate` call, records them in order up to the first improvement, and
 rebuilds the rest from the new point: the trace is the one a trial-at-a-time
 loop gives. With the noisy flag set the objective is the concurrence of the
-state `instrument.measure` estimates instead of the exact state, measured
-candidate by candidate for the recorded rows only.
+state `instrument.measure` estimates instead of the exact state: each kernel
+call's live rows are measured in one call, row i on the sub-seed of the trace
+index it is recorded at, so a row dropped after an improvement costs one
+measurement and the trace is the one a candidate-by-candidate loop gives.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    ChannelOutcome,
     PdlElement,
     PmdElement,
     axis_from_polar,
@@ -27,7 +30,7 @@ from .channels import (
     propagate,
 )
 from .instrument import DetectorModel, SourceModel, derive_seed, measure
-from .qmath import check_state, concurrence, linear_entropy, reduced_qubit
+from .qmath import check_state, concurrences, linear_entropies, linear_entropy, reduced_qubit
 
 REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
 
@@ -129,18 +132,23 @@ def optimize_compensator(
             best_c = obj
             best_el = element
 
-    def record_row(element: PdlElement, batch, i: int) -> None:
-        if batch.extinct[i]:
-            record(element, 0.0, 0.0, 0.0)
-        elif cfg.noisy:
-            # tomographic objective, one sub-seed per recorded candidate
-            rho_hat = measure(batch.outcome(i), cfg.source, cfg.detector, cfg.pulses,
-                              derive_seed(cfg.seed, "cand", len(records)))
-            record(element, float(batch.rate[i]), concurrence(rho_hat),
-                   entropy_feedback(rho_hat))
-        else:
-            record(element, float(batch.rate[i]), float(batch.concurrence[i]),
-                   float(batch.entropy_a[i]))
+    def evaluate(elements) -> list[tuple[float, float, float]]:
+        """(rate, objective, S_A) of each element in one kernel call, 0s if extinct."""
+        batch = propagate(base, m_a[None], pdl_filters(elements))
+        rate = np.where(batch.extinct, 0.0, batch.rate)
+        if not cfg.noisy:
+            return list(zip(rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()))
+        # tomographic objective of the live rows in one call, one sub-seed per
+        # candidate: row i would be recorded at index len(records) + i
+        obj, s_a = np.zeros(len(elements)), np.zeros(len(elements))
+        live = np.flatnonzero(~batch.extinct)
+        if live.size:
+            rho_hat = measure(ChannelOutcome(batch.rho[live], batch.rate[live]), cfg.source,
+                              cfg.detector, cfg.pulses,
+                              [derive_seed(cfg.seed, "cand", len(records) + i) for i in live])
+            obj[live] = concurrences(rho_hat)
+            s_a[live] = linear_entropies(reduced_qubit(rho_hat, "A"))
+        return list(zip(rate.tolist(), obj.tolist(), s_a.tolist()))
 
     if cfg.gamma_grid is not None:
         grid = cfg.gamma_grid
@@ -150,9 +158,8 @@ def optimize_compensator(
         grid = tuple(np.linspace(0.7 * pdl_a.gamma, 1.3 * pdl_a.gamma, 7))
     axes = fibonacci_sphere(cfg.sphere_points)
     lattice = [PdlElement(float(g), ax) for g in grid for ax in axes]
-    batch = propagate(base, m_a[None], pdl_filters(lattice))
-    for i, element in enumerate(lattice):
-        record_row(element, batch, i)
+    for element, row in zip(lattice, evaluate(lattice)):
+        record(element, *row)
 
     # polish: coordinate descent on (theta, phi, gamma) with interval halving.
     # Moves after an improving one must start from the improved point, so a
@@ -177,9 +184,8 @@ def optimize_compensator(
                     p[2] = max(p[2], 0.0)
                 points.append(tuple(p))
             trials = [PdlElement(g, axis_from_polar(th, ph)) for th, ph, g in points]
-            batch = propagate(base, m_a[None], pdl_filters(trials))
-            for i, trial in enumerate(trials):
-                record_row(trial, batch, i)
+            for i, (trial, row) in enumerate(zip(trials, evaluate(trials))):
+                record(trial, *row)
                 k += 1
                 if best_el is trial:
                     point = points[i]

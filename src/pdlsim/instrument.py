@@ -7,11 +7,14 @@ Projective two-arm settings, Poissonian coincidence counts, and linear
 least-squares state reconstruction mirror a standard polarization tomography
 bench. The bench uses two fixed analyzer schedules, the module constants
 `SETTINGS_36` (full 6x6 product) and `SETTINGS_16` (James et al. 2001), each
-built once at import with its projector kets, model matrix and basis groups.
-Counts are plain arrays with one entry per setting, in schedule order:
-`expected_coincidences` gives the means, `simulate_counts` draws integer
-counts from them, and `reconstruct` inverts either. `measure` chains them into
-the one route from a channel outcome to its estimated state.
+built once at import with its projector kets, model matrix, pseudo-inverse
+and basis groups. Counts are plain arrays with one entry per setting, in
+schedule order: `expected_coincidences` gives the means, `simulate_counts`
+draws integer counts from them, and `reconstruct` inverts either. `measure`
+chains them into the one route from a channel outcome to its estimated state.
+Each of these functions takes one state or a stack of them (any leading batch
+axes, one sub-seed per state), and each state's result is bit for bit the
+one its own one-state call gives.
 """
 
 import hashlib
@@ -21,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .channels import CANONICAL_AXIS, ChannelOutcome, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_state, symmetrize
+from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_states, symmetrize
 
 MU_RANGE = (0.001, 0.1)
 
@@ -34,10 +37,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     """
     payload = ":".join([str(int(master_seed)), *map(str, parts)]).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
-def derive_rng(master_seed: int, *parts) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, *parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +128,17 @@ class Schedule:
 
     Row k is the setting `labels[k]` (arm-A then arm-B analyzer letter):
     `kets[k]` its two-photon projector ket, `model[k]` its row of the linear
-    map from Pauli-product coefficients to projector probabilities. `groups`
-    names the complete product basis each setting belongs to, or is None when
-    the settings do not tile into such bases. All arrays are read-only.
+    map from Pauli-product coefficients to projector probabilities. `pinv`
+    (16, K) is the pseudo-inverse of `model`, the least-squares inversion.
+    `groups` names the complete product basis each setting belongs to, or is
+    None when the settings do not tile into such bases. All arrays are
+    read-only.
     """
 
     labels: tuple[str, ...]
     kets: np.ndarray
     model: np.ndarray
+    pinv: np.ndarray
     groups: np.ndarray | None
 
     def __len__(self) -> int:
@@ -149,10 +151,11 @@ def _schedule(labels: list[str], grouped: bool) -> Schedule:
     # "HVDARL" lists the analyzers as three orthogonal pairs, one per basis
     groups = (np.array([3 * ("HVDARL".index(a) // 2) + "HVDARL".index(b) // 2
                         for a, b in labels]) if grouped else None)
-    for arr in (kets, model, groups):
+    pinv = np.linalg.pinv(model)
+    for arr in (kets, model, pinv, groups):
         if arr is not None:
             arr.setflags(write=False)
-    return Schedule(tuple(labels), kets, model, groups)
+    return Schedule(tuple(labels), kets, model, pinv, groups)
 
 
 # Full 6x6 analyzer product over H, V, D, A, R, L: nine complete product bases.
@@ -174,10 +177,13 @@ def expected_coincidences(
 
     pulses * (mu eta^2 rate <ab|rho|ab> + dark_prob^2): bright pairs thinned
     by both detectors and the channel rate, plus a flat dark-dark floor.
+    `outcome.rho` is one state (4, 4) or a stack (..., 4, 4) with one rate
+    per state; the result is (..., K) for a schedule of K settings.
     """
     kets = settings.kets
-    p_bright = np.einsum("ki,ij,kj->k", kets.conj(), outcome.rho, kets).real
-    per_pulse = src.mu * det.efficiency**2 * outcome.rate * p_bright + det.dark_prob**2
+    p_bright = np.einsum("ki,...ij,kj->...k", kets.conj(), outcome.rho, kets).real
+    rate = np.asarray(outcome.rate)[..., None]
+    per_pulse = src.mu * det.efficiency**2 * rate * p_bright + det.dark_prob**2
     return pulses * per_pulse
 
 
@@ -187,71 +193,99 @@ def simulate_counts(
     src: SourceModel,
     det: DetectorModel,
     pulses: int,
-    seed: int,
+    seed,
 ) -> np.ndarray:
-    """Poissonian coincidence counts, one deterministic sub-stream per setting."""
+    """Poissonian coincidence counts, one deterministic sub-stream per state.
+
+    `seed` is one sub-seed per state of `outcome`: an int for one state, else
+    ints (a nested sequence or an integer array) of the stack's leading shape.
+    State n draws its K counts, in schedule order, from one generator seeded
+    by its own sub-seed, so its counts do not depend on the rest of the stack.
+    """
     expected = expected_coincidences(outcome, settings, src, det, pulses)
-    return np.array(
-        [derive_rng(seed, idx).poisson(e) for idx, e in enumerate(expected)], dtype=np.int64
-    )
+    # object dtype keeps 64-bit seeds exact; a float array would round them
+    seeds = np.asarray(seed, dtype=object)
+    if seeds.shape != expected.shape[:-1]:
+        raise ValueError(f"need one seed per state, got shape {seeds.shape} "
+                         f"for {expected.shape[:-1]} states")
+    if not all(isinstance(s, (int, np.integer)) for s in seeds.flat):
+        raise TypeError("sub-seeds must be integers")
+    counts = np.empty(expected.shape, dtype=np.int64)
+    for n in np.ndindex(seeds.shape):
+        counts[n] = np.random.default_rng(int(seeds[n])).poisson(expected[n])
+    return counts
 
 
 def reconstruct(counts, settings: Schedule) -> np.ndarray:
-    """Least-squares linear inversion of normalized count frequencies.
+    """Linear inversion of normalized count frequencies, row by row.
 
     When the settings tile into complete product bases (`SETTINGS_36` does)
     each count is normalized by its basis-group total, turning the fit into one
     over per-basis outcome probabilities. Otherwise (`SETTINGS_16`) the overall
-    scale is left to the fit. Either way the result is trace normalized; it is Hermitian but
-    may be unphysical under shot noise, see project_physical.
+    scale is left to the fit. The schedule's precomputed pseudo-inverse then
+    gives the least-squares Pauli coefficients. Either way the result is trace
+    normalized; it is Hermitian but may be unphysical under shot noise, see
+    project_physical.
 
     `counts` holds one finite, nonnegative number per setting (an array or
-    any sequence), as `simulate_counts` and `expected_coincidences` return.
+    any sequence), as `simulate_counts` and `expected_coincidences` return,
+    or a stack (..., K) of such rows; the result is (..., 4, 4).
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (len(settings),):
+    if counts.shape[-1:] != (len(settings),):
         raise ValueError(f"need one count per setting, got shape {counts.shape}")
     if not (np.isfinite(counts) & (counts >= 0)).all():
         raise ValueError("counts must be finite and nonnegative")
-    if counts.sum() <= 0:
+    if (counts.sum(axis=-1) <= 0).any():
         raise ValueError("all counts are zero")
     groups = settings.groups
     if groups is not None:
-        group_tot = np.bincount(groups, weights=counts)
-        if (group_tot > 0).all():
-            counts = counts / group_tot[groups]
-    x, *_ = np.linalg.lstsq(settings.model, counts, rcond=None)
-    op = np.tensordot(x, _HERM_BASIS, axes=1)
-    trace = np.trace(op).real
-    if abs(trace) < 1e-12:
+        members = groups == np.arange(groups.max() + 1)[:, None]
+        group_tot = np.where(members, counts[..., None, :], 0.0).sum(axis=-1)
+        normalize = (group_tot > 0).all(axis=-1, keepdims=True)
+        counts = counts / np.where(normalize, group_tot[..., groups], 1.0)
+    # stacked matrix-vector products keep each row's bits independent of the stack
+    x = settings.pinv @ counts[..., None]
+    op = np.swapaxes(x, -1, -2) @ _HERM_BASIS.reshape(16, 16)
+    op = op.reshape(counts.shape[:-1] + (4, 4))
+    trace = np.trace(op, axis1=-2, axis2=-1).real
+    if (np.abs(trace) < 1e-12).any():
         raise ValueError("reconstructed operator has vanishing trace")
-    return symmetrize(op / trace)
+    return symmetrize(op / trace[..., None, None])
 
 
 def project_physical(m: np.ndarray) -> np.ndarray:
     """Nearest-physical repair of a Hermitian unit-trace reconstruction.
 
-    Eigendecompose once, then repeatedly zero the most negative eigenvalue and
-    spread its deficit uniformly over the remaining nonzero eigenvalues until
-    all are nonnegative. Physical inputs pass through unchanged; the operation
-    is idempotent. The trace must be 1 within TOL.
+    Takes one matrix (4, 4) or a stack (..., 4, 4). Eigendecompose once, then
+    repeatedly zero the most negative eigenvalue and spread its deficit
+    uniformly over the remaining nonzero eigenvalues until all are
+    nonnegative. Physical inputs pass through unchanged; the operation is
+    idempotent. Every trace must be 1 within TOL.
     """
     m = symmetrize(np.asarray(m, dtype=complex))
-    if abs(np.trace(m).real - 1) > TOL:
-        raise ValueError(f"trace {np.trace(m).real} is not 1 within {TOL}")
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    dev = np.abs(trace - 1)
+    if dev.size and dev.max() > TOL:
+        raise ValueError(f"trace {trace.flat[dev.argmax()]} is not 1 within {TOL}")
     vals, vecs = np.linalg.eigh(m)
-    if vals.min() >= 0:
+    bad = vals.min(axis=-1) < 0
+    if not bad.any():
         return m
-    vals = vals.copy()
-    while vals.min() < 0:
-        i = int(vals.argmin())
-        deficit = vals[i]
-        vals[i] = 0.0
-        alive = vals != 0
-        if not alive.any():
+    vals, vecs = vals[bad], vecs[bad]
+    while (negative := vals.min(axis=-1) < 0).any():
+        rows = np.flatnonzero(negative)
+        i = vals[rows].argmin(axis=-1)
+        deficit = vals[rows, i]
+        vals[rows, i] = 0.0
+        alive = vals[rows] != 0
+        n_alive = alive.sum(axis=-1)
+        if (n_alive == 0).any():
             raise ValueError("projection exhausted all eigenvalues")
-        vals[alive] += deficit / alive.sum()
-    return check_state((vecs * vals) @ vecs.conj().T)
+        vals[rows] = np.where(alive, vals[rows] + (deficit / n_alive)[:, None], vals[rows])
+    repaired = m.copy()
+    repaired[bad] = check_states((vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
+    return repaired
 
 
 def measure(
@@ -259,12 +293,13 @@ def measure(
     src: SourceModel,
     det: DetectorModel,
     pulses: int,
-    seed: int,
+    seed,
 ) -> np.ndarray:
     """Tomographic estimate of a channel outcome, the one noisy measurement route.
 
     Poissonian counts on the 36-setting schedule drawn from `seed`, linear
-    inversion, then the nearest-physical repair.
+    inversion, then the nearest-physical repair. A stack of states is
+    measured in one call, one sub-seed per state (see `simulate_counts`).
     """
     counts = simulate_counts(outcome, SETTINGS_36, src, det, pulses, seed=seed)
     return project_physical(reconstruct(counts, SETTINGS_36))

@@ -5,7 +5,7 @@ Stokes components are ordered (s1, s2, s3) against (sigma_1, sigma_2, sigma_3).
 Density matrices are plain complex ndarrays; validators return a symmetrized
 canonical copy rather than wrapping arrays in a class. The state functions
 with a stack form (`check_states`, `concurrences`, `reduced_qubit`,
-`linear_entropies`) take any leading batch axes and apply the single-state
+`linear_entropies`, `trace_distances`) take any leading batch axes and apply the single-state
 arithmetic row by row; the single-state functions are their one-state case.
 """
 
@@ -217,7 +217,12 @@ def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     return float((psi.conj() @ rho @ psi).real)
 
 
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """trace_distance of every matrix pair of two stacks (..., d, d)."""
+    lam = np.linalg.eigvalsh(symmetrize(np.asarray(a) - np.asarray(b)))
+    return 0.5 * np.abs(lam).sum(axis=-1)
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) * trace norm of a - b."""
-    lam = np.linalg.eigvalsh(symmetrize(np.asarray(a) - np.asarray(b)))
-    return float(0.5 * np.abs(lam).sum())
+    return float(trace_distances(a, b))

@@ -231,3 +231,14 @@ def test_noisy_sweep_runs(tmp_path):
     # reconstructed concurrences track the law within shot noise
     g = d["aggregate_pdl_db"] / DB_PER_NEPER
     assert np.abs(d["concurrence"] * np.cosh(g) - 0.925).max() < 0.1
+
+
+def test_noisy_sweep_rows_do_not_depend_on_the_batch(tmp_path):
+    # one sub-seed per row: a shorter sweep is a byte-identical prefix
+    short, long = tmp_path / "short", tmp_path / "long"
+    main(["sweep-pdl", "--noisy", "--pdl-db", "1.25", "--out", str(short)])
+    main(["sweep-pdl", "--noisy", "--pdl-db", "1.25,2.55", "--out", str(long)])
+    short_lines = (short / "sweep_pdl.csv").read_text().splitlines()
+    long_lines = (long / "sweep_pdl.csv").read_text().splitlines()
+    assert len(short_lines) == 51 and len(long_lines) == 101
+    assert short_lines == long_lines[:51]  # header plus 50 orientations

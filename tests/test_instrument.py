@@ -11,9 +11,9 @@ from pdlsim.instrument import (
     DetectorModel,
     SourceModel,
     calibrate_source,
-    derive_rng,
     derive_seed,
     expected_coincidences,
+    measure,
     project_physical,
     reconstruct,
     simulate_counts,
@@ -51,14 +51,6 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(12345, "x") != derive_seed(12345, "y")
     assert derive_seed(1, "x") != derive_seed(2, "x")
     assert all(0 <= derive_seed(9, i) < 2**64 for i in range(10))
-
-
-def test_derive_rng_streams():
-    a = derive_rng(7, "s", 0).poisson(100.0, size=5)
-    b = derive_rng(7, "s", 0).poisson(100.0, size=5)
-    c = derive_rng(7, "s", 1).poisson(100.0, size=5)
-    assert (a == b).all()
-    assert (a != c).any()
 
 
 def test_calibrate_source_frozen():
@@ -199,10 +191,83 @@ def test_simulate_counts_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (36,) and a.dtype.kind == "i" and (a >= 0).all()
-    # setting idx draws from its own sub-stream derive_rng(seed, idx)
+    # the state draws all its counts, in schedule order, from one generator
+    # seeded by its sub-seed
     expected = expected_coincidences(out, s36, src, det, 1_000_000)
-    for i, e in enumerate(expected):
-        assert a[i] == derive_rng(42, i).poisson(e)
+    assert np.array_equal(a, np.random.default_rng(42).poisson(expected))
+    # a stack takes one sub-seed per state
+    stack = ChannelOutcome(np.array([out.rho, out.rho]), np.array([out.rate, out.rate]))
+    pair = simulate_counts(stack, s36, src, det, 1_000_000, seed=[42, 43])
+    assert pair.shape == (2, 36) and pair.dtype == a.dtype
+    assert np.array_equal(pair, [a, c])
+    with pytest.raises(ValueError, match="one seed per state"):
+        simulate_counts(stack, s36, src, det, 1_000_000, seed=42)
+    # 64-bit sub-seeds stay exact; a float array, which rounds them, is refused
+    big = [derive_seed(5, "row", i) for i in range(2)]
+    assert np.array_equal(simulate_counts(stack, s36, src, det, 1_000_000, seed=big),
+                          simulate_counts(stack, s36, src, det, 1_000_000,
+                                          seed=np.array(big, dtype=np.uint64)))
+    with pytest.raises(TypeError, match="integers"):
+        simulate_counts(stack, s36, src, det, 1_000_000, seed=np.array(big, dtype=float))
+
+
+def random_outcomes(rng, n):
+    """A stack of n random states with random rates."""
+    return ChannelOutcome(rho=np.array([random_state(rng) for _ in range(n)]),
+                          rate=rng.uniform(0.1, 1.0, n))
+
+
+@pytest.mark.parametrize("settings", [SETTINGS_36, SETTINGS_16], ids=["36", "16"])
+def test_stack_matches_one_row_calls(settings):
+    rng = np.random.default_rng(29)
+    src, det = calibrate_source(0.925, 1.38), DetectorModel()
+    stack = random_outcomes(rng, 12)
+    seeds = [derive_seed(5, "row", i) for i in range(12)]
+    counts = simulate_counts(stack, settings, src, det, 10**5, seed=seeds)
+    raw = reconstruct(counts, settings)
+    exact = reconstruct(expected_coincidences(stack, settings, src, det, 10**5), settings)
+    repaired = project_physical(raw)
+    assert raw.shape == repaired.shape == (12, 4, 4)
+    assert (np.linalg.eigvalsh(raw).min(axis=-1) < 0).any()  # the repair loop runs
+    measured = measure(stack, src, det, 10**5, seeds) if settings is SETTINGS_36 else None
+    for i in range(12):
+        one = ChannelOutcome(rho=stack.rho[i], rate=float(stack.rate[i]))
+        one_counts = simulate_counts(one, settings, src, det, 10**5, seed=seeds[i])
+        assert np.array_equal(counts[i], one_counts)
+        assert np.array_equal(raw[i], reconstruct(one_counts, settings))
+        assert np.array_equal(exact[i], reconstruct(
+            expected_coincidences(one, settings, src, det, 10**5), settings))
+        assert np.array_equal(repaired[i], project_physical(raw[i]))
+        if measured is not None:
+            assert np.array_equal(measured[i], measure(one, src, det, 10**5, seeds[i]))
+    # a permuted stack gives the same rows, permuted
+    perm = rng.permutation(12)
+    shuffled = ChannelOutcome(rho=stack.rho[perm], rate=stack.rate[perm])
+    p_seeds = [seeds[i] for i in perm]
+    p_counts = simulate_counts(shuffled, settings, src, det, 10**5, seed=p_seeds)
+    assert np.array_equal(p_counts, counts[perm])
+    assert np.array_equal(reconstruct(p_counts, settings), raw[perm])
+    assert np.array_equal(project_physical(raw[perm]), repaired[perm])
+    if measured is not None:
+        assert np.array_equal(measure(shuffled, src, det, 10**5, p_seeds), measured[perm])
+
+
+def test_stack_checks_every_row():
+    counts = np.full((3, 36), 100.0)
+    reconstruct(counts, SETTINGS_36)
+    for bad, match in ((-1.0, "nonnegative"), (np.inf, "finite")):
+        broken = counts.copy()
+        broken[2, 5] = bad
+        with pytest.raises(ValueError, match=match):
+            reconstruct(broken, SETTINGS_36)
+    broken = counts.copy()
+    broken[1] = 0.0
+    with pytest.raises(ValueError, match="all counts are zero"):
+        reconstruct(broken, SETTINGS_36)
+    states = np.array([bell_state(BellKind.PHI_PLUS)] * 3)
+    states[1] = states[1] * 1.1
+    with pytest.raises(ValueError, match="is not 1"):
+        project_physical(states)
 
 
 def test_simulate_counts_poisson_mean():

@@ -4,7 +4,8 @@ A batch must reproduce, bit for bit, both its own one-row case and a plain
 np.kron + matmul + eigvals loop written out here, so routing the search, the
 CLI and verify through it changes no output. The same holds for stacked
 element aggregation, and the search's pinned traces hold however its refine
-stage batches trials.
+stage batches trials. The noisy search and the noisy CLI commands measure
+each kernel batch in one tomography call.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import io
 import numpy as np
 import pytest
 
-from pdlsim import compensation
+from pdlsim import cli, compensation, instrument
 from pdlsim.channels import (
     ChannelBatch,
     ExtinctionError,
@@ -224,8 +225,8 @@ def test_amplifying_filter_anywhere_in_a_stack_raises(row):
 SEARCH_PINS = {
     "pdl": "89a26361906c82709d90e57eb4859234e8275792264d64d4d34be21208883940",
     "pmd": "bbac11d24772e4df5ee839c8917bea226163234c454fb784b1d48e2722de6c22",
-    # recorded from the one-trial-at-a-time refine stage
-    "noisy": "2a7a51454d32776c05218eae7bf2077004777f258b9979c9a87721bfe6db7433",
+    # recorded from one sub-stream per measured state, batch-measured rows
+    "noisy": "5200ee58891daad4fbaacc7929b6622c067aedf5cf376db0693aceab0776b324",
     "zero-pdl": "9cdb00d3cc08aa4ac45612b5ee7d9f0dce94ce49fcdbfb51c7940d49f013eaa1",
     "grid": "20643e9adab37cc533d9c144953f5f8fbc0201722d8325328ce7cbf2e1552608",
 }
@@ -248,19 +249,20 @@ CSV_PINS = {
     ("compensate",): {
         "compensate.csv": "46c44f2c7256c21a000373fcc1fcc276da2e504c78aca49d74c15992636c3d02",
     },
+    # noisy pins recorded from one sub-stream per measured state and the
+    # precomputed pseudo-inverse
     ("sweep-pdl", "--noisy"): {
-        "sweep_pdl.csv": "02b9696756c0b1ee0b19035114f9c41e2b0b5fef70dad09c9a813a322743b83d",
+        "sweep_pdl.csv": "18ad8577807281e08637b3eebd88dd5df2f7e870a405d2061565ab50f037cd00",
     },
-    # recorded from the settings-object schedules
     ("b2b", "--noisy"): {
-        "b2b_density_matrix.csv": "83eee0a422f66048b0b8167cbfa99f2192cea664179dca9b85c061ee186af2c0",
-        "b2b_metrics.txt": "6fd4517c594f0a2d378be67956de0399a540cf3680e049ec90a6db6d3dcfb15d",
+        "b2b_density_matrix.csv": "620b1c0110489e92fdb0183e3d4e06b2f4ba1bd214f6661677adfa4860409152",
+        "b2b_metrics.txt": "9c1abfdb0ca0c67fc114f98b5b2645c54f83ca69f0ba22b2359dc2a2cc68c1d1",
     },
 }
 # reconstructions on the 16-setting schedule, which has no basis groups, so
-# the overall count scale is left to the fit; recorded from the
-# settings-object schedules
-RECONSTRUCT_16_PIN = "5b9740e2eeaf33b2a8ea5809239c7811f228866138d7a50c381f3eab695a91c7"
+# the overall count scale is left to the fit; recorded from one sub-stream per
+# measured state and the precomputed pseudo-inverse
+RECONSTRUCT_16_PIN = "1fe24930262a4b57149e9a134667becd7cd5186ee904f94d021c84f9106004fc"
 
 
 def trace_sha256(result):
@@ -324,6 +326,62 @@ def test_refine_makes_one_kernel_call_per_sweep_and_improvement(kind, monkeypatc
     assert improving_nonfinal > 0
     assert len(rows) - 1 == len(refine) // 6 + improving_nonfinal
     assert rows[1:] == expected
+
+
+def test_noisy_search_measures_once_per_kernel_call(monkeypatch):
+    batches, measured = [], []
+
+    def counting_propagate(rho, m_a, m_b):
+        batches.append(propagate(rho, m_a, m_b))
+        return batches[-1]
+
+    def counting_counts(outcome, settings, *args, **kwargs):
+        measured.append(len(outcome.rate))
+        return simulate_counts(outcome, settings, *args, **kwargs)
+
+    monkeypatch.setattr(compensation, "propagate", counting_propagate)
+    monkeypatch.setattr(instrument, "simulate_counts", counting_counts)
+    res = optimize_compensator(*search_case("noisy"))
+    # replay the trace: the lattice call records every row, a refine call its
+    # rows up to and including the first improvement
+    best, k, live_recorded = -1.0, 0, []
+    for n, batch in enumerate(batches):
+        live = False
+        for i in range(len(batch.rate)):
+            c = res.evaluations[k].concurrence
+            k += 1
+            live |= not batch.extinct[i]
+            improved, best = c > best, max(best, c)
+            if improved and n > 0:
+                break
+        live_recorded.append(live)
+    assert k == len(res.evaluations) and len(batches) > 1
+    # one measurement per call with a live recorded row, covering its live rows
+    assert measured == [int((~b.extinct).sum()) for b, live in zip(batches, live_recorded)
+                        if live]
+
+
+@pytest.mark.parametrize("argv", [("b2b",), ("sweep-pdl",), ("compensate",), ("tradeoff",),
+                                  ("entropy-feedback",)])
+def test_noisy_cli_measures_once_per_channel_batch(tmp_path, argv, monkeypatch):
+    batches, measured = [], []
+
+    def counting_propagate(rho, m_a, m_b):
+        batches.append(propagate(rho, m_a, m_b))
+        return batches[-1]
+
+    def counting_counts(outcome, settings, *args, **kwargs):
+        measured.append(np.shape(outcome.rate))
+        return simulate_counts(outcome, settings, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "propagate", counting_propagate)
+    monkeypatch.setattr(instrument, "simulate_counts", counting_counts)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--noisy", "--out", str(tmp_path)]) == 0
+    # b2b measures its one source state; the others each channel batch
+    # (compensate: uncompensated and compensated) in one call
+    assert len(batches) == {"b2b": 0, "compensate": 2}.get(argv[0], 1)
+    assert measured == ([()] if argv[0] == "b2b" else [b.rate.shape for b in batches])
 
 
 def test_reconstruct_16_pinned():
