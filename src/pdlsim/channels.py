@@ -5,14 +5,17 @@ space as P = e^{-gamma/2} (cosh(gamma/2) I + sinh(gamma/2) n.sigma), a positive
 filter with singular values {1, e^{-gamma}} and det e^{-gamma}. First-order PMD
 at the pair bandwidth acts as a phase flip channel of weight q about its axis.
 
+`ChannelBatch` is the one states-plus-rates type: normalized states with one
+post-selection rate each, from which it derives an extinction mask, Wootters
+concurrences and qubit-A linear entropies. Exact rows (from `propagate`) and
+measured rows (from `instrument.measure`) are read through it alike.
 `propagate` is the one state-through-channel kernel: it sends a base state
-through stacks of local filters, one row per candidate channel, renormalizes
-each row, and reports rates, an extinction mask, Wootters concurrences and
-qubit-A linear entropies. `pdl_filters` builds those stacks from elements.
-`apply_local` and `pdl_operator` are their one-row case; the search, the CLI
-sweeps and the verify suites pass whole stacks. `concat_pdls` aggregates
-stacks of cascaded element pairs the same way, `concat_pdl` being its
-one-row case.
+through stacks of local filters, one row per candidate channel, and
+renormalizes each row. `pdl_filters` builds those stacks from elements.
+`apply_local` and `pdl_operator` are their one-row case, `apply_local`
+giving a one-state batch; the search, the CLI sweeps and the verify suites
+pass whole stacks. `concat_pdls` aggregates stacks of cascaded element pairs
+the same way, `concat_pdl` being its one-row case.
 """
 
 from dataclasses import dataclass, field
@@ -107,29 +110,22 @@ class PmdElement:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelOutcome:
-    """Normalized post-channel state and the post-selection rate that produced it.
+class ChannelBatch:
+    """Normalized states after local channels and the rates that produced them.
 
-    The instrument functions also take a stack: rho (..., 4, 4) with one rate
-    per state in rate (...).
+    rho holds the states (..., 4, 4) and rate the post-selection rates (...),
+    with any leading batch axes, or none for one state. Rows whose rate falls
+    below EXTINCTION_RATE are `extinct`: they carry a zero matrix and read 0
+    in `concurrence` and `entropy_a`.
     """
 
     rho: np.ndarray
     rate: float | np.ndarray
 
-
-@dataclass(frozen=True, eq=False)
-class ChannelBatch:
-    """States after N local channels, one row per channel.
-
-    rho holds the normalized states (N, 4, 4) and rate the post-selection
-    rates (N,). Rows flagged in `extinct` (rate below EXTINCTION_RATE) carry a
-    zero matrix and read 0 in `concurrence` and `entropy_a`.
-    """
-
-    rho: np.ndarray
-    rate: np.ndarray
-    extinct: np.ndarray
+    @cached_property
+    def extinct(self) -> np.ndarray:
+        """Mask of the rows whose rate falls below EXTINCTION_RATE."""
+        return np.asarray(self.rate) < EXTINCTION_RATE
 
     @cached_property
     def concurrence(self) -> np.ndarray:
@@ -141,11 +137,12 @@ class ChannelBatch:
         """Normalized linear entropy of each row's qubit-A marginal."""
         return np.where(self.extinct, 0.0, linear_entropies(reduced_qubit(self.rho, "A")))
 
-    def outcome(self, i: int) -> ChannelOutcome:
-        """Row i as a single outcome; raises ExtinctionError on an extinct row."""
-        if self.extinct[i]:
-            raise ExtinctionError(f"channel extinguishes the state: rate {float(self.rate[i])}")
-        return ChannelOutcome(rho=self.rho[i].copy(), rate=float(self.rate[i]))
+    def require_live(self) -> "ChannelBatch":
+        """This batch, or ExtinctionError quoting the rate of its first extinct row."""
+        if self.extinct.any():
+            rate = np.ravel(self.rate)[np.flatnonzero(self.extinct)[0]]
+            raise ExtinctionError(f"channel extinguishes the state: rate {float(rate)}")
+        return self
 
 
 def pdl_filters(elements) -> np.ndarray:
@@ -182,24 +179,23 @@ def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch
     big = (m_a[:, :, None, :, None] * m_b[:, None, :, None, :]).reshape(-1, 4, 4)
     filtered = big @ rho @ np.swapaxes(big.conj(), -1, -2)
     rate = np.trace(filtered, axis1=-2, axis2=-1).real
-    extinct = rate < EXTINCTION_RATE
-    if extinct.any():
-        live = ~extinct
-        states = np.zeros_like(filtered)
-        states[live] = check_states(filtered[live] / rate[live, None, None])
-    else:
-        states = check_states(filtered / rate[:, None, None])
-    return ChannelBatch(rho=states, rate=rate, extinct=extinct)
+    live = ~(rate < EXTINCTION_RATE)
+    if live.all():
+        return ChannelBatch(check_states(filtered / rate[:, None, None]), rate)
+    states = np.zeros_like(filtered)
+    states[live] = check_states(filtered[live] / rate[live, None, None])
+    return ChannelBatch(states, rate)
 
 
-def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelOutcome:
+def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch:
     """Apply local filters (m_a on qubit A, m_b on qubit B) and renormalize.
 
-    The one-row case of `propagate`. Both filters must be trace-nonincreasing
-    (singular values <= 1). Raises ExtinctionError when the post-selection
-    rate falls below EXTINCTION_RATE.
+    The one-row case of `propagate`, returned as a one-state batch. Both
+    filters must be trace-nonincreasing (singular values <= 1). Raises
+    ExtinctionError when the post-selection rate falls below EXTINCTION_RATE.
     """
-    return propagate(rho, np.asarray(m_a)[None], np.asarray(m_b)[None]).outcome(0)
+    batch = propagate(rho, np.asarray(m_a)[None], np.asarray(m_b)[None])
+    return ChannelBatch(batch.rho[0], batch.rate[0]).require_live()
 
 
 def pmd_dephase(rho: np.ndarray, element: PmdElement) -> np.ndarray:

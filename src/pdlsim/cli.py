@@ -41,10 +41,8 @@ from .qmath import (
     bell_state,
     bell_vector,
     concurrence,
-    concurrences,
     correlation_of,
     fidelity_to_pure,
-    linear_entropies,
     purity,
     reduced_qubit,
 )
@@ -80,7 +78,7 @@ _CONFIG_KEYS = {
     "det.dark_prob": ("dark_prob", float),
     "tomo.pulses": ("pulses", int),
     "run.seed": ("seed", int),
-    "run.noisy": ("noisy", bool),
+    "run.noisy": ("noisy", lambda value: _BOOL_WORDS[value.lower()]),
 }
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -99,12 +97,10 @@ def load_config(path) -> RunConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         field, conv = _CONFIG_KEYS[key]
-        if conv is bool:
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"{path}:{lineno}: bad boolean {value!r}")
-            overrides[field] = _BOOL_WORDS[value.lower()]
-        else:
+        try:
             overrides[field] = conv(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return dataclasses.replace(RunConfig(), **overrides)
 
 
@@ -139,23 +135,21 @@ def _write_keyvals(path: Path, pairs):
 def _observer(cfg: RunConfig, label: str):
     """One command's reader of a channel batch, as the run reports its rows.
 
-    `observe(batch, seed_indices)` gives the rows' (states, concurrences, S_A)
-    as stacks, and raises ExtinctionError on an extinct row. Noisy runs
-    replace the exact states with tomographic reconstructions, the whole
-    batch measured in one call with row i drawn from the sub-seed
-    (label, seed_indices[i]), using source and detector models built once
-    here; noiseless runs read the batch.
+    `observe(batch, seed_indices)` raises ExtinctionError on an extinct row,
+    else gives the `ChannelBatch` the run reports. Noiseless runs report the
+    exact batch. Noisy runs report its tomographic estimate, with the same
+    rates, the whole batch measured in one call with row i drawn from the
+    sub-seed (label, seed_indices[i]), using source and detector models built
+    once here.
     """
     src, det = (_source(cfg), _detector(cfg)) if cfg.noisy else (None, None)
 
     def observe(batch, seed_indices):
-        if batch.extinct.any():
-            batch.outcome(int(batch.extinct.argmax()))  # raises ExtinctionError
+        batch.require_live()
         if cfg.noisy:
             seeds = [derive_seed(cfg.seed, label, k) for k in seed_indices]
-            rho = measure(batch, src, det, cfg.pulses, seeds)
-            return rho, concurrences(rho), linear_entropies(reduced_qubit(rho, "A"))
-        return batch.rho, batch.concurrence, batch.entropy_a
+            return measure(batch, src, det, cfg.pulses, seeds)
+        return batch
 
     return observe
 
@@ -189,11 +183,10 @@ def _baseline_scale(cfg: RunConfig, pmd_q: float, chain_c: float) -> float:
 def cmd_b2b(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Back-to-back source state: density matrix CSV plus summary metrics."""
     src = _source(cfg)
-    outcome = source_state(src)
+    state = source_state(src)
     if cfg.noisy:
-        rho = measure(outcome, src, _detector(cfg), cfg.pulses, derive_seed(cfg.seed, "b2b", 0))
-    else:
-        rho = outcome.rho
+        state = measure(state, src, _detector(cfg), cfg.pulses, derive_seed(cfg.seed, "b2b", 0))
+    rho = state.rho
     metrics = [
         ("concurrence", concurrence(rho)),
         ("purity", purity(rho)),
@@ -228,14 +221,15 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     batch = propagate(base, m_a, SIGMA0[None])
     aggs = concat_pdls([src_el] * len(ems), ems)
-    rhos, cs, _ = _observer(cfg, "sweep")(batch, range(len(ems)))
+    seen = _observer(cfg, "sweep")(batch, range(len(ems)))
+    cs = seen.concurrence
     rows = []
     for i, ((db, ax, _), agg) in enumerate(zip(emulators, aggs)):
         if not cfg.noisy and abs(cs[i] * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
         rows.append([
             db, ax[0], ax[1], ax[2], agg.gamma_db,
-            kappas[i % len(axes)], cs[i], purity(rhos[i]), batch.rate[i],
+            kappas[i % len(axes)], cs[i], purity(seen.rho[i]), seen.rate[i],
         ])
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
@@ -266,8 +260,8 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     compensated = propagate(base, m_a, pdl_filters([plan.element for plan in plans]))
     observe = _observer(cfg, "compensate")
     # sub-seeds interleave: row i reads 2i uncompensated and 2i + 1 compensated
-    _, cs_u, _ = observe(uncompensated, range(0, 2 * len(ems), 2))
-    _, cs_c, _ = observe(compensated, range(1, 2 * len(ems), 2))
+    cs_u = observe(uncompensated, range(0, 2 * len(ems), 2)).concurrence
+    cs_c = observe(compensated, range(1, 2 * len(ems), 2)).concurrence
     rows = []
     for i, (th, em, agg, plan) in enumerate(zip(thetas, ems, aggs, plans)):
         c_u, c_c = cs_u[i], cs_c[i]
@@ -295,7 +289,8 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     """Shared equal-magnitude arm-B orientation sweep for tradeoff/entropy runs.
 
     Appends the exact kappa = -/+ 1 orientations to the lattice so envelope
-    endpoints are hit exactly, then emits rows sorted by kappa.
+    endpoints are hit exactly. Returns the chain's baseline concurrence, arm
+    A's magnitude, and the kappas and observed batch, both sorted by kappa.
     """
     base, chain_c = _chain_state(pmd_q)
     t = correlation_of(base)
@@ -306,14 +301,12 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     m = np.linalg.norm(t_a)
     axes.append(-t_a / m)
     axes.append(t_a / m)
-    kappas = [kappa(t, el_a.axis, ax) for ax in axes]
+    kappas = np.array([kappa(t, el_a.axis, ax) for ax in axes])
     order = np.argsort(kappas, kind="stable")
     el_bs = [PdlElement(g, axes[ax_idx]) for ax_idx in order]
     batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(el_bs))
-    rhos, cs, s_as = _observer(cfg, command_id)(batch, range(len(order)))
-    out_rows = [(kappas[ax_idx], batch.rate[i], rhos[i], cs[i], s_as[i])
-                for i, ax_idx in enumerate(order)]
-    return base, chain_c, g, out_rows
+    seen = _observer(cfg, command_id)(batch, range(len(order)))
+    return chain_c, g, kappas[order], seen
 
 
 def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: int,
@@ -325,14 +318,12 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
     """
     if pdl_db < 0:
         raise ValueError("pdl_db must be >= 0")
-    base, chain_c, g, swept = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
-    rows = []
-    for kap, rate_norm, _, c, _ in swept:
-        c_norm = c / chain_c
-        avg = c_norm * rate_norm
-        if not cfg.noisy and abs(avg - np.exp(-2 * g)) > 1e-9:
-            raise RuntimeError("tradeoff row violates rate-concurrence conservation")
-        rows.append([kap, c_norm, rate_norm, avg])
+    chain_c, g, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
+    c_norm = seen.concurrence / chain_c
+    avg = c_norm * seen.rate
+    if not cfg.noisy and (np.abs(avg - np.exp(-2 * g)) > 1e-9).any():
+        raise RuntimeError("tradeoff row violates rate-concurrence conservation")
+    rows = zip(kappas, c_norm, seen.rate, avg)
     header = ["kappa", "concurrence_norm", "rate_norm", "avg_entanglement"]
     return [_write_csv(out_dir / "tradeoff.csv", header, rows)]
 
@@ -346,15 +337,9 @@ def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientati
     """
     if pdl_db < 0:
         raise ValueError("pdl_db must be >= 0")
-    base, chain_c, g, swept = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "entropy")
+    chain_c, _, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "entropy")
     scale = _baseline_scale(cfg, pmd_q, chain_c)
-    rows = []
-    reduced = []
-    for kap, _, rho, c, s_a in swept:
-        rows.append([s_a, scale * c, kap])
-        reduced.append(reduced_qubit(rho, "A"))
-    entropies = np.array([r[0] for r in rows])
-    concs = np.array([r[1] for r in rows])
+    entropies, concs = seen.entropy_a, scale * seen.concurrence
     if not cfg.noisy and int(entropies.argmax()) != int(concs.argmax()):
         raise RuntimeError("entropy argmax does not match concurrence argmax")
     by_entropy = np.argsort(entropies, kind="stable")
@@ -362,10 +347,10 @@ def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientati
              ("max", by_entropy[-1])]
     companion = []
     for label, idx in picks:
-        companion.extend(_matrix_rows(reduced[idx], label=label))
+        companion.extend(_matrix_rows(reduced_qubit(seen.rho[idx], "A"), label=label))
     header = ["s_linear_A", "concurrence", "kappa"]
     return [
-        _write_csv(out_dir / "entropy_feedback.csv", header, rows),
+        _write_csv(out_dir / "entropy_feedback.csv", header, zip(entropies, concs, kappas)),
         _write_csv(out_dir / "entropy_feedback_reduced.csv",
                    ["label", "i", "j", "re", "im"], companion),
     ]
@@ -383,15 +368,29 @@ def cmd_verify(seed: int) -> int:
 
 
 def _float_list(what: str):
-    """argparse type for a comma-separated list of floats, named `what` in errors."""
+    """argparse type for a nonempty comma list of floats, named `what` in errors."""
 
     def parse(text: str):
         try:
-            return [float(v) for v in text.split(",") if v.strip() != ""]
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} list {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {what} list {text!r}")
+        return values
 
     return parse
+
+
+def _count(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,23 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep-pdl", parents=[common], help="magnitude x orientation sweep")
     sp.add_argument("--pdl-db", type=_float_list("magnitude"), default=[1.25, 2.55, 3.7, 5.1, 6.3],
                     help="comma list of emulator magnitudes in dB")
-    sp.add_argument("--orientations", type=int, default=50)
+    sp.add_argument("--orientations", type=_count, default=50)
 
     cp = sub.add_parser("compensate", parents=[common], help="designed compensator vs angle")
     cp.add_argument("--pdl-db", type=float, default=5.1)
-    cp.add_argument("--theta-count", type=int, default=25)
+    cp.add_argument("--theta-count", type=_count, default=25)
     cp.add_argument("--theta-list", type=_float_list("theta"), default=None,
                     help="explicit angles in radians (overrides --theta-count)")
     cp.add_argument("--pmd-q", type=float, default=0.0)
 
     tp = sub.add_parser("tradeoff", parents=[common], help="concurrence/rate envelope")
     tp.add_argument("--pdl-db", type=float, default=5.1)
-    tp.add_argument("--orientations", type=int, default=64)
+    tp.add_argument("--orientations", type=_count, default=64)
     tp.add_argument("--pmd-q", type=float, default=0.0)
 
     ep = sub.add_parser("entropy-feedback", parents=[common], help="marginal-entropy feedback sweep")
     ep.add_argument("--pdl-db", type=float, default=5.27)
-    ep.add_argument("--orientations", type=int, default=64)
+    ep.add_argument("--orientations", type=_count, default=64)
     ep.add_argument("--pmd-q", type=float, default=0.155)
 
     sub.add_parser("verify", parents=[common], help="run invariant suites")

@@ -8,10 +8,10 @@ interval halving then polishes the winner. Each refine trial starts from the
 best point so far, so a sweep sends its remaining trials through one
 `propagate` call, records them in order up to the first improvement, and
 rebuilds the rest from the new point: the trace is the one a trial-at-a-time
-loop gives. With the noisy flag set the objective is the concurrence of the
-state `instrument.measure` estimates instead of the exact state: each kernel
-call's live rows are measured in one call, row i on the sub-seed of the trace
-index it is recorded at, so a row dropped after an improvement costs one
+loop gives. With the noisy flag set the kernel's batch is replaced by the one
+`instrument.measure` estimates from it, read the same way: each kernel call's
+live rows are measured in one call, row i on the sub-seed of the trace index
+it is recorded at, so a row dropped after an improvement costs one
 measurement and the trace is the one a candidate-by-candidate loop gives.
 """
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    ChannelOutcome,
     PdlElement,
     PmdElement,
     axis_from_polar,
@@ -30,7 +29,7 @@ from .channels import (
     propagate,
 )
 from .instrument import DetectorModel, SourceModel, derive_seed, measure
-from .qmath import check_state, concurrences, linear_entropies, linear_entropy, reduced_qubit
+from .qmath import check_state, linear_entropy, reduced_qubit
 
 REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
 
@@ -135,20 +134,12 @@ def optimize_compensator(
     def evaluate(elements) -> list[tuple[float, float, float]]:
         """(rate, objective, S_A) of each element in one kernel call, 0s if extinct."""
         batch = propagate(base, m_a[None], pdl_filters(elements))
+        if cfg.noisy:
+            # one sub-seed per candidate: row i would be recorded at index len(records) + i
+            seeds = [derive_seed(cfg.seed, "cand", len(records) + i) for i in range(len(elements))]
+            batch = measure(batch, cfg.source, cfg.detector, cfg.pulses, seeds)
         rate = np.where(batch.extinct, 0.0, batch.rate)
-        if not cfg.noisy:
-            return list(zip(rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()))
-        # tomographic objective of the live rows in one call, one sub-seed per
-        # candidate: row i would be recorded at index len(records) + i
-        obj, s_a = np.zeros(len(elements)), np.zeros(len(elements))
-        live = np.flatnonzero(~batch.extinct)
-        if live.size:
-            rho_hat = measure(ChannelOutcome(batch.rho[live], batch.rate[live]), cfg.source,
-                              cfg.detector, cfg.pulses,
-                              [derive_seed(cfg.seed, "cand", len(records) + i) for i in live])
-            obj[live] = concurrences(rho_hat)
-            s_a[live] = linear_entropies(reduced_qubit(rho_hat, "A"))
-        return list(zip(rate.tolist(), obj.tolist(), s_a.tolist()))
+        return list(zip(rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()))
 
     if cfg.gamma_grid is not None:
         grid = cfg.gamma_grid

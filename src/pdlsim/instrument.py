@@ -11,10 +11,11 @@ built once at import with its projector kets, model matrix, pseudo-inverse
 and basis groups. Counts are plain arrays with one entry per setting, in
 schedule order: `expected_coincidences` gives the means, `simulate_counts`
 draws integer counts from them, and `reconstruct` inverts either. `measure`
-chains them into the one route from a channel outcome to its estimated state.
-Each of these functions takes one state or a stack of them (any leading batch
-axes, one sub-seed per state), and each state's result is bit for bit the
-one its own one-state call gives.
+chains them into the one route from a `ChannelBatch` of exact states to the
+`ChannelBatch` of their estimates, read the same way. Each of these functions
+takes one state or a stack of them (any leading batch axes, one sub-seed per
+state), and each state's result is bit for bit the one its own one-state
+call gives.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import CANONICAL_AXIS, ChannelOutcome, PdlElement, apply_local, pdl_operator
+from .channels import CANONICAL_AXIS, ChannelBatch, PdlElement, apply_local, pdl_operator
 from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_states, symmetrize
 
 MU_RANGE = (0.001, 0.1)
@@ -96,7 +97,7 @@ def calibrate_source(
     )
 
 
-def source_state(model: SourceModel) -> ChannelOutcome:
+def source_state(model: SourceModel) -> ChannelBatch:
     """Emitted two-qubit state: Werner(v) filtered by the internal PDL on arm A."""
     v = model.werner_v
     werner = bell_diagonal([v, -v, v])
@@ -167,7 +168,7 @@ SETTINGS_16 = _schedule(
 
 
 def expected_coincidences(
-    outcome: ChannelOutcome,
+    batch: ChannelBatch,
     settings: Schedule,
     src: SourceModel,
     det: DetectorModel,
@@ -177,18 +178,30 @@ def expected_coincidences(
 
     pulses * (mu eta^2 rate <ab|rho|ab> + dark_prob^2): bright pairs thinned
     by both detectors and the channel rate, plus a flat dark-dark floor.
-    `outcome.rho` is one state (4, 4) or a stack (..., 4, 4) with one rate
+    `batch.rho` is one state (4, 4) or a stack (..., 4, 4) with one rate
     per state; the result is (..., K) for a schedule of K settings.
     """
     kets = settings.kets
-    p_bright = np.einsum("ki,...ij,kj->...k", kets.conj(), outcome.rho, kets).real
-    rate = np.asarray(outcome.rate)[..., None]
+    p_bright = np.einsum("ki,...ij,kj->...k", kets.conj(), batch.rho, kets).real
+    rate = np.asarray(batch.rate)[..., None]
     per_pulse = src.mu * det.efficiency**2 * rate * p_bright + det.dark_prob**2
     return pulses * per_pulse
 
 
+def _sub_seeds(seed, shape) -> np.ndarray:
+    """`seed` as an object array of integer sub-seeds, one per state of `shape`."""
+    # object dtype keeps 64-bit seeds exact; a float array would round them
+    seeds = np.asarray(seed, dtype=object)
+    if seeds.shape != shape:
+        raise ValueError(f"need one seed per state, got shape {seeds.shape} "
+                         f"for {shape} states")
+    if not all(isinstance(s, (int, np.integer)) for s in seeds.flat):
+        raise TypeError("sub-seeds must be integers")
+    return seeds
+
+
 def simulate_counts(
-    outcome: ChannelOutcome,
+    batch: ChannelBatch,
     settings: Schedule,
     src: SourceModel,
     det: DetectorModel,
@@ -197,19 +210,13 @@ def simulate_counts(
 ) -> np.ndarray:
     """Poissonian coincidence counts, one deterministic sub-stream per state.
 
-    `seed` is one sub-seed per state of `outcome`: an int for one state, else
+    `seed` is one sub-seed per state of `batch`: an int for one state, else
     ints (a nested sequence or an integer array) of the stack's leading shape.
     State n draws its K counts, in schedule order, from one generator seeded
     by its own sub-seed, so its counts do not depend on the rest of the stack.
     """
-    expected = expected_coincidences(outcome, settings, src, det, pulses)
-    # object dtype keeps 64-bit seeds exact; a float array would round them
-    seeds = np.asarray(seed, dtype=object)
-    if seeds.shape != expected.shape[:-1]:
-        raise ValueError(f"need one seed per state, got shape {seeds.shape} "
-                         f"for {expected.shape[:-1]} states")
-    if not all(isinstance(s, (int, np.integer)) for s in seeds.flat):
-        raise TypeError("sub-seeds must be integers")
+    expected = expected_coincidences(batch, settings, src, det, pulses)
+    seeds = _sub_seeds(seed, expected.shape[:-1])
     counts = np.empty(expected.shape, dtype=np.int64)
     for n in np.ndindex(seeds.shape):
         counts[n] = np.random.default_rng(int(seeds[n])).poisson(expected[n])
@@ -289,17 +296,27 @@ def project_physical(m: np.ndarray) -> np.ndarray:
 
 
 def measure(
-    outcome: ChannelOutcome,
+    batch: ChannelBatch,
     src: SourceModel,
     det: DetectorModel,
     pulses: int,
     seed,
-) -> np.ndarray:
-    """Tomographic estimate of a channel outcome, the one noisy measurement route.
+) -> ChannelBatch:
+    """Tomographic estimates of a batch's states, the one noisy measurement route.
 
-    Poissonian counts on the 36-setting schedule drawn from `seed`, linear
-    inversion, then the nearest-physical repair. A stack of states is
-    measured in one call, one sub-seed per state (see `simulate_counts`).
+    Each live state gets Poissonian counts on the 36-setting schedule drawn
+    from its own sub-seed (`seed` holds one per state, see `simulate_counts`),
+    linear inversion, then the nearest-physical repair. The live states are
+    measured in one call; extinct rows stay zero matrices. The result carries
+    the batch's rates, so it is read like the exact batch.
     """
-    counts = simulate_counts(outcome, SETTINGS_36, src, det, pulses, seed=seed)
-    return project_physical(reconstruct(counts, SETTINGS_36))
+    live = ~batch.extinct
+    if live.all():
+        counts = simulate_counts(batch, SETTINGS_36, src, det, pulses, seed=seed)
+        return ChannelBatch(project_physical(reconstruct(counts, SETTINGS_36)), batch.rate)
+    rho = np.zeros_like(batch.rho)
+    if live.any():
+        counts = simulate_counts(ChannelBatch(batch.rho[live], batch.rate[live]), SETTINGS_36,
+                                 src, det, pulses, seed=_sub_seeds(seed, live.shape)[live])
+        rho[live] = project_physical(reconstruct(counts, SETTINGS_36))
+    return ChannelBatch(rho, batch.rate)

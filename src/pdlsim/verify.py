@@ -16,7 +16,7 @@ import numpy as np
 from . import theory
 from .channels import (
     DB_PER_NEPER,
-    ChannelOutcome,
+    ChannelBatch,
     PdlElement,
     angle_from_aggregate,
     concat_pdls,
@@ -90,14 +90,6 @@ def _random_element(rng):
     return PdlElement(float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng))
 
 
-def _through(rho, m_a, m_b):
-    """One kernel call for suite cases, none of which may extinguish the state."""
-    batch = propagate(rho, m_a, m_b)
-    for i in np.flatnonzero(batch.extinct):
-        batch.outcome(i)  # raises ExtinctionError
-    return batch
-
-
 def _worst(*errors) -> float:
     """Largest entry over error arrays, 0 when all are empty."""
     return max(float(np.max(e, initial=0.0)) for e in errors)
@@ -122,7 +114,7 @@ def oracle_equivalence(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
             c0, ea.gamma, eb.gamma, theory.kappa(correlation_of(rho), ea.axis, eb.axis))
         for rho, c0, ea, eb in zip(rhos, concurrences(rhos), eas, ebs)
     ]
-    batch = _through(rhos, pdl_filters(eas), pdl_filters(ebs))
+    batch = propagate(rhos, pdl_filters(eas), pdl_filters(ebs)).require_live()
     worst = _worst(np.abs(np.array(closed) - batch.concurrence))
     return _result("oracle-equivalence", worst, 1e-9, cases, t0)
 
@@ -142,7 +134,8 @@ def rate_conservation(seed=DEFAULT_SEED, cases=400) -> SuiteResult:
     rhos = np.array(rhos).reshape(-1, 4, 4)
     want = np.exp(-np.array(totals)) * concurrences(rhos)
     # three splits of each case's total loss, consecutive rows
-    batch = _through(np.repeat(rhos, 3, axis=0), pdl_filters(eas), pdl_filters(ebs))
+    batch = propagate(np.repeat(rhos, 3, axis=0), pdl_filters(eas), pdl_filters(ebs))
+    batch.require_live()
     products = (batch.rate * batch.concurrence).reshape(-1, 3)
     worst = _worst(np.abs(products - want[:, None]), products.max(axis=1) - products.min(axis=1))
     return _result("rate-conservation", worst, 1e-9, cases, t0)
@@ -156,7 +149,7 @@ def orientation_independence(seed=DEFAULT_SEED, per_magnitude=100) -> SuiteResul
     rho = bell_diagonal([c0, -c0, 1.0])
     gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
     elements = [PdlElement(gamma, _random_axis(rng)) for gamma in gammas for _ in range(per_magnitude)]
-    batch = _through(rho, pdl_filters(elements), SIGMA0[None])
+    batch = propagate(rho, pdl_filters(elements), SIGMA0[None]).require_live()
     vals = batch.concurrence.reshape(len(gammas), per_magnitude)
     worst = _worst(vals.max(axis=1) - vals.min(axis=1),
                    np.abs(vals - c0 / np.cosh(gammas)[:, None]))
@@ -224,7 +217,8 @@ def compensation_optimality(seed=DEFAULT_SEED, alternatives=500) -> SuiteResult:
         plan = theory.design_compensator(el_a, t)
         alts = [PdlElement(float(rng.uniform(0, 2 * el_a.gamma + 0.1)), _random_axis(rng))
                 for _ in range(alternatives)]
-        batch = _through(rho, pdl_operator(el_a)[None], pdl_filters([plan.element, *alts]))
+        batch = propagate(rho, pdl_operator(el_a)[None], pdl_filters([plan.element, *alts]))
+        batch.require_live()
         designed = batch.concurrence[0]
         worst = max(worst, abs(designed - plan.predicted_concurrence),
                     _worst(batch.concurrence[1:] - designed))
@@ -245,9 +239,9 @@ def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
         rhos.append(check_state(m / np.trace(m).real))
-    batch = _through(np.array(rhos).reshape(-1, 4, 4), SIGMA0[None], SIGMA0[None])
+    batch = propagate(np.array(rhos).reshape(-1, 4, 4), SIGMA0[None], SIGMA0[None]).require_live()
     first = source_state(src)
-    states = ChannelOutcome(np.concatenate([first.rho[None], batch.rho]),
+    states = ChannelBatch(np.concatenate([first.rho[None], batch.rho]),
                             np.concatenate([[first.rate], batch.rate]))
     for settings in (SETTINGS_16, SETTINGS_36):
         exact = expected_coincidences(states, settings, src, det, 10**6)
@@ -272,7 +266,7 @@ def envelope_bounds(seed=DEFAULT_SEED, cases=300) -> SuiteResult:
         el_bs = [PdlElement(g, _random_axis(rng)) for _ in range(cases)]
         # T zhat = t3 zhat for Bell states, so b = -/+ zhat sits at kappa = -/+ 1
         el_bs += [PdlElement(g, (0.0, 0.0, sign * t[2])) for sign in (-1.0, 1.0)]
-        batch = _through(rho, pdl_operator(el_a)[None], pdl_filters(el_bs))
+        batch = propagate(rho, pdl_operator(el_a)[None], pdl_filters(el_bs)).require_live()
         c_norm, rate = batch.concurrence[:cases], batch.rate[:cases]
         worst = max(worst, _worst(
             bounds.c_min - c_norm, c_norm - bounds.c_max_norm,

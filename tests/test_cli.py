@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,33 @@ def test_load_config_errors(tmp_path):
     p.write_text("run.noisy = maybe\n")
     with pytest.raises(ValueError):
         load_config(p)
+    # conversion errors quote the file and line like every other error
+    for text, bad in (("tomo.pulses = 1e6\n", "'1e6'"), ("# seed\nrun.seed = 1.5\n", "'1.5'"),
+                      ("\nsource.mu = fast\n", "'fast'"), ("run.noisy = maybe\n", "'maybe'")):
+        p.write_text(text)
+        lineno = text.count("\n")
+        want = f"^{re.escape(str(p))}:{lineno}: bad value {bad} for "
+        with pytest.raises(ValueError, match=want):
+            load_config(p)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-pdl", "--orientations", "0"),
+    ("tradeoff", "--orientations", "-3"),
+    ("entropy-feedback", "--orientations", "0"),
+    ("compensate", "--theta-count", "0"),
+    ("compensate", "--theta-count", "-1"),
+    ("compensate", "--theta-count", "2.5"),
+    ("sweep-pdl", "--pdl-db", ","),
+    ("compensate", "--theta-list", ","),
+    ("compensate", "--theta-list", " "),
+])
+def test_empty_counts_and_lists_are_usage_errors(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_config_validation():

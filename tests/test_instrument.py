@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pdlsim.channels import ChannelOutcome, PdlElement
+from pdlsim import instrument
+from pdlsim.channels import ChannelBatch, PdlElement
 from pdlsim.instrument import (
     ANALYZERS,
     SETTINGS_16,
@@ -172,7 +173,7 @@ def test_expected_coincidences_stack_matches_one_setting_calls():
     det = DetectorModel()
     for settings in (SETTINGS_36, SETTINGS_16):
         for _ in range(5):
-            out = ChannelOutcome(rho=random_state(rng), rate=float(rng.uniform(0.1, 1.0)))
+            out = ChannelBatch(rho=random_state(rng), rate=float(rng.uniform(0.1, 1.0)))
             stacked = expected_coincidences(out, settings, src, det, 1_000_000)
             assert stacked.shape == (len(settings),)
             singles = [one_setting_counts(out, settings, k, src, det, 1_000_000)
@@ -196,7 +197,7 @@ def test_simulate_counts_deterministic():
     expected = expected_coincidences(out, s36, src, det, 1_000_000)
     assert np.array_equal(a, np.random.default_rng(42).poisson(expected))
     # a stack takes one sub-seed per state
-    stack = ChannelOutcome(np.array([out.rho, out.rho]), np.array([out.rate, out.rate]))
+    stack = ChannelBatch(np.array([out.rho, out.rho]), np.array([out.rate, out.rate]))
     pair = simulate_counts(stack, s36, src, det, 1_000_000, seed=[42, 43])
     assert pair.shape == (2, 36) and pair.dtype == a.dtype
     assert np.array_equal(pair, [a, c])
@@ -213,8 +214,8 @@ def test_simulate_counts_deterministic():
 
 def random_outcomes(rng, n):
     """A stack of n random states with random rates."""
-    return ChannelOutcome(rho=np.array([random_state(rng) for _ in range(n)]),
-                          rate=rng.uniform(0.1, 1.0, n))
+    return ChannelBatch(rho=np.array([random_state(rng) for _ in range(n)]),
+                        rate=rng.uniform(0.1, 1.0, n))
 
 
 @pytest.mark.parametrize("settings", [SETTINGS_36, SETTINGS_16], ids=["36", "16"])
@@ -229,9 +230,9 @@ def test_stack_matches_one_row_calls(settings):
     repaired = project_physical(raw)
     assert raw.shape == repaired.shape == (12, 4, 4)
     assert (np.linalg.eigvalsh(raw).min(axis=-1) < 0).any()  # the repair loop runs
-    measured = measure(stack, src, det, 10**5, seeds) if settings is SETTINGS_36 else None
+    measured = measure(stack, src, det, 10**5, seeds).rho if settings is SETTINGS_36 else None
     for i in range(12):
-        one = ChannelOutcome(rho=stack.rho[i], rate=float(stack.rate[i]))
+        one = ChannelBatch(rho=stack.rho[i], rate=float(stack.rate[i]))
         one_counts = simulate_counts(one, settings, src, det, 10**5, seed=seeds[i])
         assert np.array_equal(counts[i], one_counts)
         assert np.array_equal(raw[i], reconstruct(one_counts, settings))
@@ -239,17 +240,49 @@ def test_stack_matches_one_row_calls(settings):
             expected_coincidences(one, settings, src, det, 10**5), settings))
         assert np.array_equal(repaired[i], project_physical(raw[i]))
         if measured is not None:
-            assert np.array_equal(measured[i], measure(one, src, det, 10**5, seeds[i]))
+            assert np.array_equal(measured[i], measure(one, src, det, 10**5, seeds[i]).rho)
     # a permuted stack gives the same rows, permuted
     perm = rng.permutation(12)
-    shuffled = ChannelOutcome(rho=stack.rho[perm], rate=stack.rate[perm])
+    shuffled = ChannelBatch(rho=stack.rho[perm], rate=stack.rate[perm])
     p_seeds = [seeds[i] for i in perm]
     p_counts = simulate_counts(shuffled, settings, src, det, 10**5, seed=p_seeds)
     assert np.array_equal(p_counts, counts[perm])
     assert np.array_equal(reconstruct(p_counts, settings), raw[perm])
     assert np.array_equal(project_physical(raw[perm]), repaired[perm])
     if measured is not None:
-        assert np.array_equal(measure(shuffled, src, det, 10**5, p_seeds), measured[perm])
+        assert np.array_equal(measure(shuffled, src, det, 10**5, p_seeds).rho, measured[perm])
+
+
+def test_measure_skips_extinct_rows(monkeypatch):
+    rng = np.random.default_rng(41)
+    src, det = calibrate_source(0.925, 1.38), DetectorModel()
+    rates = np.array([0.6, 1e-13, 0.3, 0.0, 0.9])
+    extinct = rates < 1e-12
+    rho = np.array([np.zeros((4, 4), dtype=complex) if dead else random_state(rng)
+                    for dead in extinct])
+    batch = ChannelBatch(rho, rates)
+    seeds = [derive_seed(7, "row", i) for i in range(len(rates))]
+    seen = []
+
+    def counting(states, *args, **kwargs):
+        seen.append(states.rate.copy())
+        return simulate_counts(states, *args, **kwargs)
+
+    monkeypatch.setattr(instrument, "simulate_counts", counting)
+    measured = measure(batch, src, det, 10**5, seeds)
+    assert len(seen) == 1 and np.array_equal(seen[0], rates[~extinct])
+    assert measured.rate is batch.rate and measured.extinct.tolist() == extinct.tolist()
+    assert not measured.rho[extinct].any()
+    assert (measured.concurrence[extinct] == 0).all()
+    for i in np.flatnonzero(~extinct):
+        alone = measure(ChannelBatch(rho[i], rates[i]), src, det, 10**5, seeds[i])
+        assert alone.rho.shape == (4, 4)
+        assert measured.rho[i].tobytes() == alone.rho.tobytes()
+        assert measured.concurrence[i].tobytes() == alone.concurrence.tobytes()
+    # a batch with no live row is not measured at all
+    seen.clear()
+    dead = measure(ChannelBatch(rho[extinct], rates[extinct]), src, det, 10**5, seeds[:2])
+    assert seen == [] and not dead.rho.any()
 
 
 def test_stack_checks_every_row():
@@ -308,7 +341,7 @@ def test_reconstruct_roundtrip_random_states():
     for settings in (SETTINGS_36, SETTINGS_16):
         for _ in range(10):
             rho = random_state(rng)
-            outcome = ChannelOutcome(rho=rho, rate=1.0)
+            outcome = ChannelBatch(rho=rho, rate=1.0)
             expect = expected_coincidences(outcome, settings, src, QUIET, 1_000_000)
             recon = reconstruct(expect, settings)  # real, non-integer counts accepted
             assert trace_distance(recon, rho) < 1e-8

@@ -200,11 +200,34 @@ def test_extinct_rows_are_masked_in_a_batch():
         assert not batch.rho[i].any()
         assert batch.concurrence[i] == 0.0 and batch.entropy_a[i] == 0.0
         with pytest.raises(ExtinctionError):
-            batch.outcome(i)
+            ChannelBatch(batch.rho[i], batch.rate[i]).require_live()
     for i in (0, 3, 4):
         assert_rows_match(batch, i, *loop_channel(vv, m_a[i], m_b[i]))
     with pytest.raises(ExtinctionError):
         apply_local(vv, strong, strong)
+
+
+def test_require_live_quotes_the_first_extinct_rate():
+    rates = np.array([[0.5, 3e-13], [1e-13, 0.2]])
+    stacked = ChannelBatch(np.zeros((2, 2, 4, 4), dtype=complex), rates)
+    with pytest.raises(ExtinctionError, match=r"rate 3e-13$"):
+        stacked.require_live()
+    one = ChannelBatch(np.zeros((4, 4), dtype=complex), 4e-13)
+    with pytest.raises(ExtinctionError, match=r"rate 4e-13$"):
+        one.require_live()
+    live = ChannelBatch(bell_state(BellKind.PHI_PLUS), 0.5)
+    assert live.require_live() is live
+
+
+def test_hand_built_batch_derives_extinct():
+    rho = np.array([bell_state(BellKind.PHI_PLUS), np.zeros((4, 4), dtype=complex)])
+    batch = ChannelBatch(rho, np.array([0.3, 0.5e-12]))
+    assert batch.extinct.tolist() == [False, True]
+    assert batch.concurrence[0] == pytest.approx(1.0) and batch.concurrence[1] == 0.0
+    assert batch.entropy_a[0] == pytest.approx(1.0) and batch.entropy_a[1] == 0.0
+    one = ChannelBatch(rho[0], 0.3)
+    assert one.extinct.shape == () and not one.extinct
+    assert one.concurrence == batch.concurrence[0]
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])
@@ -257,6 +280,22 @@ CSV_PINS = {
     ("b2b", "--noisy"): {
         "b2b_density_matrix.csv": "620b1c0110489e92fdb0183e3d4e06b2f4ba1bd214f6661677adfa4860409152",
         "b2b_metrics.txt": "9c1abfdb0ca0c67fc114f98b5b2645c54f83ca69f0ba22b2359dc2a2cc68c1d1",
+    },
+    # recorded before exact and measured rows shared one ChannelBatch reader
+    ("b2b",): {
+        "b2b_density_matrix.csv": "dc98f26780ef513daa50c0a036f57c118ae24135236da24b08dadc78e3df1452",
+        "b2b_metrics.txt": "244ddcdcf689ce82cf17393f3bd26c7b692f9309642e4de69d6b184562c1d2f3",
+    },
+    ("compensate", "--noisy"): {
+        "compensate.csv": "2f291caca6419e0cdf36de4ebed7c5f1efcad6cf2933791467ae546c4b7f065f",
+    },
+    ("tradeoff", "--noisy"): {
+        "tradeoff.csv": "0fc4dd28a1c9a3df45c78b90d7c1029928492439935f418c804d987efc7e516c",
+    },
+    ("entropy-feedback", "--noisy"): {
+        "entropy_feedback.csv": "328e62c268c1fa79227c030724f2c5ccb31670fd03bf02c738e898407853e757",
+        "entropy_feedback_reduced.csv":
+            "0825d11295672d8b8369f4d14ebaafe5238e7dc5915550eb40a3e5d18f2bfc94",
     },
 }
 # reconstructions on the 16-setting schedule, which has no basis groups, so
