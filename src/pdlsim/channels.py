@@ -48,25 +48,30 @@ class ExtinctionError(ValueError):
 
 def gamma_from_db(db: float) -> float:
     """PDL magnitude in nepers from the usual dB figure 10*log10(Tmax/Tmin)."""
-    if db < 0:
+    if not db >= 0:
         raise ValueError(f"PDL in dB must be >= 0, got {db}")
     return db / DB_PER_NEPER
 
 
 def db_from_gamma(gamma: float) -> float:
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return gamma * DB_PER_NEPER
 
 
 def unit_axis(axis) -> np.ndarray:
-    """Validate a Stokes axis (unit norm within TOL) and return it renormalized."""
+    """Validate Stokes axes (..., 3), each of unit norm within TOL, and return them renormalized."""
     a = np.asarray(axis, dtype=float)
-    if a.shape != (3,):
+    if a.shape == (3,):  # np.linalg.norm's own route for a real vector
+        nrm = np.sqrt(a.dot(a))
+        unit = abs(nrm - 1.0) <= TOL  # False for NaN
+    elif a.shape[-1:] == (3,):  # a row-wise matmul matches it bit for bit, einsum does not
+        nrm = np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0])
+        unit = np.all(abs(nrm - 1.0) <= TOL)
+    else:
         raise ValueError(f"axis must have 3 components, got shape {a.shape}")
-    nrm = np.sqrt(a.dot(a))  # np.linalg.norm's own route for a real vector
-    if abs(nrm - 1.0) > TOL:
-        raise ValueError(f"axis is not unit length: |a| = {nrm}")
+    if not unit:
+        raise ValueError(f"axis is not unit length: |a| = {nrm[~(abs(nrm - 1.0) <= TOL)][0]}")
     a = a / nrm
     a.setflags(write=False)
     return a
@@ -205,18 +210,6 @@ def pmd_dephase(rho: np.ndarray, element: PmdElement) -> np.ndarray:
     return check_state((1 - element.q) * rho + element.q * (u @ rho @ u))
 
 
-def dephasing_from_dgd(tau_ps: float, sigma_omega: float) -> float:
-    """Dephasing weight for DGD tau (ps) at Gaussian spectral width sigma_omega (rad/s).
-
-    q = (1 - exp(-sigma_omega^2 tau^2 / 2)) / 2, the first-order PMD average
-    over the pair spectrum; q -> 1/2 as the delay exceeds the coherence time.
-    """
-    if tau_ps < 0 or sigma_omega < 0:
-        raise ValueError("tau_ps and sigma_omega must be >= 0")
-    x = sigma_omega * tau_ps * 1e-12
-    return float((1.0 - np.exp(-(x**2) / 2)) / 2)
-
-
 def _stokes(v: np.ndarray) -> np.ndarray:
     return np.array([(v.conj() @ s @ v).real for s in PAULI])
 
@@ -250,20 +243,25 @@ def concat_pdl(first: PdlElement, second: PdlElement) -> PdlElement:
     return concat_pdls([first], [second])[0]
 
 
-def angle_from_aggregate(g1: float, g2: float, gamma_tot: float) -> float:
+def angle_from_aggregate(g1, g2, gamma_tot) -> np.ndarray:
     """Angle between two PDL axes recovered from the aggregate magnitude.
 
-    Inverts the concatenation law; raises when either magnitude is zero (the
-    angle is undefined) or gamma_tot lies outside [|g1-g2|, g1+g2] beyond TOL.
+    Inverts the concatenation law element by element over broadcast inputs;
+    raises when either magnitude is zero (the angle is undefined) or
+    gamma_tot lies outside [|g1-g2|, g1+g2] beyond TOL.
     """
-    if g1 <= 0 or g2 <= 0:
+    g1, g2, gamma_tot = (np.asarray(g, dtype=float) for g in (g1, g2, gamma_tot))
+    if not ((g1 > 0) & (g2 > 0)).all():
         raise ValueError("angle is undefined when either magnitude is zero")
     cos_theta = (np.cosh(gamma_tot) - np.cosh(g1) * np.cosh(g2)) / (
         np.sinh(g1) * np.sinh(g2)
     )
-    if not -1 - TOL <= cos_theta <= 1 + TOL:
+    reachable = (-1 - TOL <= cos_theta) & (cos_theta <= 1 + TOL)
+    if not reachable.all():
+        g1, g2, gamma_tot, cos_theta = (np.broadcast_to(x, cos_theta.shape)[~reachable][0]
+                                        for x in (g1, g2, gamma_tot, cos_theta))
         raise ValueError(
             f"aggregate {gamma_tot} outside reachable range for ({g1}, {g2}):"
             f" cos theta = {cos_theta}"
         )
-    return float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
+    return np.arccos(np.clip(cos_theta, -1.0, 1.0))[()]

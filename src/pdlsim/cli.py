@@ -101,7 +101,11 @@ def load_config(path) -> RunConfig:
             overrides[field] = conv(value)
         except (KeyError, ValueError):
             raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
-    return dataclasses.replace(RunConfig(), **overrides)
+        try:  # the range check of this one field
+            RunConfig(**{field: overrides[field]})
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    return RunConfig(**overrides)
 
 
 def _source(cfg: RunConfig):
@@ -168,7 +172,7 @@ def _matrix_rows(rho, label=None):
 def _chain_state(pmd_q: float):
     """Ideal-chain input and its baseline concurrence for the protocol commands."""
     rho = bell_state(BellKind.PHI_PLUS)
-    if pmd_q > 0:
+    if pmd_q != 0:  # PmdElement rejects a weight outside [0, 0.5]
         rho = pmd_dephase(rho, PmdElement(pmd_q, CANONICAL_AXIS.copy()))
     return rho, concurrence(rho)
 
@@ -207,8 +211,6 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     aggregate column is their concatenation. kappa is the orientation overlap
     of the two arm-A elements through the state.
     """
-    if any(db < 0 for db in pdl_db_list):
-        raise ValueError("PDL magnitudes must be >= 0 dB")
     src = _source(cfg)
     src_el = src.source_pdl
     base = bell_diagonal([cfg.c_b2b, -cfg.c_b2b, 1.0])
@@ -216,8 +218,7 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     axes = fibonacci_sphere(orientations_n)
     emulators = [(db, ax, PdlElement(gamma_from_db(db), ax)) for db in pdl_db_list for ax in axes]
     ems = [em for _, _, em in emulators]
-    # kappa depends on the orientation only: one per axis, shared by every magnitude
-    kappas = [kappa(t, src_el.axis, em.axis) for em in ems[:len(axes)]]
+    kappas = kappa(t, src_el.axis, [em.axis for em in ems])
     m_a = pdl_filters(ems) @ pdl_operator(src_el)
     batch = propagate(base, m_a, SIGMA0[None])
     aggs = concat_pdls([src_el] * len(ems), ems)
@@ -229,7 +230,7 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
         rows.append([
             db, ax[0], ax[1], ax[2], agg.gamma_db,
-            kappas[i % len(axes)], cs[i], purity(seen.rho[i]), seen.rate[i],
+            kappas[i], cs[i], purity(seen.rho[i]), seen.rate[i],
         ])
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
@@ -243,10 +244,6 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     measured baseline), the designed element, and both coincidence rates. Arm A
     aggregates source PDL and the emulator at angle theta from the source axis.
     """
-    if pdl_db < 0:
-        raise ValueError("pdl_db must be >= 0")
-    if not 0 <= pmd_q <= 0.5:
-        raise ValueError("pmd_q must lie in [0, 0.5]")
     src = _source(cfg)
     src_el = src.source_pdl
     base, chain_c = _chain_state(pmd_q)
@@ -301,7 +298,7 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     m = np.linalg.norm(t_a)
     axes.append(-t_a / m)
     axes.append(t_a / m)
-    kappas = np.array([kappa(t, el_a.axis, ax) for ax in axes])
+    kappas = kappa(t, el_a.axis, axes)
     order = np.argsort(kappas, kind="stable")
     el_bs = [PdlElement(g, axes[ax_idx]) for ax_idx in order]
     batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(el_bs))
@@ -316,8 +313,6 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
     gamma_B equals arm A's magnitude; the baseline is the zero-PDL run of the
     same chain state, so columns are directly comparable across magnitudes.
     """
-    if pdl_db < 0:
-        raise ValueError("pdl_db must be >= 0")
     chain_c, g, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
     c_norm = seen.concurrence / chain_c
     avg = c_norm * seen.rate
@@ -335,8 +330,6 @@ def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientati
     The companion file holds the qubit-A reduced matrices at the minimum,
     median, and maximum entropy rows.
     """
-    if pdl_db < 0:
-        raise ValueError("pdl_db must be >= 0")
     chain_c, _, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "entropy")
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     entropies, concs = seen.entropy_a, scale * seen.concurrence
@@ -367,14 +360,27 @@ def cmd_verify(seed: int) -> int:
     return 1 if failures else 0
 
 
-def _float_list(what: str):
-    """argparse type for a nonempty comma list of floats, named `what` in errors."""
+def _number(what: str, lo: float = -np.inf, hi: float = np.inf, kind=float):
+    """argparse type for a finite `kind` number in [lo, hi], named `what` in errors."""
 
     def parse(text: str):
         try:
-            values = [float(v) for v in text.split(",") if v.strip() != ""]
+            x = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}")
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
+        if not (lo <= x <= hi and abs(x) < np.inf):  # fails for NaN
+            raise argparse.ArgumentTypeError(f"{what} must be finite and in [{lo:g}, {hi:g}], got {text!r}")
+        return x
+
+    return parse
+
+
+def _float_list(what: str, lo: float = -np.inf):
+    """argparse type for a nonempty comma list of finite floats >= lo, named `what` in errors."""
+    one = _number(what, lo)
+
+    def parse(text: str):
+        values = [one(v) for v in text.split(",") if v.strip() != ""]
         if not values:
             raise argparse.ArgumentTypeError(f"empty {what} list {text!r}")
         return values
@@ -382,22 +388,17 @@ def _float_list(what: str):
     return parse
 
 
-def _count(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"count must be >= 1, got {n}")
-    return n
+_COUNT = _number("count", 1, kind=int)
+_SEED = _number("seed", 0, 2**64 - 1, kind=int)
+_PDL_DB = _number("magnitude", 0)
+_PMD_Q = _number("dephasing weight", 0, 0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="key=value config file")
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="master seed override")
+    common.add_argument("--seed", type=_SEED, default=None, help="master seed override")
     common.add_argument("--noisy", action="store_true", default=None,
                         help="tomography-noise mode")
 
@@ -407,26 +408,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("b2b", parents=[common], help="back-to-back source state")
 
     sp = sub.add_parser("sweep-pdl", parents=[common], help="magnitude x orientation sweep")
-    sp.add_argument("--pdl-db", type=_float_list("magnitude"), default=[1.25, 2.55, 3.7, 5.1, 6.3],
+    sp.add_argument("--pdl-db", type=_float_list("magnitude", 0), default=[1.25, 2.55, 3.7, 5.1, 6.3],
                     help="comma list of emulator magnitudes in dB")
-    sp.add_argument("--orientations", type=_count, default=50)
+    sp.add_argument("--orientations", type=_COUNT, default=50)
 
     cp = sub.add_parser("compensate", parents=[common], help="designed compensator vs angle")
-    cp.add_argument("--pdl-db", type=float, default=5.1)
-    cp.add_argument("--theta-count", type=_count, default=25)
+    cp.add_argument("--pdl-db", type=_PDL_DB, default=5.1)
+    cp.add_argument("--theta-count", type=_COUNT, default=25)
     cp.add_argument("--theta-list", type=_float_list("theta"), default=None,
                     help="explicit angles in radians (overrides --theta-count)")
-    cp.add_argument("--pmd-q", type=float, default=0.0)
+    cp.add_argument("--pmd-q", type=_PMD_Q, default=0.0)
 
     tp = sub.add_parser("tradeoff", parents=[common], help="concurrence/rate envelope")
-    tp.add_argument("--pdl-db", type=float, default=5.1)
-    tp.add_argument("--orientations", type=_count, default=64)
-    tp.add_argument("--pmd-q", type=float, default=0.0)
+    tp.add_argument("--pdl-db", type=_PDL_DB, default=5.1)
+    tp.add_argument("--orientations", type=_COUNT, default=64)
+    tp.add_argument("--pmd-q", type=_PMD_Q, default=0.0)
 
     ep = sub.add_parser("entropy-feedback", parents=[common], help="marginal-entropy feedback sweep")
-    ep.add_argument("--pdl-db", type=float, default=5.27)
-    ep.add_argument("--orientations", type=_count, default=64)
-    ep.add_argument("--pmd-q", type=float, default=0.155)
+    ep.add_argument("--pdl-db", type=_PDL_DB, default=5.27)
+    ep.add_argument("--orientations", type=_COUNT, default=64)
+    ep.add_argument("--pmd-q", type=_PMD_Q, default=0.155)
 
     sub.add_parser("verify", parents=[common], help="run invariant suites")
     return p

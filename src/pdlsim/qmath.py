@@ -5,8 +5,9 @@ Stokes components are ordered (s1, s2, s3) against (sigma_1, sigma_2, sigma_3).
 Density matrices are plain complex ndarrays; validators return a symmetrized
 canonical copy rather than wrapping arrays in a class. The state functions
 with a stack form (`check_states`, `concurrences`, `reduced_qubit`,
-`linear_entropies`, `trace_distances`) take any leading batch axes and apply the single-state
-arithmetic row by row; the single-state functions are their one-state case.
+`linear_entropies`, `trace_distances`, `correlation_of`) take any leading
+batch axes and apply the single-state arithmetic row by row; the
+single-state functions are their one-state case.
 """
 
 from enum import Enum
@@ -133,14 +134,17 @@ def bell_diagonal(t) -> np.ndarray:
 
 
 def correlation_of(rho: np.ndarray) -> np.ndarray:
-    """Diagonal correlation triple t_j = Tr[rho (sigma_j x sigma_j)], each real within TOL."""
-    t = np.empty(3)
-    for j, ss in enumerate(_CORRELATORS):
-        val = np.trace(rho @ ss)
-        if abs(val.imag) > TOL:
-            raise ValueError(f"correlation t{j + 1} has imaginary part {val.imag}")
-        t[j] = val.real
-    return t
+    """Diagonal correlation triples t_j = Tr[rho (sigma_j x sigma_j)] of a stack (..., 4, 4).
+
+    Gives (..., 3); every entry must be real within TOL.
+    """
+    rho = np.asarray(rho)
+    t = np.stack([np.trace(rho @ ss, axis1=-2, axis2=-1) for ss in _CORRELATORS], axis=-1)
+    real = np.abs(t.imag) <= TOL  # False for NaN
+    if not real.all():
+        k = np.flatnonzero(~real)[0]  # the first bad entry, entries running t1, t2, t3
+        raise ValueError(f"correlation t{k % 3 + 1} has imaginary part {t.imag.flat[k]}")
+    return t.real
 
 
 def eigvals_desc(m: np.ndarray) -> np.ndarray:

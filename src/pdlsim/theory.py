@@ -7,7 +7,10 @@ PDL of magnitudes (gamma_a, gamma_b) along axes (a, b) gives
     rate = e^{-(gA+gB)} (cosh gA cosh gB + kappa sinh gA sinh gB),
 
 with the alignment factor kappa = sum_j a_j b_j t_j. Their product, the
-average entanglement per emitted pair, depends only on the total loss.
+average entanglement per emitted pair e^{-(gA+gB)} c0, depends only on the
+total loss. `kappa`, `predicted_concurrence` and `predicted_rate` broadcast
+over leading axes, as `channels.propagate` does, with scalars giving a 0-d
+result; every domain check holds element by element, and NaN fails it.
 """
 
 from dataclasses import dataclass
@@ -20,23 +23,36 @@ from .qmath import TOL, bell_weights
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
-def kappa(t, axis_a, axis_b) -> float:
-    """Alignment factor sum_j a_j b_j t_j, in [-1, 1]."""
+def kappa(t, axis_a, axis_b) -> np.ndarray:
+    """Alignment factor sum_j a_j b_j t_j, in [-1, 1], of triples and axes (..., 3)."""
     a = unit_axis(axis_a)
     b = unit_axis(axis_b)
     t = np.asarray(t, dtype=float)
-    if np.abs(t).max() > 1 + TOL:
-        raise ValueError(f"correlation components must lie in [-1, 1], got {t}")
-    return float(np.clip(np.sum(a * b * t), -1.0, 1.0))
+    bounded = (np.abs(t) <= 1 + TOL).all(axis=-1)  # False for NaN
+    if not bounded.all():
+        raise ValueError(f"correlation components must lie in [-1, 1], got {t[~bounded][0]}")
+    return np.clip(np.sum(a * b * t, axis=-1), -1.0, 1.0)[()]
 
 
-def _check_gamma(g: float, name: str) -> float:
-    if not np.isfinite(g) or g < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {g}")
-    return float(g)
+def _checked(x, lo: float, hi: float, error: str) -> np.ndarray:
+    """x as floats, else ValueError `error` quoting its first element outside [lo, hi] or NaN."""
+    x = np.asarray(x, dtype=float)
+    ok = (lo <= x) & (x <= hi)
+    if not ok.all():
+        raise ValueError(f"{error}, got {x[~ok][0]}")
+    return x
 
 
-def _scaled_rate(gamma_a: float, gamma_b: float, kap: float) -> float:
+def _check_gamma(g, name: str) -> np.ndarray:
+    return _checked(g, 0.0, np.finfo(float).max, f"{name} must be finite and >= 0")
+
+
+def _check_kappa(kap) -> np.ndarray:
+    """The one kappa check of both laws: [-1, 1] within TOL, clipped onto it."""
+    return np.clip(_checked(kap, -1 - TOL, 1 + TOL, "kappa must lie in [-1, 1]"), -1.0, 1.0)
+
+
+def _scaled_rate(gamma_a, gamma_b, kap):
     """e^{-(gA+gB)} (cosh gA cosh gB + kappa sinh gA sinh gB), from terms that cannot overflow.
 
     Expanding cosh and sinh gives
@@ -48,42 +64,36 @@ def _scaled_rate(gamma_a: float, gamma_b: float, kap: float) -> float:
     )
 
 
-def predicted_concurrence(c0: float, gamma_a: float, gamma_b: float, kap: float) -> float:
+def predicted_concurrence(c0, gamma_a, gamma_b, kap) -> np.ndarray:
     """Concurrence after two-sided PDL on a Bell-diagonal state of concurrence c0."""
-    if not 0 <= c0 <= 1 + TOL:
-        raise ValueError(f"c0 must lie in [0, 1], got {c0}")
-    if abs(kap) > 1 + TOL:
-        raise ValueError(f"kappa must lie in [-1, 1], got {kap}")
+    c0 = _checked(c0, 0.0, 1 + TOL, "c0 must lie in [0, 1]")
+    kap = _check_kappa(kap)
     gamma_a = _check_gamma(gamma_a, "gamma_a")
     gamma_b = _check_gamma(gamma_b, "gamma_b")
-    kap = np.clip(kap, -1.0, 1.0)
-    rate = _scaled_rate(gamma_a, gamma_b, kap)
-    if rate < _TINY:
-        # 1 + kappa is 0 or >= 2^-53 for a double, so only kappa = -1 gets
-        # here; the denominator is then cosh(gA - gB)
-        d = abs(gamma_a - gamma_b)
-        return float(2 * c0 * np.exp(-d) / (1 + np.exp(-2 * d)))
-    # C' = c0 e^{-(gA+gB)} / rate, with e^{-(gA+gB)} split in two so that
-    # neither factor leaves the normal range while the result is in it; the
-    # denominator is >= 1, so rounding past c0 is cut back to it
-    half = np.exp(-(gamma_a + gamma_b) / 2)
-    return float(min(c0 * half / rate * half, c0))
+    # magnitudes near the float limit sum to inf, whose exponential is the
+    # exact limit 0, so overflow there is no error
+    with np.errstate(over="ignore"):
+        rate = _scaled_rate(gamma_a, gamma_b, kap)
+        # 1 + kappa is 0 or >= 2^-53 for a double, so only kappa = -1
+        # underflows the rate; the denominator is then cosh(gA - gB)
+        d = np.abs(gamma_a - gamma_b)
+        at_minus1 = 2 * c0 * np.exp(-d) / (1 + np.exp(-2 * d))
+        # C' = c0 e^{-(gA+gB)} / rate, with e^{-(gA+gB)} split in two so
+        # that neither factor leaves the normal range while the result is in
+        # it; the denominator is >= 1, so rounding past c0 is cut back to it
+        half = np.exp(-(gamma_a + gamma_b) / 2)
+    underflow = rate < _TINY
+    general = np.minimum(c0 * half / np.where(underflow, 1.0, rate) * half, c0)
+    return np.where(underflow, at_minus1, general)[()]
 
 
-def predicted_rate(gamma_a: float, gamma_b: float, kap: float) -> float:
+def predicted_rate(gamma_a, gamma_b, kap) -> np.ndarray:
     """Post-selection rate after two-sided PDL on a Bell-diagonal state."""
     gamma_a = _check_gamma(gamma_a, "gamma_a")
     gamma_b = _check_gamma(gamma_b, "gamma_b")
-    return float(_scaled_rate(gamma_a, gamma_b, np.clip(kap, -1.0, 1.0)))
-
-
-def average_entanglement(c0: float, gamma_a: float, gamma_b: float) -> float:
-    """Conserved rate-concurrence product e^{-(gA+gB)} c0.
-
-    Orientation drops out entirely: only the summed magnitude matters, so any
-    split of a fixed total loss between the arms yields the same value.
-    """
-    return float(np.exp(-(_check_gamma(gamma_a, "gamma_a") + _check_gamma(gamma_b, "gamma_b"))) * c0)
+    kap = _check_kappa(kap)
+    with np.errstate(over="ignore"):  # as in predicted_concurrence
+        return _scaled_rate(gamma_a, gamma_b, kap)[()]
 
 
 def equivalence_map(element: PdlElement, t) -> PdlElement:
@@ -94,7 +104,7 @@ def equivalence_map(element: PdlElement, t) -> PdlElement:
     For the singlet this inverts all three axes.
     """
     t = np.asarray(t, dtype=float)
-    if np.abs(np.abs(t) - 1.0).max() > TOL:
+    if not (np.abs(np.abs(t) - 1.0) <= TOL).all():  # fails for NaN
         raise ValueError(f"equivalence mapping requires a Bell correlation triple, got {t}")
     return PdlElement(element.gamma, np.sign(t) * element.axis)
 
@@ -158,8 +168,8 @@ class RateBounds:
 
 def rate_bounds(gamma_a: float, gamma_b: float) -> RateBounds:
     """Orientation envelope of normalized concurrence and rate for Bell inputs."""
-    g_a = _check_gamma(gamma_a, "gamma_a")
-    g_b = _check_gamma(gamma_b, "gamma_b")
+    g_a = float(_check_gamma(gamma_a, "gamma_a"))
+    g_b = float(_check_gamma(gamma_b, "gamma_b"))
     return RateBounds(
         # 1/cosh(x) as 2e^{-x}/(1 + e^{-2x}), which cannot overflow
         c_min=float(2 * np.exp(-(g_a + g_b)) / (1 + np.exp(-2 * (g_a + g_b)))),
@@ -167,18 +177,3 @@ def rate_bounds(gamma_a: float, gamma_b: float) -> RateBounds:
         rate_at_kappa_minus1=float((np.exp(-2 * g_a) + np.exp(-2 * g_b)) / 2),
         rate_at_kappa_plus1=float((1.0 + np.exp(-2 * (g_a + g_b))) / 2),
     )
-
-
-def estimate_gamma_from_concurrence(c0: float, c_meas: float) -> float:
-    """Infer a single-arm PDL magnitude from a measured concurrence drop.
-
-    Inverts C = c0 / cosh(gamma). c_meas may exceed c0 by at most 1e-9
-    (measurement jitter at zero PDL); anything larger is a domain error.
-    """
-    if not 0 < c0 <= 1 + TOL:
-        raise ValueError(f"c0 must lie in (0, 1], got {c0}")
-    if c_meas <= 0:
-        raise ValueError(f"c_meas must be > 0, got {c_meas}")
-    if c_meas > c0 + TOL:
-        raise ValueError(f"measured concurrence {c_meas} exceeds the baseline {c0}")
-    return float(np.arccosh(max(c0 / c_meas, 1.0)))

@@ -90,6 +90,11 @@ def _random_element(rng):
     return PdlElement(float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng))
 
 
+def _columns(elements):
+    """Magnitudes (N,) and axes (N, 3) of PDL elements."""
+    return np.array([e.gamma for e in elements]), np.array([e.axis for e in elements]).reshape(-1, 3)
+
+
 def _worst(*errors) -> float:
     """Largest entry over error arrays, 0 when all are empty."""
     return max(float(np.max(e, initial=0.0)) for e in errors)
@@ -109,13 +114,11 @@ def oracle_equivalence(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
         eas.append(_random_element(rng))
         ebs.append(_random_element(rng))
     rhos = np.array(rhos).reshape(-1, 4, 4)
-    closed = [
-        theory.predicted_concurrence(
-            c0, ea.gamma, eb.gamma, theory.kappa(correlation_of(rho), ea.axis, eb.axis))
-        for rho, c0, ea, eb in zip(rhos, concurrences(rhos), eas, ebs)
-    ]
+    (g_a, axes_a), (g_b, axes_b) = _columns(eas), _columns(ebs)
+    kap = theory.kappa(correlation_of(rhos), axes_a, axes_b)
+    closed = theory.predicted_concurrence(concurrences(rhos), g_a, g_b, kap)
     batch = propagate(rhos, pdl_filters(eas), pdl_filters(ebs)).require_live()
-    worst = _worst(np.abs(np.array(closed) - batch.concurrence))
+    worst = _worst(np.abs(closed - batch.concurrence))
     return _result("oracle-equivalence", worst, 1e-9, cases, t0)
 
 
@@ -183,19 +186,16 @@ def concatenation_law(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pairs = [(_random_element(rng), _random_element(rng)) for _ in range(cases)]
-    aggs = concat_pdls([e1 for e1, _ in pairs], [e2 for _, e2 in pairs])
-    worst = 0.0
-    for (e1, e2), agg in zip(pairs, aggs):
-        want = (
-            np.cosh(e1.gamma) * np.cosh(e2.gamma)
-            + float(e1.axis @ e2.axis) * np.sinh(e1.gamma) * np.sinh(e2.gamma)
-        )
-        worst = max(worst, abs(np.cosh(agg.gamma) - want))
-        if e1.gamma > 1e-3 and e2.gamma > 1e-3:
-            ang = angle_from_aggregate(e1.gamma, e2.gamma, agg.gamma)
-            worst = max(
-                worst, abs(np.cos(ang) - np.clip(float(e1.axis @ e2.axis), -1, 1))
-            )
+    firsts, seconds = [e1 for e1, _ in pairs], [e2 for _, e2 in pairs]
+    (g1, a1), (g2, a2) = _columns(firsts), _columns(seconds)
+    # row-wise a1 . a2 by matmul, bit-equal to a 1-D dot of each pair
+    dots = (a1[:, None, :] @ a2[:, :, None])[:, 0, 0]
+    agg_g, _ = _columns(concat_pdls(firsts, seconds))
+    want = np.cosh(g1) * np.cosh(g2) + dots * np.sinh(g1) * np.sinh(g2)
+    defined = (g1 > 1e-3) & (g2 > 1e-3)
+    ang = angle_from_aggregate(g1[defined], g2[defined], agg_g[defined])
+    worst = _worst(np.abs(np.cosh(agg_g) - want),
+                   np.abs(np.cos(ang) - np.clip(dots[defined], -1, 1)))
     return _result("concatenation-law", worst, 1e-9, cases, t0)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from pdlsim.channels import (
     axis_from_polar,
     concat_pdl,
     db_from_gamma,
-    dephasing_from_dgd,
     gamma_from_db,
     pdl_operator,
     pmd_dephase,
@@ -157,16 +158,6 @@ def test_pmd_dephase_arm_symmetry():
     assert np.allclose(pmd_dephase(rho, el), 0.8 * rho + 0.2 * (u_b @ rho @ u_b), atol=1e-12)
 
 
-def test_dephasing_from_dgd():
-    assert dephasing_from_dgd(0.0, 1e11) == 0.0
-    assert abs(dephasing_from_dgd(1e6, 1e12) - 0.5) < 1e-12
-    qs = [dephasing_from_dgd(tau, 2e11) for tau in (1.0, 3.0, 6.6, 10.0)]
-    assert all(b > a for a, b in zip(qs, qs[1:]))
-    assert all(0 <= q <= 0.5 for q in qs)
-    with pytest.raises(ValueError):
-        dephasing_from_dgd(-1.0, 1e11)
-
-
 def test_concat_aligned_and_antialigned():
     g1, g2 = 0.3, 0.5
     z = np.array([0, 0, 1.0])
@@ -243,3 +234,54 @@ def test_angle_from_aggregate_errors():
         angle_from_aggregate(0.3, 0.4, 0.8)  # beyond g1 + g2
     with pytest.raises(ValueError):
         angle_from_aggregate(0.3, 0.4, 0.05)  # below |g1 - g2|
+
+
+def test_unit_axis_stack_rows_are_their_own_calls():
+    rng = np.random.default_rng(79)
+    v = rng.normal(size=(500, 3))
+    axes = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    got = unit_axis(axes)
+    assert got.shape == (500, 3) and not got.flags.writeable
+    assert all((unit_axis(a) == g).all() for a, g in zip(axes, got))
+    assert (unit_axis(axes.reshape(5, 100, 3)) == got.reshape(5, 100, 3)).all()
+    with pytest.raises(ValueError) as one:
+        unit_axis([0, 0, 2.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+        unit_axis([axes[0], [0, 0, 2.0], axes[1]])
+    with pytest.raises(ValueError, match="3 components"):
+        unit_axis(np.zeros((4, 2)))
+
+
+def test_non_finite_axes_and_magnitudes_raise():
+    for axis in ([np.nan, 0, 0], [np.inf, 0, 0], [[0, 0, 1.0], [0, np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="not unit length"):
+            unit_axis(axis)
+    with pytest.raises(ValueError, match="not unit length"):
+        PdlElement(1.0, [np.nan, 0, 0])
+    with pytest.raises(ValueError):
+        gamma_from_db(np.nan)
+    with pytest.raises(ValueError):
+        db_from_gamma(np.nan)
+
+
+def test_angle_from_aggregate_stack_rows_are_their_own_calls():
+    rng = np.random.default_rng(83)
+    g1 = rng.uniform(0.05, 0.8, 200)
+    g2 = rng.uniform(0.05, 0.8, 200)
+    aggs = [concat_pdl(PdlElement(a), PdlElement(b, axis_from_polar(th))).gamma
+            for a, b, th in zip(g1, g2, rng.uniform(0, np.pi, 200))]
+    got = angle_from_aggregate(g1, g2, aggs)
+    assert got.shape == (200,)
+    for i in range(200):
+        one = angle_from_aggregate(g1[i], g2[i], aggs[i])
+        assert np.ndim(one) == 0 and one == got[i]
+    for stacked, scalar in (
+        (([0.3, 0.0], 0.5, 0.5), (0.0, 0.5, 0.5)),
+        (([0.3, 0.3, 0.3], 0.4, [0.5, 0.8, 0.05]), (0.3, 0.4, 0.8)),  # the first bad one
+        ((0.3, [[0.4], [0.4]], [[0.5], [0.05]]), (0.3, 0.4, 0.05)),
+        (([0.3, np.nan], 0.4, 0.5), (np.nan, 0.4, 0.5)),
+    ):
+        with pytest.raises(ValueError) as one:
+            angle_from_aggregate(*scalar)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+            angle_from_aggregate(*stacked)

@@ -94,6 +94,37 @@ def test_empty_counts_and_lists_are_usage_errors(tmp_path, argv, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("compensate", "--pdl-db", "-1"), "--pdl-db"),
+    (("sweep-pdl", "--pdl-db=-1"), "--pdl-db"),
+    (("sweep-pdl", "--pdl-db", "1.25,-0.5"), "--pdl-db"),
+    (("tradeoff", "--pdl-db", "-1"), "--pdl-db"),
+    (("entropy-feedback", "--pdl-db", "nan"), "--pdl-db"),
+    (("compensate", "--pmd-q", "0.7"), "--pmd-q"),
+    (("tradeoff", "--pmd-q", "-0.1"), "--pmd-q"),
+    (("entropy-feedback", "--pmd-q", "0.51"), "--pmd-q"),
+    (("compensate", "--theta-list", "0,inf"), "--theta-list"),
+    (("b2b", "--seed", "-1"), "--seed"),
+    (("verify", "--seed", str(2**64)), "--seed"),
+])
+def test_range_errors_are_usage_errors(tmp_path, argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_range_errors_quote_the_line(tmp_path):
+    p = tmp_path / "range.cfg"
+    for text, msg in (("run.seed = 3\ntomo.pulses = 0\n", "tomo.pulses must be >= 1, got 0"),
+                      ("\n\nrun.seed = -1\n", "run.seed must fit in 64 bits, got -1")):
+        p.write_text(text)
+        lineno = text.count("\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{lineno}: {re.escape(msg)}$"):
+            load_config(p)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(pulses=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,18 @@ def test_pauli_algebra():
     for j, s in enumerate(PAULI):
         assert np.allclose(s @ s, SIGMA0, atol=1e-14)
         assert abs(np.trace(s)) < 1e-14
+
+
+def test_correlation_of_stack_rows_are_their_own_calls():
+    rng = np.random.default_rng(89)
+    rhos = np.array([random_density(rng) for _ in range(60)]).reshape(3, 20, 4, 4)
+    got = correlation_of(rhos)
+    assert got.shape == (3, 20, 3)
+    for idx in np.ndindex(3, 20):
+        assert (correlation_of(rhos[idx]) == got[idx]).all()
+    skew = np.eye(4) / 4 + 0.125j * np.kron(PAULI[1], PAULI[1])
+    with pytest.raises(ValueError) as one:
+        correlation_of(skew)
+    assert str(one.value) == "correlation t2 has imaginary part 0.5"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+        correlation_of(np.array([rhos[0, 0], skew, rhos[0, 1]]))

@@ -1,5 +1,6 @@
 """Closed-form law checks, each against an independent brute-force route."""
 
+import re
 import warnings
 
 import numpy as np
@@ -19,10 +20,8 @@ from pdlsim.qmath import (
     concurrence,
 )
 from pdlsim.theory import (
-    average_entanglement,
     design_compensator,
     equivalence_map,
-    estimate_gamma_from_concurrence,
     kappa,
     predicted_concurrence,
     predicted_rate,
@@ -156,8 +155,7 @@ def test_average_entanglement_conservation():
             PdlElement(split, random_axis(rng)),
             PdlElement(total - split, random_axis(rng)),
         )
-        assert abs(c_bf * rate_bf - average_entanglement(c0, split, total - split)) < 1e-9
-    assert abs(average_entanglement(1.0, 0.3, 0.4) - np.exp(-0.7)) < 1e-15
+        assert abs(c_bf * rate_bf - np.exp(-total) * c0) < 1e-9
 
 
 def test_equivalence_map_axes():
@@ -270,15 +268,89 @@ def test_rate_bounds_bracket_brute_force():
         assert rb.rate_at_kappa_minus1 - 1e-9 <= out.rate <= rb.rate_at_kappa_plus1 + 1e-9
 
 
-def test_estimate_gamma_roundtrip():
-    for db in (0.5, 2.0, 5.1):
-        g = gamma_from_db(db)
-        assert abs(estimate_gamma_from_concurrence(0.925, 0.925 / np.cosh(g)) - g) < 1e-12
-    # jitter above baseline within slack clamps to zero
-    assert estimate_gamma_from_concurrence(0.925, 0.925 + 1e-10) == 0.0
-    with pytest.raises(ValueError):
-        estimate_gamma_from_concurrence(0.925, 0.95)
-    with pytest.raises(ValueError):
-        estimate_gamma_from_concurrence(0.925, 0.0)
-    with pytest.raises(ValueError):
-        estimate_gamma_from_concurrence(0.0, 0.5)
+def test_stacked_closed_forms_are_their_scalar_calls_row_by_row():
+    # c0, magnitudes up to 700 Np and kappas over [-1, 1], with the endpoints
+    # mixed in and a block of kappa = -1 rows beyond 354 Np per arm, where
+    # the rate underflows
+    rng = np.random.default_rng(73)
+    c0, g_a, g_b = rng.uniform(0, 1, 400), rng.uniform(0, 700, 400), rng.uniform(0, 700, 400)
+    kap = rng.uniform(-1, 1, 400)
+    kap[::7], kap[1::7] = -1.0, 1.0
+    g_a[:8], g_b[:8] = 0.0, [0.0, 1e-8, 5.0, 355.0, 400.0, 399.0, 30.0, 700.0]
+    g_a[8:40], g_b[8:40] = rng.uniform(360, 700, (2, 32))
+    kap[8:40] = -1.0
+    conc = predicted_concurrence(c0, g_a, g_b, kap)
+    rate = predicted_rate(g_a, g_b, kap)
+    assert conc.shape == rate.shape == (len(c0),)
+    assert (rate < np.finfo(float).tiny).sum() > 10  # the kappa = -1 underflow branch is hit
+    for i in range(len(c0)):
+        one_c = predicted_concurrence(c0[i], g_a[i], g_b[i], kap[i])
+        one_r = predicted_rate(g_a[i], g_b[i], kap[i])
+        assert np.ndim(one_c) == np.ndim(one_r) == 0
+        assert one_c == conc[i] and one_r == rate[i]
+    # leading axes broadcast: a (2, n) grid of c0 against one row of laws
+    grid = predicted_concurrence(np.stack([c0, c0[::-1]]), g_a, g_b, kap)
+    assert grid.shape == (2, len(c0)) and (grid[0] == conc).all()
+
+    t = np.array([random_bd(rng)[0] for _ in range(50)])
+    axes_a = np.array([random_axis(rng) for _ in range(50)])
+    axes_b = np.array([random_axis(rng) for _ in range(50)])
+    kaps = kappa(t, axes_a, axes_b)
+    assert kaps.shape == (50,)
+    for i in range(50):
+        one = kappa(t[i], axes_a[i], axes_b[i])
+        assert np.ndim(one) == 0 and one == kaps[i]
+    # one triple against a stack of axes
+    assert (kappa(t[0], axes_a[0], axes_b) == [kappa(t[0], axes_a[0], b) for b in axes_b]).all()
+
+
+def test_a_bad_element_anywhere_in_a_stack_raises_the_scalar_message():
+    z = np.array([0.0, 0.0, 1.0])
+    cases = [
+        (kappa, ([(0.5, 0, 0), (1.5, 0, 0)], z, z), ((1.5, 0, 0), z, z)),
+        (kappa, ((0.5, 0, 0), z, [z, [0, 0, 2.0]]), ((0.5, 0, 0), z, [0, 0, 2.0])),
+        (predicted_concurrence, ([0.5, 1.2], 0.1, 0.1, 0.0), (1.2, 0.1, 0.1, 0.0)),
+        (predicted_concurrence, (0.5, [0.1, -0.1], 0.1, 0.0), (0.5, -0.1, 0.1, 0.0)),
+        (predicted_concurrence, (0.5, 0.1, [[0.1], [np.inf]], 0.0), (0.5, 0.1, np.inf, 0.0)),
+        (predicted_concurrence, (0.5, 0.1, 0.1, [0.0, 1.5]), (0.5, 0.1, 0.1, 1.5)),
+        (predicted_rate, ([0.1, -3.0, -4.0], 0.1, 0.0), (-3.0, 0.1, 0.0)),  # the first bad one
+        (predicted_rate, (0.1, 0.1, [0.0, -2.0]), (0.1, 0.1, -2.0)),
+    ]
+    for fn, stacked, scalar in cases:
+        with pytest.raises(ValueError) as one:
+            fn(*scalar)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+            fn(*stacked)
+
+
+def test_non_finite_and_out_of_range_inputs_raise():
+    z = np.array([0.0, 0.0, 1.0])
+    nan = float("nan")
+    with pytest.raises(ValueError, match="correlation components"):
+        kappa((nan, 0, 0), z, z)
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        predicted_concurrence(1, 1, 1, nan)
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        predicted_rate(1, 1, 5.0)  # as predicted_concurrence rejects it
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        predicted_rate(1, 1, nan)
+    with pytest.raises(ValueError, match="c0 must lie in"):
+        predicted_concurrence(nan, 1, 1, 0.0)
+    for bad in (nan, np.inf, -1e-300):
+        with pytest.raises(ValueError, match="gamma_a must be finite"):
+            predicted_rate(bad, 1, 0.0)
+        with pytest.raises(ValueError, match="gamma_b must be finite"):
+            predicted_concurrence(0.5, 1, bad, 0.0)
+    with pytest.raises(ValueError, match="Bell correlation triple"):
+        equivalence_map(PdlElement(0.3), (nan, 1.0, 1.0))
+    # the kappa slack still admits rounding just past +-1, clipped onto it
+    assert predicted_rate(0.3, 0.4, 1 + 1e-12) == predicted_rate(0.3, 0.4, 1.0)
+
+
+def test_magnitudes_near_the_float_limit_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predicted_rate(1e308, 1e308, 0.5) == 0.375
+        assert predicted_concurrence(1.0, 1e308, 1e308, 0.5) == 0.0
+        assert predicted_concurrence(1.0, 1e308, 1e308, -1.0) == 1.0
+        assert rate_bounds(1e308, 1e308).c_min == 0.0
