@@ -5,19 +5,21 @@ space as P = e^{-gamma/2} (cosh(gamma/2) I + sinh(gamma/2) n.sigma), a positive
 filter with singular values {1, e^{-gamma}} and det e^{-gamma}. First-order PMD
 at the pair bandwidth acts as a phase flip channel of weight q about its axis.
 
+`PdlElement` holds one element or a stack (magnitudes (...), unit axes
+(..., 3)); `pdl_operator` gives the filters (..., 2, 2) of either, and
+`concat_pdl` aggregates cascaded pairs row by row, broadcasting as numpy does.
+
 `ChannelBatch` is the one states-plus-rates type: normalized states with one
 post-selection rate each, from which it derives an extinction mask, Wootters
 concurrences and qubit-A linear entropies. Exact rows (from `propagate`) and
 measured rows (from `instrument.measure`) are read through it alike.
 `propagate` is the one state-through-channel kernel: it sends a base state
 through stacks of local filters, one row per candidate channel, and
-renormalizes each row. `pdl_filters` builds those stacks from elements.
-`apply_local` and `pdl_operator` are their one-row case, `apply_local`
-giving a one-state batch; the search, the CLI sweeps and the verify suites
-pass whole stacks. `concat_pdls` aggregates stacks of cascaded element pairs
-the same way, `concat_pdl` being its one-row case.
+renormalizes each row. `apply_local` is its one-row case, giving a one-state
+batch; the search, the CLI sweeps and the verify suites pass whole stacks.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,9 +43,24 @@ DB_PER_NEPER = 20.0 * np.log10(np.e)  # 8.685889638... dB of PDL per neper
 CANONICAL_AXIS = np.array([0.0, 0.0, 1.0])
 CANONICAL_AXIS.setflags(write=False)
 
+_PAULI_STACK = np.array(PAULI)  # (3, 2, 2)
+
 
 class ExtinctionError(ValueError):
     """Raised when a channel extinguishes the state (post-selection rate ~ 0)."""
+
+
+def _checked(x, lo: float, hi: float, error: str) -> np.ndarray:
+    """A float copy of x, else ValueError `error` quoting its first element outside [lo, hi]."""
+    x = np.array(x, dtype=float)  # NaN lies outside every range
+    ok = (lo <= x) & (x <= hi)
+    if not ok.all():
+        raise ValueError(f"{error}, got {x[~ok][0]}")
+    return x
+
+
+def _check_gamma(g, name: str) -> np.ndarray:
+    return _checked(g, 0.0, np.finfo(float).max, f"{name} must be finite and >= 0")
 
 
 def gamma_from_db(db: float) -> float:
@@ -53,10 +70,9 @@ def gamma_from_db(db: float) -> float:
     return db / DB_PER_NEPER
 
 
-def db_from_gamma(gamma: float) -> float:
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return gamma * DB_PER_NEPER
+def db_from_gamma(gamma):
+    """PDL in dB of magnitudes in nepers, element by element."""
+    return (_checked(gamma, 0.0, np.inf, "gamma must be >= 0") * DB_PER_NEPER)[()]
 
 
 def unit_axis(axis) -> np.ndarray:
@@ -77,27 +93,50 @@ def unit_axis(axis) -> np.ndarray:
     return a
 
 
-def axis_from_polar(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Unit Stokes axis at polar angle theta from s3, azimuth phi from s1."""
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+def axis_from_polar(theta, phi=0.0) -> np.ndarray:
+    """Unit Stokes axes (..., 3) at polar angles theta from s3, azimuths phi from s1."""
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
     )
 
 
 @dataclass(frozen=True, eq=False)
 class PdlElement:
-    """One PDL element: magnitude gamma (nepers) along a unit Stokes axis."""
+    """PDL elements: magnitudes gamma (nepers) along unit Stokes axes.
 
-    gamma: float
+    gamma (...) and axis (..., 3) broadcast against each other; a scalar
+    gamma with one (3,) axis is one element. Every magnitude must be finite
+    and >= 0 and every axis unit within TOL; a bad element raises quoting the
+    first one. Axes are stored renormalized, and `element[i]` gives row i of
+    a stack as stored, without checking or renormalizing it again.
+    """
+
+    gamma: float | np.ndarray
     axis: np.ndarray = field(default_factory=lambda: CANONICAL_AXIS.copy())
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        object.__setattr__(self, "axis", unit_axis(self.axis))
+        gamma = self.gamma
+        stacked = isinstance(gamma, (list, tuple)) or getattr(gamma, "ndim", 0) > 0
+        if stacked:
+            gamma = _check_gamma(gamma, "gamma")
+        elif not math.isfinite(gamma) or gamma < 0:  # one element: no array round trip
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+        axis = unit_axis(self.axis)
+        if stacked or axis.ndim > 1:
+            shape = np.broadcast_shapes(np.shape(gamma), axis.shape[:-1])
+            object.__setattr__(self, "gamma", np.broadcast_to(np.asarray(gamma, dtype=float), shape))
+            axis = np.broadcast_to(axis, shape + (3,))
+        object.__setattr__(self, "axis", axis)
+
+    def __getitem__(self, index) -> "PdlElement":
+        """Row or sub-stack `index` as stored: neither checked nor renormalized again."""
+        row = object.__new__(PdlElement)
+        object.__setattr__(row, "gamma", self.gamma[index])
+        object.__setattr__(row, "axis", self.axis[index])
+        return row
 
     @property
-    def gamma_db(self) -> float:
+    def gamma_db(self) -> float | np.ndarray:
         return db_from_gamma(self.gamma)
 
 
@@ -150,18 +189,14 @@ class ChannelBatch:
         return self
 
 
-def pdl_filters(elements) -> np.ndarray:
-    """Jones filters (N, 2, 2) of a sequence of PDL elements, in order."""
-    half = np.array([e.gamma for e in elements], dtype=float).reshape(-1, 1, 1) / 2
-    a = np.array([e.axis for e in elements], dtype=float).reshape(-1, 3, 1, 1)
-    # summed left to right from 0, which fixes the sign of zero entries
-    n_sigma = 0 + a[:, 0] * PAULI[0] + a[:, 1] * PAULI[1] + a[:, 2] * PAULI[2]
-    return np.exp(-half) * (np.cosh(half) * SIGMA0 + np.sinh(half) * n_sigma)
-
-
 def pdl_operator(element: PdlElement) -> np.ndarray:
-    """Jones-space filter of a PDL element; Hermitian PSD, singular values {1, e^-gamma}."""
-    return pdl_filters([element])[0]
+    """Jones filters (..., 2, 2) of PDL elements: Hermitian PSD, singular values {1, e^-gamma}."""
+    half = np.asarray(element.gamma, dtype=float)[..., None, None] / 2
+    a = element.axis[..., None, None]  # (..., 3, 1, 1)
+    # summed left to right from 0, which fixes the sign of zero entries
+    n_sigma = (0 + a[..., 0, :, :] * PAULI[0] + a[..., 1, :, :] * PAULI[1]
+               + a[..., 2, :, :] * PAULI[2])
+    return np.exp(-half) * (np.cosh(half) * SIGMA0 + np.sinh(half) * n_sigma)
 
 
 def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch:
@@ -210,37 +245,25 @@ def pmd_dephase(rho: np.ndarray, element: PmdElement) -> np.ndarray:
     return check_state((1 - element.q) * rho + element.q * (u @ rho @ u))
 
 
-def _stokes(v: np.ndarray) -> np.ndarray:
-    return np.array([(v.conj() @ s @ v).real for s in PAULI])
-
-
-def concat_pdls(firsts, seconds) -> list[PdlElement]:
-    """Aggregate PDL elements of cascades, row i being `firsts[i]` then `seconds[i]`.
+def concat_pdl(first: PdlElement, second: PdlElement) -> PdlElement:
+    """Aggregate PDL elements equivalent to `first` followed by `second`, row by row.
 
     The product M = P2 P1 factors as (unitary) x (PDL of magnitude
     gamma_tot = ln(s_max/s_min)); the aggregate axis is the input-referred
     direction of maximum transmission, the Stokes image of the right singular
     vector for the larger singular value. Magnitudes satisfy
-    cosh(gamma_tot) = cosh g1 cosh g2 + (a1.a2) sinh g1 sinh g2. The products
-    and their singular value decompositions are computed as one stack.
+    cosh(gamma_tot) = cosh g1 cosh g2 + (a1.a2) sinh g1 sinh g2. Stacks
+    broadcast, a single element against a stack included; the products and
+    their singular value decompositions are computed as one stack.
     """
-    _, sv, vh = np.linalg.svd(pdl_filters(seconds) @ pdl_filters(firsts))
-    out = []
-    for s, v in zip(sv, vh):
-        gamma_tot = float(np.log(s[0] / s[1]))
-        if gamma_tot < 1e-12:
-            out.append(PdlElement(0.0))
-        else:
-            out.append(PdlElement(gamma_tot, _stokes(v[0].conj())))
-    return out
-
-
-def concat_pdl(first: PdlElement, second: PdlElement) -> PdlElement:
-    """Aggregate PDL element equivalent to `first` followed by `second`.
-
-    The one-row case of `concat_pdls`.
-    """
-    return concat_pdls([first], [second])[0]
+    _, sv, vh = np.linalg.svd(pdl_operator(second) @ pdl_operator(first))
+    gamma_tot = np.log(sv[..., 0] / sv[..., 1])
+    v = vh[..., 0, :].conj()
+    # v^dag sigma_j v by stacked matmul, bit-equal to the 1-D products; einsum is not
+    stokes = (v.conj()[..., None, None, :] @ _PAULI_STACK @ v[..., None, :, None])[..., 0, 0].real
+    lossless = gamma_tot < 1e-12
+    return PdlElement(np.where(lossless, 0.0, gamma_tot)[()],
+                      np.where(lossless[..., None], CANONICAL_AXIS, stokes))
 
 
 def angle_from_aggregate(g1, g2, gamma_tot) -> np.ndarray:

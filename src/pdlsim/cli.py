@@ -25,9 +25,8 @@ from .channels import (
     PdlElement,
     PmdElement,
     axis_from_polar,
-    concat_pdls,
+    concat_pdl,
     gamma_from_db,
-    pdl_filters,
     pdl_operator,
     pmd_dephase,
     propagate,
@@ -216,22 +215,17 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     base = bell_diagonal([cfg.c_b2b, -cfg.c_b2b, 1.0])
     t = correlation_of(base)
     axes = fibonacci_sphere(orientations_n)
-    emulators = [(db, ax, PdlElement(gamma_from_db(db), ax)) for db in pdl_db_list for ax in axes]
-    ems = [em for _, _, em in emulators]
-    kappas = kappa(t, src_el.axis, [em.axis for em in ems])
-    m_a = pdl_filters(ems) @ pdl_operator(src_el)
-    batch = propagate(base, m_a, SIGMA0[None])
-    aggs = concat_pdls([src_el] * len(ems), ems)
-    seen = _observer(cfg, "sweep")(batch, range(len(ems)))
-    cs = seen.concurrence
-    rows = []
-    for i, ((db, ax, _), agg) in enumerate(zip(emulators, aggs)):
-        if not cfg.noisy and abs(cs[i] * np.cosh(agg.gamma) - cfg.c_b2b) > 1e-6:
-            raise RuntimeError("sweep row violates the magnitude-only concurrence law")
-        rows.append([
-            db, ax[0], ax[1], ax[2], agg.gamma_db,
-            kappas[i], cs[i], purity(seen.rho[i]), seen.rate[i],
-        ])
+    raw = np.tile(axes, (len(pdl_db_list), 1))
+    ems = PdlElement(np.repeat([gamma_from_db(db) for db in pdl_db_list], len(axes)), raw)
+    kappas = kappa(t, src_el.axis, ems.axis)
+    batch = propagate(base, pdl_operator(ems) @ pdl_operator(src_el), SIGMA0[None])
+    aggs = concat_pdl(src_el, ems)
+    seen = _observer(cfg, "sweep")(batch, range(len(raw)))
+    if not cfg.noisy and (np.abs(seen.concurrence * np.cosh(aggs.gamma) - cfg.c_b2b) > 1e-6).any():
+        raise RuntimeError("sweep row violates the magnitude-only concurrence law")
+    rows = [[db, *ax, agg_db, kap, c, purity(rho), rate] for db, ax, agg_db, kap, c, rho, rate
+            in zip(np.repeat(pdl_db_list, len(axes)), raw, aggs.gamma_db, kappas,
+                   seen.concurrence, seen.rho, seen.rate)]
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
     return [_write_csv(out_dir / "sweep_pdl.csv", header, rows)]
@@ -249,31 +243,32 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     base, chain_c = _chain_state(pmd_q)
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     t = correlation_of(base)
-    ems = [PdlElement(gamma_from_db(pdl_db), axis_from_polar(th)) for th in thetas]
-    aggs = concat_pdls([src_el] * len(ems), ems)
-    plans = [design_compensator(agg, t) for agg in aggs]
-    m_a = pdl_filters(ems) @ pdl_operator(src_el)
+    ems = PdlElement(gamma_from_db(pdl_db), axis_from_polar(np.asarray(thetas, dtype=float)))
+    aggs = concat_pdl(src_el, ems)
+    # designed one row at a time: design_compensator takes one element
+    plans = [design_compensator(aggs[i], t) for i in range(len(thetas))]
+    m_a = pdl_operator(ems) @ pdl_operator(src_el)
     uncompensated = propagate(base, m_a, SIGMA0[None])
-    compensated = propagate(base, m_a, pdl_filters([plan.element for plan in plans]))
+    compensated = propagate(base, m_a, np.array([pdl_operator(plan.element) for plan in plans]))
     observe = _observer(cfg, "compensate")
     # sub-seeds interleave: row i reads 2i uncompensated and 2i + 1 compensated
-    cs_u = observe(uncompensated, range(0, 2 * len(ems), 2)).concurrence
-    cs_c = observe(compensated, range(1, 2 * len(ems), 2)).concurrence
+    cs_u = observe(uncompensated, range(0, 2 * len(thetas), 2)).concurrence
+    cs_c = observe(compensated, range(1, 2 * len(thetas), 2)).concurrence
     rows = []
-    for i, (th, em, agg, plan) in enumerate(zip(thetas, ems, aggs, plans)):
+    for i, (th, plan) in enumerate(zip(thetas, plans)):
         c_u, c_c = cs_u[i], cs_c[i]
         rate_u, rate_c = uncompensated.rate[i], compensated.rate[i]
         if not cfg.noisy:
-            if abs(c_u * np.cosh(agg.gamma) - chain_c) > 1e-6:
+            if abs(c_u * np.cosh(aggs.gamma[i]) - chain_c) > 1e-6:
                 raise RuntimeError("uncompensated row violates the magnitude-only law")
             # physical magnitudes, not the aggregate: the concatenated product
             # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
-            total = src_el.gamma + em.gamma + plan.element.gamma
+            total = src_el.gamma + ems.gamma[i] + plan.element.gamma
             if abs(rate_c * c_c - np.exp(-total) * chain_c) > 1e-9:
                 raise RuntimeError("compensated row violates rate-concurrence conservation")
         ax_b = plan.element.axis
         rows.append([
-            th, agg.gamma_db, scale * c_u, scale * c_c,
+            th, aggs.gamma_db[i], scale * c_u, scale * c_c,
             plan.element.gamma_db, ax_b[0], ax_b[1], ax_b[2],
             rate_u, rate_c,
         ])
@@ -294,14 +289,12 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     g = gamma_from_db(pdl_db)
     el_a = PdlElement(g, CANONICAL_AXIS.copy())
     t_a = t * el_a.axis
-    axes = list(fibonacci_sphere(orientations_n))
     m = np.linalg.norm(t_a)
-    axes.append(-t_a / m)
-    axes.append(t_a / m)
+    axes = np.vstack([fibonacci_sphere(orientations_n), -t_a / m, t_a / m])
     kappas = kappa(t, el_a.axis, axes)
     order = np.argsort(kappas, kind="stable")
-    el_bs = [PdlElement(g, axes[ax_idx]) for ax_idx in order]
-    batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(el_bs))
+    el_bs = PdlElement(g, axes[order])
+    batch = propagate(base, pdl_operator(el_a)[None], pdl_operator(el_bs))
     seen = _observer(cfg, command_id)(batch, range(len(order)))
     return chain_c, g, kappas[order], seen
 

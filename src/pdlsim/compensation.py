@@ -3,16 +3,18 @@
 Mirrors the experimental protocol: place a candidate PDL element in arm B,
 measure (or compute) the resulting concurrence, and keep the best orientation
 and magnitude. The coarse stage scans a Fibonacci sphere lattice crossed with a
-magnitude grid in one `propagate` call; a coordinate-descent stage with
-interval halving then polishes the winner. Each refine trial starts from the
-best point so far, so a sweep sends its remaining trials through one
-`propagate` call, records them in order up to the first improvement, and
-rebuilds the rest from the new point: the trace is the one a trial-at-a-time
-loop gives. With the noisy flag set the kernel's batch is replaced by the one
-`instrument.measure` estimates from it, read the same way: each kernel call's
-live rows are measured in one call, row i on the sub-seed of the trace index
-it is recorded at, so a row dropped after an improvement costs one
-measurement and the trace is the one a candidate-by-candidate loop gives.
+magnitude grid, one stacked `PdlElement`, in one `propagate` call; a
+coordinate-descent stage with interval halving then polishes the winner. Each
+refine trial starts from the best point so far, so a sweep stacks its
+remaining trials into one element and one `propagate` call, records them
+(each record holding its row of the stack) in order up to the first
+improvement, and rebuilds the rest from the new point: the trace is the one a
+trial-at-a-time loop gives. With the noisy flag set the kernel's batch is
+replaced by the one `instrument.measure` estimates from it, read the same way:
+each kernel call's live rows are measured in one call, row i on the sub-seed
+of the trace index it is recorded at, so a row dropped after an improvement
+costs one measurement and the trace is the one a candidate-by-candidate loop
+gives.
 """
 
 from dataclasses import dataclass
@@ -23,13 +25,12 @@ from .channels import (
     PdlElement,
     PmdElement,
     axis_from_polar,
-    pdl_filters,
     pdl_operator,
     pmd_dephase,
     propagate,
 )
 from .instrument import DetectorModel, SourceModel, derive_seed, measure
-from .qmath import check_state, linear_entropy, reduced_qubit
+from .qmath import check_state
 
 REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
 
@@ -91,15 +92,6 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(th), r * np.sin(th), z])
 
 
-def entropy_feedback(rho: np.ndarray) -> float:
-    """Linear entropy of the qubit-A marginal, the locally measurable proxy.
-
-    Equals 1 exactly when arm A's marginal is maximally mixed, which is where
-    an orientation sweep's concurrence also peaks.
-    """
-    return linear_entropy(reduced_qubit(rho, "A"))
-
-
 def optimize_compensator(
     pdl_a: PdlElement,
     base: np.ndarray,
@@ -131,12 +123,13 @@ def optimize_compensator(
             best_c = obj
             best_el = element
 
-    def evaluate(elements) -> list[tuple[float, float, float]]:
-        """(rate, objective, S_A) of each element in one kernel call, 0s if extinct."""
-        batch = propagate(base, m_a[None], pdl_filters(elements))
+    def evaluate(elements: PdlElement) -> list[tuple[float, float, float]]:
+        """(rate, objective, S_A) of each element of a stack in one kernel call, 0s if extinct."""
+        batch = propagate(base, m_a[None], pdl_operator(elements))
         if cfg.noisy:
             # one sub-seed per candidate: row i would be recorded at index len(records) + i
-            seeds = [derive_seed(cfg.seed, "cand", len(records) + i) for i in range(len(elements))]
+            seeds = [derive_seed(cfg.seed, "cand", len(records) + i)
+                     for i in range(len(batch.rate))]
             batch = measure(batch, cfg.source, cfg.detector, cfg.pulses, seeds)
         rate = np.where(batch.extinct, 0.0, batch.rate)
         return list(zip(rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()))
@@ -148,9 +141,9 @@ def optimize_compensator(
     else:
         grid = tuple(np.linspace(0.7 * pdl_a.gamma, 1.3 * pdl_a.gamma, 7))
     axes = fibonacci_sphere(cfg.sphere_points)
-    lattice = [PdlElement(float(g), ax) for g in grid for ax in axes]
-    for element, row in zip(lattice, evaluate(lattice)):
-        record(element, *row)
+    lattice = PdlElement(np.repeat(grid, len(axes)), np.tile(axes, (len(grid), 1)))
+    for i, row in enumerate(evaluate(lattice)):
+        record(lattice[i], *row)
 
     # polish: coordinate descent on (theta, phi, gamma) with interval halving.
     # Moves after an improving one must start from the improved point, so a
@@ -174,8 +167,10 @@ def optimize_compensator(
                 if coord == 2:
                     p[2] = max(p[2], 0.0)
                 points.append(tuple(p))
-            trials = [PdlElement(g, axis_from_polar(th, ph)) for th, ph, g in points]
-            for i, (trial, row) in enumerate(zip(trials, evaluate(trials))):
+            th, ph, g = np.array(points).T
+            trials = PdlElement(g, axis_from_polar(th, ph))
+            for i, row in enumerate(evaluate(trials)):
+                trial = trials[i]
                 record(trial, *row)
                 k += 1
                 if best_el is trial:

@@ -6,8 +6,8 @@ Density matrices are plain complex ndarrays; validators return a symmetrized
 canonical copy rather than wrapping arrays in a class. The state functions
 with a stack form (`check_states`, `concurrences`, `reduced_qubit`,
 `linear_entropies`, `trace_distances`, `correlation_of`) take any leading
-batch axes and apply the single-state arithmetic row by row; the
-single-state functions are their one-state case.
+batch axes and apply the single-state arithmetic row by row; `check_state`
+and `concurrence` are the one-state case of the first two.
 """
 
 from enum import Enum
@@ -185,16 +185,8 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def linear_entropy(q: np.ndarray) -> float:
-    """Normalized linear entropy 2(1 - Tr q^2) of a single-qubit state."""
-    q = np.asarray(q, dtype=complex)
-    if q.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {q.shape}")
-    return float(linear_entropies(q))
-
-
 def linear_entropies(q: np.ndarray) -> np.ndarray:
-    """linear_entropy of every single-qubit state in a stack (..., 2, 2)."""
+    """Normalized linear entropy 2(1 - Tr q^2) of each single-qubit state of a stack (..., 2, 2)."""
     return 2.0 * (1.0 - np.trace(q @ q, axis1=-2, axis2=-1).real)
 
 
@@ -222,11 +214,7 @@ def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """trace_distance of every matrix pair of two stacks (..., d, d)."""
+    """(1/2) * trace norm of a - b for every matrix pair of two stacks (..., d, d)."""
     lam = np.linalg.eigvalsh(symmetrize(np.asarray(a) - np.asarray(b)))
     return 0.5 * np.abs(lam).sum(axis=-1)
 
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of a - b."""
-    return float(trace_distances(a, b))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PdlElement, unit_axis
+from .channels import PdlElement, _check_gamma, _checked, unit_axis
 from .qmath import TOL, bell_weights
 
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -32,19 +32,6 @@ def kappa(t, axis_a, axis_b) -> np.ndarray:
     if not bounded.all():
         raise ValueError(f"correlation components must lie in [-1, 1], got {t[~bounded][0]}")
     return np.clip(np.sum(a * b * t, axis=-1), -1.0, 1.0)[()]
-
-
-def _checked(x, lo: float, hi: float, error: str) -> np.ndarray:
-    """x as floats, else ValueError `error` quoting its first element outside [lo, hi] or NaN."""
-    x = np.asarray(x, dtype=float)
-    ok = (lo <= x) & (x <= hi)
-    if not ok.all():
-        raise ValueError(f"{error}, got {x[~ok][0]}")
-    return x
-
-
-def _check_gamma(g, name: str) -> np.ndarray:
-    return _checked(g, 0.0, np.finfo(float).max, f"{name} must be finite and >= 0")
 
 
 def _check_kappa(kap) -> np.ndarray:
@@ -83,8 +70,10 @@ def predicted_concurrence(c0, gamma_a, gamma_b, kap) -> np.ndarray:
         # it; the denominator is >= 1, so rounding past c0 is cut back to it
         half = np.exp(-(gamma_a + gamma_b) / 2)
     underflow = rate < _TINY
-    general = np.minimum(c0 * half / np.where(underflow, 1.0, rate) * half, c0)
-    return np.where(underflow, at_minus1, general)[()]
+    rate = np.where(underflow, 1.0, rate)
+    # a subnormal c0 * half would lose digits, so there half / rate * half goes first
+    general = np.where(c0 * half < _TINY, c0 * (half / rate * half), c0 * half / rate * half)
+    return np.where(underflow, at_minus1, np.minimum(general, c0))[()]
 
 
 def predicted_rate(gamma_a, gamma_b, kap) -> np.ndarray:
@@ -97,7 +86,7 @@ def predicted_rate(gamma_a, gamma_b, kap) -> np.ndarray:
 
 
 def equivalence_map(element: PdlElement, t) -> PdlElement:
-    """Map a PDL element on arm A to the equivalent element on arm B.
+    """Map PDL elements on arm A (one or a stack) to the equivalent elements on arm B.
 
     Valid for Bell states only (|t_j| = 1): conjugating through the perfect
     correlations sends the axis a to (t1 a1, t2 a2, t3 a3) at equal magnitude.

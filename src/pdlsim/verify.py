@@ -3,9 +3,10 @@
 Each suite exercises one law along two independent routes (closed form vs
 brute-force filtered density matrix, designed optimum vs sampled alternatives,
 forward counts vs inverted state) and reports its worst observed error against
-a fixed tolerance. All suites are seeded and deterministic. Suites that filter
-states draw all their random inputs first, in a fixed order, then send every
-case through one `propagate` call.
+a fixed tolerance. All suites are seeded and deterministic. Each suite draws
+all its random inputs first, case by case in a fixed order, then builds one
+stacked `PdlElement` per arm and one Bell-diagonal stack, and sends every case
+through one `propagate` (or `concat_pdl`) call.
 """
 
 import time
@@ -19,8 +20,7 @@ from .channels import (
     ChannelBatch,
     PdlElement,
     angle_from_aggregate,
-    concat_pdls,
-    pdl_filters,
+    concat_pdl,
     pdl_operator,
     propagate,
 )
@@ -41,6 +41,7 @@ from .qmath import (
     bell_diagonal,
     bell_state,
     check_state,
+    check_states,
     concurrences,
     correlation_of,
     trace_distances,
@@ -80,19 +81,21 @@ def _random_axis(rng):
     return v / n
 
 
-def _random_bell_diagonal(rng):
-    w = rng.dirichlet(np.ones(4))
-    rho = sum(wi * bell_state(kind) for wi, kind in zip(w, BellKind))
-    return check_state(rho)
-
-
 def _random_element(rng):
-    return PdlElement(float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng))
+    """Magnitude and raw axis of one random element, drawn in that order."""
+    return float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng)
 
 
-def _columns(elements):
-    """Magnitudes (N,) and axes (N, 3) of PDL elements."""
-    return np.array([e.gamma for e in elements]), np.array([e.axis for e in elements]).reshape(-1, 3)
+def _stack(draws) -> PdlElement:
+    """One stacked element of (magnitude, raw axis) draws, each axis normalized once."""
+    gammas, axes = [g for g, _ in draws], [a for _, a in draws]
+    return PdlElement(np.array(gammas, dtype=float), np.array(axes, dtype=float).reshape(-1, 3))
+
+
+def _bell_diagonals(weights) -> np.ndarray:
+    """Bell-diagonal states (N, 4, 4) of Bell weights (N, 4), summed in BellKind order from 0."""
+    w = np.asarray(weights).reshape(-1, 4, 1, 1)
+    return check_states(sum(w[:, k] * bell_state(kind) for k, kind in enumerate(BellKind)))
 
 
 def _worst(*errors) -> float:
@@ -108,16 +111,16 @@ def oracle_equivalence(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rhos, eas, ebs = [], [], []
+    weights, draws_a, draws_b = [], [], []
     for _ in range(cases):
-        rhos.append(_random_bell_diagonal(rng))
-        eas.append(_random_element(rng))
-        ebs.append(_random_element(rng))
-    rhos = np.array(rhos).reshape(-1, 4, 4)
-    (g_a, axes_a), (g_b, axes_b) = _columns(eas), _columns(ebs)
-    kap = theory.kappa(correlation_of(rhos), axes_a, axes_b)
-    closed = theory.predicted_concurrence(concurrences(rhos), g_a, g_b, kap)
-    batch = propagate(rhos, pdl_filters(eas), pdl_filters(ebs)).require_live()
+        weights.append(rng.dirichlet(np.ones(4)))
+        draws_a.append(_random_element(rng))
+        draws_b.append(_random_element(rng))
+    rhos = _bell_diagonals(weights)
+    el_a, el_b = _stack(draws_a), _stack(draws_b)
+    kap = theory.kappa(correlation_of(rhos), el_a.axis, el_b.axis)
+    closed = theory.predicted_concurrence(concurrences(rhos), el_a.gamma, el_b.gamma, kap)
+    batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b)).require_live()
     worst = _worst(np.abs(closed - batch.concurrence))
     return _result("oracle-equivalence", worst, 1e-9, cases, t0)
 
@@ -126,18 +129,19 @@ def rate_conservation(seed=DEFAULT_SEED, cases=400) -> SuiteResult:
     """Rate x concurrence stays at exp(-(gA+gB)) c0, however the sum is split."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rhos, totals, eas, ebs = [], [], [], []
+    weights, totals, draws_a, draws_b = [], [], [], []
     for _ in range(cases):
-        rhos.append(_random_bell_diagonal(rng))
+        weights.append(rng.dirichlet(np.ones(4)))
         totals.append(rng.uniform(0, 2 * GAMMA_MAX))
         for _ in range(3):
             ga = rng.uniform(0, totals[-1])
-            eas.append(PdlElement(ga, _random_axis(rng)))
-            ebs.append(PdlElement(totals[-1] - ga, _random_axis(rng)))
-    rhos = np.array(rhos).reshape(-1, 4, 4)
+            draws_a.append((ga, _random_axis(rng)))
+            draws_b.append((totals[-1] - ga, _random_axis(rng)))
+    rhos = _bell_diagonals(weights)
     want = np.exp(-np.array(totals)) * concurrences(rhos)
     # three splits of each case's total loss, consecutive rows
-    batch = propagate(np.repeat(rhos, 3, axis=0), pdl_filters(eas), pdl_filters(ebs))
+    batch = propagate(np.repeat(rhos, 3, axis=0), pdl_operator(_stack(draws_a)),
+                      pdl_operator(_stack(draws_b)))
     batch.require_live()
     products = (batch.rate * batch.concurrence).reshape(-1, 3)
     worst = _worst(np.abs(products - want[:, None]), products.max(axis=1) - products.min(axis=1))
@@ -151,8 +155,8 @@ def orientation_independence(seed=DEFAULT_SEED, per_magnitude=100) -> SuiteResul
     c0 = 0.925
     rho = bell_diagonal([c0, -c0, 1.0])
     gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
-    elements = [PdlElement(gamma, _random_axis(rng)) for gamma in gammas for _ in range(per_magnitude)]
-    batch = propagate(rho, pdl_filters(elements), SIGMA0[None]).require_live()
+    elements = _stack([(g, _random_axis(rng)) for g in np.repeat(gammas, per_magnitude)])
+    batch = propagate(rho, pdl_operator(elements), SIGMA0[None]).require_live()
     vals = batch.concurrence.reshape(len(gammas), per_magnitude)
     worst = _worst(vals.max(axis=1) - vals.min(axis=1),
                    np.abs(vals - c0 / np.cosh(gammas)[:, None]))
@@ -170,11 +174,11 @@ def equivalence_mapping(seed=DEFAULT_SEED, per_state=100) -> SuiteResult:
     worst = 0.0
     for kind in BellKind:
         rho = bell_state(kind)
-        els = [_random_element(rng) for _ in range(per_state)]
-        mapped = [theory.equivalence_map(el, kind.correlation) for el in els]
+        els = _stack([_random_element(rng) for _ in range(per_state)])
+        mapped = theory.equivalence_map(els, kind.correlation)
         # np.kron of a (N, 2, 2) stack and a 2x2 filter is the (N, 4, 4) stack of row krons
-        ma = np.kron(pdl_filters(els), SIGMA0)
-        mb = np.kron(SIGMA0, pdl_filters(mapped))
+        ma = np.kron(pdl_operator(els), SIGMA0)
+        mb = np.kron(SIGMA0, pdl_operator(mapped))
         left = ma @ rho @ np.swapaxes(ma.conj(), -1, -2)
         right = mb @ rho @ np.swapaxes(mb.conj(), -1, -2)
         worst = max(worst, _worst(np.abs(left - right)))
@@ -186,11 +190,11 @@ def concatenation_law(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pairs = [(_random_element(rng), _random_element(rng)) for _ in range(cases)]
-    firsts, seconds = [e1 for e1, _ in pairs], [e2 for _, e2 in pairs]
-    (g1, a1), (g2, a2) = _columns(firsts), _columns(seconds)
+    firsts, seconds = _stack([d1 for d1, _ in pairs]), _stack([d2 for _, d2 in pairs])
+    g1, a1, g2, a2 = firsts.gamma, firsts.axis, seconds.gamma, seconds.axis
     # row-wise a1 . a2 by matmul, bit-equal to a 1-D dot of each pair
     dots = (a1[:, None, :] @ a2[:, :, None])[:, 0, 0]
-    agg_g, _ = _columns(concat_pdls(firsts, seconds))
+    agg_g = concat_pdl(firsts, seconds).gamma
     want = np.cosh(g1) * np.cosh(g2) + dots * np.sinh(g1) * np.sinh(g2)
     defined = (g1 > 1e-3) & (g2 > 1e-3)
     ang = angle_from_aggregate(g1[defined], g2[defined], agg_g[defined])
@@ -210,14 +214,15 @@ def compensation_optimality(seed=DEFAULT_SEED, alternatives=500) -> SuiteResult:
     worst = 0.0
     problems = [
         (bell_state(BellKind.PHI_PLUS), PdlElement(5.1 / DB_PER_NEPER, (0.0, 0.0, 1.0))),
-        (bell_diagonal([0.69, -0.69, 1.0]), _random_element(rng)),
+        (bell_diagonal([0.69, -0.69, 1.0]), PdlElement(*_random_element(rng))),
     ]
     for rho, el_a in problems:
         t = correlation_of(rho)
         plan = theory.design_compensator(el_a, t)
-        alts = [PdlElement(float(rng.uniform(0, 2 * el_a.gamma + 0.1)), _random_axis(rng))
-                for _ in range(alternatives)]
-        batch = propagate(rho, pdl_operator(el_a)[None], pdl_filters([plan.element, *alts]))
+        alts = _stack([(float(rng.uniform(0, 2 * el_a.gamma + 0.1)), _random_axis(rng))
+                       for _ in range(alternatives)])
+        m_b = np.concatenate([pdl_operator(plan.element)[None], pdl_operator(alts)])
+        batch = propagate(rho, pdl_operator(el_a)[None], m_b)
         batch.require_live()
         designed = batch.concurrence[0]
         worst = max(worst, abs(designed - plan.predicted_concurrence),
@@ -263,10 +268,11 @@ def envelope_bounds(seed=DEFAULT_SEED, cases=300) -> SuiteResult:
         g = gamma_db / DB_PER_NEPER
         bounds = theory.rate_bounds(g, g)
         el_a = PdlElement(g, (0.0, 0.0, 1.0))
-        el_bs = [PdlElement(g, _random_axis(rng)) for _ in range(cases)]
+        axes = [_random_axis(rng) for _ in range(cases)]
         # T zhat = t3 zhat for Bell states, so b = -/+ zhat sits at kappa = -/+ 1
-        el_bs += [PdlElement(g, (0.0, 0.0, sign * t[2])) for sign in (-1.0, 1.0)]
-        batch = propagate(rho, pdl_operator(el_a)[None], pdl_filters(el_bs)).require_live()
+        axes += [(0.0, 0.0, sign * t[2]) for sign in (-1.0, 1.0)]
+        el_bs = PdlElement(g, np.array(axes))
+        batch = propagate(rho, pdl_operator(el_a)[None], pdl_operator(el_bs)).require_live()
         c_norm, rate = batch.concurrence[:cases], batch.rate[:cases]
         worst = max(worst, _worst(
             bounds.c_min - c_norm, c_norm - bounds.c_max_norm,

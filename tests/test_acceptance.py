@@ -38,7 +38,7 @@ from pdlsim.qmath import (
     concurrence,
     correlation_of,
     fidelity_to_pure,
-    trace_distance,
+    trace_distances,
 )
 from pdlsim.theory import design_compensator, equivalence_map
 from pdlsim.verify import (
@@ -233,7 +233,7 @@ def test_criterion_10_tomography():
     for settings in (SETTINGS_36, SETTINGS_16):
         expect = expected_coincidences(out, settings, src, quiet, 10**6)
         rho = project_physical(reconstruct(expect, settings))
-        worst_td = max(worst_td, trace_distance(rho, out.rho))
+        worst_td = max(worst_td, trace_distances(rho, out.rho))
     assert worst_td <= 1e-8
 
     # default noise, 100 seeds: the averaged reconstruction is unbiased

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from pdlsim.channels import PdlElement, PmdElement, apply_local, gamma_from_db, pdl_operator
+from pdlsim.channels import (
+    ChannelBatch,
+    PdlElement,
+    PmdElement,
+    apply_local,
+    gamma_from_db,
+    pdl_operator,
+)
 from pdlsim.compensation import (
     SearchConfig,
-    entropy_feedback,
     fibonacci_sphere,
     optimize_compensator,
 )
@@ -41,9 +47,9 @@ def test_fibonacci_sphere():
 
 
 def test_entropy_feedback_limits():
-    assert abs(entropy_feedback(bell_state(BellKind.PHI_PLUS)) - 1.0) < 1e-12
+    assert abs(ChannelBatch(bell_state(BellKind.PHI_PLUS), 1.0).entropy_a - 1.0) < 1e-12
     product = np.kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.5])).astype(complex)
-    assert abs(entropy_feedback(product)) < 1e-12
+    assert abs(ChannelBatch(product, 1.0).entropy_a) < 1e-12
 
 
 def test_search_config_validation():
@@ -141,7 +147,7 @@ def test_entropy_tracks_concurrence():
     for ax in fibonacci_sphere(200):
         out = apply_local(rho, m_a, pdl_operator(PdlElement(G51, ax)))
         cs.append(concurrence(out.rho))
-        ents.append(entropy_feedback(out.rho))
+        ents.append(out.entropy_a)
     assert spearman(np.array(ents), np.array(cs)) >= 0.99
     assert int(np.argmax(ents)) == int(np.argmax(cs))
 

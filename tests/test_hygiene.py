@@ -89,6 +89,37 @@ def module_functions(name: str) -> dict:
     return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
+def scalar_twins(source: str) -> list[str]:
+    """Public module-level functions `f` beside a public plural `fs` (or `fy` beside `fies`)."""
+    names = {n.name for n in ast.parse(source).body
+             if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    plural = {name: name[:-1] + "ies" if name.endswith("y") else name + "s" for name in names}
+    return sorted(name for name in names if plural[name] in names)
+
+
+def test_detector_flags_a_scalar_twin():
+    source = (
+        "def norm(x):\n    return norms(x)\n"
+        "def norms(x):\n    return x\n"
+        "def entropy(x):\n    return x\n"
+        "def entropies(x):\n    return x\n"
+        "def _pad(x):\n    return x\n"
+        "def _pads(x):\n    return x\n"
+        "def outs(x):\n    return x\n"
+        "out = 1\n"
+        "class Item:\n    pass\n"
+        "def Items():\n    return Item\n"
+    )
+    assert scalar_twins(source) == ["entropy", "norm"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_scalar_twins_are_benchmark_traced(path):
+    """A one-value `f` beside its stacked `fs` stays only where the benchmark traces `f`."""
+    traced = traced_names(SPANS.read_text()).get(path.stem, ())
+    assert [f for f in scalar_twins(path.read_text()) if f not in traced] == []
+
+
 def test_traced_names_reader():
     assert traced_names("x = 1\nTRACED = {'m': ('f', 'g')}\n") == {"m": ("f", "g")}
     with pytest.raises(LookupError):

@@ -27,7 +27,7 @@ from pdlsim.qmath import (
     concurrence,
     fidelity_to_pure,
     purity,
-    trace_distance,
+    trace_distances,
 )
 
 
@@ -66,7 +66,7 @@ def test_calibrate_source_ideal():
     assert src.werner_v == 1.0
     assert src.source_pdl.gamma == 0.0
     rho = source_state(src).rho
-    assert trace_distance(rho, bell_state(BellKind.PHI_PLUS)) < 1e-12
+    assert trace_distances(rho, bell_state(BellKind.PHI_PLUS)) < 1e-12
 
 
 def test_calibrate_source_errors():
@@ -332,7 +332,7 @@ def test_reconstruct_roundtrip_exact():
     for settings in (SETTINGS_36, SETTINGS_16):
         counts = exact_counts(out, settings, src, QUIET, 10**10)
         rho = project_physical(reconstruct(counts, settings))
-        assert trace_distance(rho, out.rho) < 1e-6  # rounding-limited at 1e10 pulses
+        assert trace_distances(rho, out.rho) < 1e-6  # rounding-limited at 1e10 pulses
 
 
 def test_reconstruct_roundtrip_random_states():
@@ -344,7 +344,7 @@ def test_reconstruct_roundtrip_random_states():
             outcome = ChannelBatch(rho=rho, rate=1.0)
             expect = expected_coincidences(outcome, settings, src, QUIET, 1_000_000)
             recon = reconstruct(expect, settings)  # real, non-integer counts accepted
-            assert trace_distance(recon, rho) < 1e-8
+            assert trace_distances(recon, rho) < 1e-8
 
 
 def test_reconstruct_accepts_ndarray_counts():
@@ -382,7 +382,7 @@ def test_reconstruct_errors():
 
 def test_project_physical():
     rho = bell_state(BellKind.PHI_PLUS)
-    assert trace_distance(project_physical(rho), rho) < 1e-12
+    assert trace_distances(project_physical(rho), rho) < 1e-12
     # small negative eigenvalue gets clipped, deficit redistributed
     bad = np.diag([0.6, 0.3, 0.15, -0.05]).astype(complex)
     fixed = project_physical(bad)
@@ -391,7 +391,7 @@ def test_project_physical():
     assert abs(np.trace(fixed).real - 1) < 1e-12
     assert np.allclose(np.diag(fixed).real[:3], [0.6 - 0.05 / 3, 0.3 - 0.05 / 3, 0.15 - 0.05 / 3])
     # idempotent
-    assert trace_distance(project_physical(fixed), fixed) < 1e-12
+    assert trace_distances(project_physical(fixed), fixed) < 1e-12
     with pytest.raises(ValueError):
         project_physical(np.eye(4, dtype=complex))
 
@@ -403,5 +403,5 @@ def test_noisy_reconstruction_sanity():
     s36 = SETTINGS_36
     counts = simulate_counts(out, s36, src, det, 1_000_000, seed=2026)
     rho = project_physical(reconstruct(counts, s36))
-    assert trace_distance(rho, out.rho) < 0.1
+    assert trace_distances(rho, out.rho) < 0.1
     assert abs(concurrence(rho) - 0.925) < 0.06

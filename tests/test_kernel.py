@@ -11,12 +11,14 @@ each kernel batch in one tomography call.
 import contextlib
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
 
 from pdlsim import cli, compensation, instrument
 from pdlsim.channels import (
+    CANONICAL_AXIS,
     ChannelBatch,
     ExtinctionError,
     PdlElement,
@@ -24,15 +26,14 @@ from pdlsim.channels import (
     apply_local,
     axis_from_polar,
     concat_pdl,
-    concat_pdls,
     gamma_from_db,
-    pdl_filters,
     pdl_operator,
     pmd_dephase,
     propagate,
+    unit_axis,
 )
 from pdlsim.cli import main
-from pdlsim.compensation import SearchConfig, entropy_feedback, optimize_compensator
+from pdlsim.compensation import SearchConfig, fibonacci_sphere, optimize_compensator
 from pdlsim.instrument import (
     SETTINGS_16,
     DetectorModel,
@@ -78,8 +79,14 @@ def random_states(rng, n):
     return states
 
 
+def random_draws(rng, n, gamma_max=2.0):
+    """Raw magnitudes (n,) and unit-norm axes (n, 3), drawn element by element."""
+    draws = [(float(rng.uniform(0, gamma_max)), random_axis(rng)) for _ in range(n)]
+    return np.array([g for g, _ in draws]), np.array([a for _, a in draws]).reshape(-1, 3)
+
+
 def random_elements(rng, n, gamma_max=2.0):
-    return [PdlElement(float(rng.uniform(0, gamma_max)), random_axis(rng)) for _ in range(n)]
+    return PdlElement(*random_draws(rng, n, gamma_max))
 
 
 def loop_filter(element):
@@ -119,13 +126,68 @@ def assert_rows_match(batch, i, rho, rate, c, s_a):
 
 def test_filters_match_loop_and_one_row_case():
     rng = np.random.default_rng(101)
-    elements = random_elements(rng, 60) + [PdlElement(0.0), PdlElement(0)]
-    stack = pdl_filters(elements)
-    assert stack.shape == (len(elements), 2, 2)
-    for el, m in zip(elements, stack):
+    gammas, axes = random_draws(rng, 60)
+    raw = [*zip(gammas, axes), (0.0, CANONICAL_AXIS), (0, CANONICAL_AXIS)]
+    stack = pdl_operator(PdlElement(np.array([g for g, _ in raw]), np.array([a for _, a in raw])))
+    assert stack.shape == (len(raw), 2, 2)
+    for (g, a), m in zip(raw, stack):
+        el = PdlElement(g, a)
         assert same_bits(m, loop_filter(el))
         assert same_bits(pdl_operator(el), m)
-    assert pdl_filters([]).shape == (0, 2, 2)
+    assert pdl_operator(PdlElement(np.empty(0), np.empty((0, 3)))).shape == (0, 2, 2)
+
+
+def test_stack_rows_are_their_one_element_construction():
+    rng = np.random.default_rng(127)
+    gammas, _ = random_draws(rng, 300)
+    # raw axes off unit length by up to 5e-10, inside the TOL slack
+    axes = rng.normal(size=(300, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True) * (1 + rng.uniform(-5e-10, 5e-10, (300, 1)))
+    stack = PdlElement(gammas, axes)
+    assert stack.gamma.shape == (300,) and stack.axis.shape == (300, 3)
+    for i in range(300):
+        one = PdlElement(gammas[i], axes[i])
+        assert same_bits(stack[i].gamma, one.gamma) and same_bits(stack[i].axis, one.axis)
+
+
+def test_indexing_returns_rows_as_stored():
+    raw = fibonacci_sphere(5000)
+    stack = PdlElement(1.0, raw)
+    # normalizing a row again moves some of them by an ulp, so a re-check would show
+    assert any(not same_bits(unit_axis(a), a) for a in stack.axis)
+    for i in range(len(raw)):
+        row = stack[i]
+        assert same_bits(row.axis, stack.axis[i]) and row.gamma == 1.0
+        assert same_bits(row.axis, PdlElement(1.0, raw[i]).axis)
+    assert same_bits(stack[10:20].axis, stack.axis[10:20])
+
+
+def test_a_bad_element_anywhere_in_a_stack_raises_the_one_element_message():
+    z = CANONICAL_AXIS
+    cases = [
+        (([0.1, -0.2, -0.3], z), (-0.2, z)),  # the first bad one
+        (([0.1, np.nan], z), (np.nan, z)),
+        (([[0.1], [np.inf]], z), (np.inf, z)),
+        ((0.3, [z, [0, 0, 2.0], [0, 3.0, 0]]), (0.3, [0, 0, 2.0])),
+        (([0.3, 0.4], [z, [np.nan, 0, 0]]), (0.4, [np.nan, 0, 0])),
+    ]
+    for stacked, one in cases:
+        with pytest.raises(ValueError) as err:
+            PdlElement(*one)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err.value))}$"):
+            PdlElement(*stacked)
+
+
+def test_gamma_and_axis_broadcast():
+    axes = fibonacci_sphere(6)
+    assert PdlElement(0.5, axes).gamma.shape == (6,)
+    assert PdlElement(np.full(4, 0.5), CANONICAL_AXIS).axis.shape == (4, 3)
+    grid = PdlElement(np.array([[0.1], [0.2]]), axes)
+    assert grid.gamma.shape == (2, 6) and grid.axis.shape == (2, 6, 3)
+    assert pdl_operator(grid).shape == (2, 6, 2, 2)
+    assert same_bits(pdl_operator(grid)[1, 4], pdl_operator(PdlElement(0.2, axes[4])))
+    with pytest.raises(ValueError):
+        PdlElement(np.zeros(4), axes)
 
 
 def loop_concat(first, second):
@@ -140,18 +202,26 @@ def loop_concat(first, second):
 
 def test_concat_stack_matches_loop_and_one_row_case():
     rng = np.random.default_rng(113)
-    firsts, seconds = random_elements(rng, 2000), random_elements(rng, 2000)
+    (g1, a1), (g2, a2) = random_draws(rng, 2000), random_draws(rng, 2000)
     # lossless elements, one element twice, and one cancelled by its reverse
-    el = firsts[10]
-    firsts[:4] = [PdlElement(0.0), el, PdlElement(0.0), el]
-    seconds[:4] = [seconds[0], el, PdlElement(0.0), PdlElement(el.gamma, -el.axis)]
-    aggs = concat_pdls(firsts, seconds)
-    assert len(aggs) == len(firsts) and aggs[3].gamma == 0.0
-    for e1, e2, agg in zip(firsts, seconds, aggs):
+    g, a = g1[10], a1[10].copy()
+    g1[:4], a1[:4] = [0.0, g, 0.0, g], [CANONICAL_AXIS, a, CANONICAL_AXIS, a]
+    g2[1:4], a2[1:4] = [g, 0.0, g], [a, CANONICAL_AXIS, -a]
+    aggs = concat_pdl(PdlElement(g1, a1), PdlElement(g2, a2))
+    assert aggs.gamma.shape == (2000,) and aggs.gamma[3] == 0.0
+    for i in range(2000):
+        e1, e2 = PdlElement(g1[i], a1[i]), PdlElement(g2[i], a2[i])
         want = loop_concat(e1, e2)
-        for got in (agg, concat_pdl(e1, e2)):
+        for got in (aggs[i], concat_pdl(e1, e2)):
             assert same_bits(got.gamma, want.gamma) and same_bits(got.axis, want.axis)
-    assert concat_pdls([], []) == []
+    # one element against a stack
+    first = PdlElement(g1[5], a1[5])
+    against = concat_pdl(first, PdlElement(g2[:200], a2[:200]))
+    for i in range(200):
+        want = loop_concat(first, PdlElement(g2[i], a2[i]))
+        assert same_bits(against[i].gamma, want.gamma) and same_bits(against[i].axis, want.axis)
+    empty = concat_pdl(*[PdlElement(np.empty(0), np.empty((0, 3)))] * 2)
+    assert empty.gamma.shape == (0,) and empty.axis.shape == (0, 3)
 
 
 @pytest.mark.parametrize("shared_base", [True, False])
@@ -160,7 +230,7 @@ def test_batch_matches_loop_and_one_row_calls(shared_base):
     n = 90
     states = random_states(rng, n)
     els_a, els_b = random_elements(rng, n), random_elements(rng, n)
-    m_a, m_b = pdl_filters(els_a), pdl_filters(els_b)
+    m_a, m_b = pdl_operator(els_a), pdl_operator(els_b)
     bases = [states[0]] * n if shared_base else states
     batch = propagate(states[0] if shared_base else np.array(states), m_a, m_b)
     assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
@@ -169,7 +239,7 @@ def test_batch_matches_loop_and_one_row_calls(shared_base):
         assert_rows_match(batch, i, rho, rate, c, s_a)
         one = apply_local(bases[i], pdl_operator(els_a[i]), pdl_operator(els_b[i]))
         assert same_bits(one.rho, rho) and same_bits(one.rate, rate)
-        assert same_bits(concurrence(one.rho), c) and same_bits(entropy_feedback(one.rho), s_a)
+        assert same_bits(concurrence(one.rho), c) and same_bits(one.entropy_a, s_a)
 
 
 def test_single_filter_broadcasts_over_the_stack():
@@ -177,9 +247,10 @@ def test_single_filter_broadcasts_over_the_stack():
     base = bell_diagonal([0.925, -0.925, 1.0])
     el_a = PdlElement(0.6, random_axis(rng))
     els_b = random_elements(rng, 40)
-    batch = propagate(base, pdl_operator(el_a)[None], pdl_filters(els_b))
-    flipped = propagate(base, pdl_filters(els_b), SIGMA0[None])
-    for i, el_b in enumerate(els_b):
+    batch = propagate(base, pdl_operator(el_a)[None], pdl_operator(els_b))
+    flipped = propagate(base, pdl_operator(els_b), SIGMA0[None])
+    for i in range(40):
+        el_b = els_b[i]
         assert_rows_match(batch, i, *loop_channel(base, loop_filter(el_a), loop_filter(el_b)))
         assert_rows_match(flipped, i, *loop_channel(base, loop_filter(el_b), SIGMA0))
 
@@ -233,7 +304,7 @@ def test_hand_built_batch_derives_extinct():
 @pytest.mark.parametrize("row", [0, 3, 6])
 def test_amplifying_filter_anywhere_in_a_stack_raises(row):
     rng = np.random.default_rng(109)
-    stack = pdl_filters(random_elements(rng, 7))
+    stack = pdl_operator(random_elements(rng, 7))
     stack[row] = stack[row] * 1.01
     rho = bell_state(BellKind.PHI_PLUS)
     with pytest.raises(ValueError, match="m_a is not trace-nonincreasing"):

@@ -16,11 +16,11 @@ from pdlsim.qmath import (
     correlation_of,
     eigvals_desc,
     fidelity_to_pure,
-    linear_entropy,
+    linear_entropies,
     purity,
     reduced_qubit,
     symmetrize,
-    trace_distance,
+    trace_distances,
 )
 
 BELL_CORRELATIONS = {
@@ -146,10 +146,10 @@ def test_concurrence_separable_zero():
 
 def test_purity_and_linear_entropy():
     assert abs(purity(np.eye(4) / 4) - 0.25) < 1e-12
-    assert abs(linear_entropy(np.eye(2, dtype=complex) / 2) - 1.0) < 1e-12
-    assert abs(linear_entropy(np.diag([1.0, 0.0]).astype(complex))) < 1e-12
-    with pytest.raises(ValueError):
-        linear_entropy(np.eye(4) / 4)
+    # qubit A of q (x) I/2 is q itself
+    for q, want in ((np.eye(2) / 2, 1.0), (np.diag([1.0, 0.0]), 0.0)):
+        entropy = linear_entropies(reduced_qubit(np.kron(q, SIGMA0 / 2), "A"))
+        assert abs(entropy - want) < 1e-12
 
 
 def test_reduced_qubit():
@@ -185,8 +185,8 @@ def test_fidelity_to_pure():
 def test_trace_distance():
     a = bell_state(BellKind.PHI_PLUS)
     b = bell_state(BellKind.PHI_MINUS)
-    assert abs(trace_distance(a, a)) < 1e-12
-    assert abs(trace_distance(a, b) - 1.0) < 1e-10  # orthogonal pure states
+    assert abs(trace_distances(a, a)) < 1e-12
+    assert abs(trace_distances(a, b) - 1.0) < 1e-10  # orthogonal pure states
 
 
 def test_eigvals_desc():

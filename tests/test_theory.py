@@ -113,23 +113,41 @@ def test_closed_forms_finite_and_exact_across_the_domain():
         rng.uniform(-1, 1, 6),
     ])
     tiny = np.finfo(float).tiny
+    # every (gA, gB, kappa) triple of the grid, one call per law
+    g_a, g_b, kap = np.meshgrid(gammas, gammas, kappas, indexing="ij")
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        for g_a in gammas:
-            for g_b in gammas:
-                for kap in kappas:
-                    rate = predicted_rate(g_a, g_b, kap)
-                    assert np.isfinite(rate) and 0 <= rate <= 1
-                    for c0 in (1.0, 0.3):
-                        c = predicted_concurrence(c0, g_a, g_b, kap)
-                        assert np.isfinite(c) and 0 <= c <= c0
-                        product = np.exp(-(g_a + g_b)) * c0
-                        if c * rate >= tiny and product >= tiny:
-                            assert abs(c * rate - product) <= 1e-12 * product
-                        if c >= tiny and rate >= tiny:
-                            # the same law in log space, which no underflow touches
-                            want = c0 * np.exp(-(g_a + g_b) - np.log(rate))
-                            assert abs(c - min(want, c0)) <= 1e-12 * c
+        rate = predicted_rate(g_a, g_b, kap)
+        assert (np.isfinite(rate) & (0 <= rate) & (rate <= 1)).all()
+        for c0 in (1.0, 0.3):
+            c = predicted_concurrence(c0, g_a, g_b, kap)
+            assert (np.isfinite(c) & (0 <= c) & (c <= c0)).all()
+            product = np.exp(-(g_a + g_b)) * c0
+            normal = (c * rate >= tiny) & (product >= tiny)
+            assert (abs(c * rate - product) <= 1e-12 * product)[normal].all()
+            normal = (c >= tiny) & (rate >= tiny)
+            # the same law in log space, which no underflow touches
+            want = c0 * np.exp(-(g_a + g_b)[normal] - np.log(rate[normal]))
+            assert (abs(c[normal] - np.minimum(want, c0)) <= 1e-12 * c[normal]).all()
+
+
+def test_concurrence_exact_where_c0_times_the_half_loss_is_subnormal():
+    # c0 e^{-(gA+gB)/2} is subnormal here, while the law gives c0 / cosh(gA - gB)
+    assert predicted_concurrence(1e-300, 40, 40, -1) == 1e-300
+    c = predicted_concurrence(3e-305, [40.0, 41.0], [40.0, 39.0], -1)
+    assert c[0] == 3e-305 and abs(c[1] - 3e-305 / np.cosh(2.0)) <= 1e-15 * c[1]
+
+
+def test_equivalence_map_on_a_stack_is_its_rows():
+    rng = np.random.default_rng(79)
+    gammas = rng.uniform(0, 1.0, 50)
+    axes = np.array([random_axis(rng) for _ in range(50)])
+    for kind in BellKind:
+        mapped = equivalence_map(PdlElement(gammas, axes), kind.correlation)
+        assert mapped.gamma.shape == (50,) and mapped.axis.shape == (50, 3)
+        for i in range(50):
+            one = equivalence_map(PdlElement(gammas[i], axes[i]), kind.correlation)
+            assert mapped.gamma[i] == one.gamma and (mapped.axis[i] == one.axis).all()
 
 
 def test_laws_against_brute_force():

@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 
 import pdlsim.theory
-from pdlsim.channels import angle_from_aggregate, apply_local, concat_pdl, pdl_operator
-from pdlsim.qmath import SIGMA0, BellKind, bell_state, concurrence, correlation_of
+from pdlsim.channels import PdlElement, angle_from_aggregate, apply_local, concat_pdl, pdl_operator
+from pdlsim.qmath import SIGMA0, BellKind, bell_state, check_state, concurrence, correlation_of
 from pdlsim.verify import (
-    _random_bell_diagonal,
-    _random_element,
+    GAMMA_MAX,
+    _random_axis,
     concatenation_law,
     equivalence_mapping,
     oracle_equivalence,
 )
+
+
+def random_bell_diagonal(rng):
+    """One Bell-diagonal state from Dirichlet weights, as the suites drew it case by case."""
+    w = rng.dirichlet(np.ones(4))
+    rho = sum(wi * bell_state(kind) for wi, kind in zip(w, BellKind))
+    return check_state(rho)
+
+
+def random_element(rng):
+    """One element, as the suites drew and built it case by case."""
+    return PdlElement(float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng))
 
 
 @pytest.mark.parametrize("seed", [1, 303])
@@ -22,7 +34,7 @@ def test_equivalence_mapping_matches_the_per_element_loop(seed):
     for kind in BellKind:
         rho = bell_state(kind)
         for _ in range(100):
-            el = _random_element(rng)
+            el = random_element(rng)
             mapped = pdlsim.theory.equivalence_map(el, kind.correlation)
             ma = np.kron(pdl_operator(el), SIGMA0)
             mb = np.kron(SIGMA0, pdl_operator(mapped))
@@ -37,8 +49,8 @@ def test_oracle_equivalence_matches_the_per_case_loop(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
-        rho = _random_bell_diagonal(rng)
-        ea, eb = _random_element(rng), _random_element(rng)
+        rho = random_bell_diagonal(rng)
+        ea, eb = random_element(rng), random_element(rng)
         kap = pdlsim.theory.kappa(correlation_of(rho), ea.axis, eb.axis)
         closed = pdlsim.theory.predicted_concurrence(concurrence(rho), ea.gamma, eb.gamma, kap)
         brute = apply_local(rho, pdl_operator(ea), pdl_operator(eb))
@@ -51,7 +63,7 @@ def test_concatenation_law_matches_the_per_case_loop(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(300):
-        e1, e2 = _random_element(rng), _random_element(rng)
+        e1, e2 = random_element(rng), random_element(rng)
         agg = concat_pdl(e1, e2)
         dot = float(e1.axis @ e2.axis)
         want = np.cosh(e1.gamma) * np.cosh(e2.gamma) + dot * np.sinh(e1.gamma) * np.sinh(e2.gamma)
