@@ -199,6 +199,23 @@ def pdl_operator(element: PdlElement) -> np.ndarray:
     return np.exp(-half) * (np.cosh(half) * SIGMA0 + np.sinh(half) * n_sigma)
 
 
+def _max_singular_values(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix [[a, b], [c, d]] of a stack (..., 2, 2).
+
+    M^dag M = [[p, q], [q*, r]] with p = |a|^2 + |c|^2, r = |b|^2 + |d|^2 and
+    q = a* b + c* d, so sigma_max^2 = (p + r)/2 + hypot((p - r)/2, |q|), here
+    with the halving done last. Every term is nonnegative, so unlike the
+    trace-and-determinant form it does not cancel when the two singular values
+    nearly coincide.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    sq = (m * m.conj()).real
+    p = sq[..., 0, 0] + sq[..., 1, 0]
+    r = sq[..., 0, 1] + sq[..., 1, 1]
+    q = a.conj() * b + c.conj() * d
+    return np.sqrt((p + r + np.hypot(p - r, 2 * np.abs(q))) / 2)
+
+
 def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch:
     """Apply local filter stacks (m_a on qubit A, m_b on qubit B) and renormalize.
 
@@ -212,7 +229,7 @@ def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch
     m_a = np.asarray(m_a, dtype=complex)
     m_b = np.asarray(m_b, dtype=complex)
     for name, m in (("m_a", m_a), ("m_b", m_b)):
-        sv = np.linalg.svd(m, compute_uv=False)
+        sv = _max_singular_values(m)
         if sv.size and sv.max() > 1 + 1e-9:
             raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
     # Kronecker product of each row pair, laid out as np.kron lays out one pair

@@ -123,10 +123,24 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _cells(column) -> list[str]:
+    """One column's CSV fields: a float array in one pass, anything else through `_fmt`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return [format(x, ".9g") for x in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
+_CSV_BLOCK = 512  # rows formatted and written at a time
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length columns under `header`, every field as `_fmt` gives it."""
+    n = len(columns[0])
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_BLOCK):
+            block = [_cells(c[start:start + _CSV_BLOCK]) for c in columns]
+            f.writelines(",".join(row) + "\n" for row in zip(*block))
     return path
 
 
@@ -157,15 +171,13 @@ def _observer(cfg: RunConfig, label: str):
     return observe
 
 
-def _matrix_rows(rho, label=None):
-    rows = []
-    for i in range(rho.shape[0]):
-        for j in range(rho.shape[1]):
-            row = [i, j, rho[i, j].real, rho[i, j].imag]
-            if label is not None:
-                row.insert(0, label)
-            rows.append(row)
-    return rows
+def _matrix_columns(rho) -> list:
+    """Columns i, j, re, im over the entries of a matrix (n, n) or of a stack, row-major."""
+    n = rho.shape[-1]
+    ij = np.indices((n, n)).reshape(2, -1)
+    i, j = np.tile(ij, rho.size // (n * n))
+    entries = rho.reshape(-1)
+    return [i, j, entries.real, entries.imag]
 
 
 def _chain_state(pmd_q: float):
@@ -197,7 +209,8 @@ def cmd_b2b(cfg: RunConfig, out_dir: Path) -> list[Path]:
         ("hh_vv_ratio", rho[0, 0].real / rho[3, 3].real),
     ]
     return [
-        _write_csv(out_dir / "b2b_density_matrix.csv", ["i", "j", "re", "im"], _matrix_rows(rho)),
+        _write_csv(out_dir / "b2b_density_matrix.csv", ["i", "j", "re", "im"],
+                   _matrix_columns(rho)),
         _write_keyvals(out_dir / "b2b_metrics.txt", metrics),
     ]
 
@@ -223,12 +236,11 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     seen = _observer(cfg, "sweep")(batch, range(len(raw)))
     if not cfg.noisy and (np.abs(seen.concurrence * np.cosh(aggs.gamma) - cfg.c_b2b) > 1e-6).any():
         raise RuntimeError("sweep row violates the magnitude-only concurrence law")
-    rows = [[db, *ax, agg_db, kap, c, purity(rho), rate] for db, ax, agg_db, kap, c, rho, rate
-            in zip(np.repeat(pdl_db_list, len(axes)), raw, aggs.gamma_db, kappas,
-                   seen.concurrence, seen.rho, seen.rate)]
+    columns = [np.repeat(np.asarray(pdl_db_list, dtype=float), len(axes)), *raw.T,
+               aggs.gamma_db, kappas, seen.concurrence, purity(seen.rho), seen.rate]
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
-    return [_write_csv(out_dir / "sweep_pdl.csv", header, rows)]
+    return [_write_csv(out_dir / "sweep_pdl.csv", header, columns)]
 
 
 def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: float) -> list[Path]:
@@ -243,38 +255,30 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     base, chain_c = _chain_state(pmd_q)
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     t = correlation_of(base)
-    ems = PdlElement(gamma_from_db(pdl_db), axis_from_polar(np.asarray(thetas, dtype=float)))
+    thetas = np.asarray(thetas, dtype=float)
+    ems = PdlElement(gamma_from_db(pdl_db), axis_from_polar(thetas))
     aggs = concat_pdl(src_el, ems)
-    # designed one row at a time: design_compensator takes one element
-    plans = [design_compensator(aggs[i], t) for i in range(len(thetas))]
+    plans = design_compensator(aggs, t)
     m_a = pdl_operator(ems) @ pdl_operator(src_el)
     uncompensated = propagate(base, m_a, SIGMA0[None])
-    compensated = propagate(base, m_a, np.array([pdl_operator(plan.element) for plan in plans]))
+    compensated = propagate(base, m_a, pdl_operator(plans.element))
     observe = _observer(cfg, "compensate")
     # sub-seeds interleave: row i reads 2i uncompensated and 2i + 1 compensated
     cs_u = observe(uncompensated, range(0, 2 * len(thetas), 2)).concurrence
     cs_c = observe(compensated, range(1, 2 * len(thetas), 2)).concurrence
-    rows = []
-    for i, (th, plan) in enumerate(zip(thetas, plans)):
-        c_u, c_c = cs_u[i], cs_c[i]
-        rate_u, rate_c = uncompensated.rate[i], compensated.rate[i]
-        if not cfg.noisy:
-            if abs(c_u * np.cosh(aggs.gamma[i]) - chain_c) > 1e-6:
-                raise RuntimeError("uncompensated row violates the magnitude-only law")
-            # physical magnitudes, not the aggregate: the concatenated product
-            # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
-            total = src_el.gamma + ems.gamma[i] + plan.element.gamma
-            if abs(rate_c * c_c - np.exp(-total) * chain_c) > 1e-9:
-                raise RuntimeError("compensated row violates rate-concurrence conservation")
-        ax_b = plan.element.axis
-        rows.append([
-            th, aggs.gamma_db[i], scale * c_u, scale * c_c,
-            plan.element.gamma_db, ax_b[0], ax_b[1], ax_b[2],
-            rate_u, rate_c,
-        ])
+    if not cfg.noisy:
+        if (np.abs(cs_u * np.cosh(aggs.gamma) - chain_c) > 1e-6).any():
+            raise RuntimeError("uncompensated row violates the magnitude-only law")
+        # physical magnitudes, not the aggregate: the concatenated product
+        # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
+        total = src_el.gamma + ems.gamma + plans.element.gamma
+        if (np.abs(compensated.rate * cs_c - np.exp(-total) * chain_c) > 1e-9).any():
+            raise RuntimeError("compensated row violates rate-concurrence conservation")
+    columns = [thetas, aggs.gamma_db, scale * cs_u, scale * cs_c, plans.element.gamma_db,
+               *plans.element.axis.T, uncompensated.rate, compensated.rate]
     header = ["theta", "aggregate_pdl_db", "c_uncompensated", "c_compensated",
               "gammaB_db", "axB1", "axB2", "axB3", "rate_uncomp", "rate_comp"]
-    return [_write_csv(out_dir / "compensate.csv", header, rows)]
+    return [_write_csv(out_dir / "compensate.csv", header, columns)]
 
 
 def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
@@ -311,9 +315,8 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
     avg = c_norm * seen.rate
     if not cfg.noisy and (np.abs(avg - np.exp(-2 * g)) > 1e-9).any():
         raise RuntimeError("tradeoff row violates rate-concurrence conservation")
-    rows = zip(kappas, c_norm, seen.rate, avg)
     header = ["kappa", "concurrence_norm", "rate_norm", "avg_entanglement"]
-    return [_write_csv(out_dir / "tradeoff.csv", header, rows)]
+    return [_write_csv(out_dir / "tradeoff.csv", header, [kappas, c_norm, seen.rate, avg])]
 
 
 def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: int,
@@ -329,14 +332,12 @@ def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientati
     if not cfg.noisy and int(entropies.argmax()) != int(concs.argmax()):
         raise RuntimeError("entropy argmax does not match concurrence argmax")
     by_entropy = np.argsort(entropies, kind="stable")
-    picks = [("min", by_entropy[0]), ("median", by_entropy[len(by_entropy) // 2]),
-             ("max", by_entropy[-1])]
-    companion = []
-    for label, idx in picks:
-        companion.extend(_matrix_rows(reduced_qubit(seen.rho[idx], "A"), label=label))
+    picks = by_entropy[[0, len(by_entropy) // 2, -1]]
+    labels = [label for label in ("min", "median", "max") for _ in range(4)]
+    companion = [labels, *_matrix_columns(reduced_qubit(seen.rho[picks], "A"))]
     header = ["s_linear_A", "concurrence", "kappa"]
     return [
-        _write_csv(out_dir / "entropy_feedback.csv", header, zip(entropies, concs, kappas)),
+        _write_csv(out_dir / "entropy_feedback.csv", header, [entropies, concs, kappas]),
         _write_csv(out_dir / "entropy_feedback_reduced.csv",
                    ["label", "i", "j", "re", "im"], companion),
     ]
@@ -384,7 +385,20 @@ def _float_list(what: str, lo: float = -np.inf):
 _COUNT = _number("count", 1, kind=int)
 _SEED = _number("seed", 0, 2**64 - 1, kind=int)
 _PDL_DB = _number("magnitude", 0)
-_PMD_Q = _number("dephasing weight", 0, 0.5)
+_WEIGHT = _number("dephasing weight", 0, 0.5)
+
+
+def _pmd_q(text: str) -> float:
+    """argparse type for the chain's dephasing weight, in [0, 0.5).
+
+    At q = 0.5 the dephased chain state is separable, so the protocol
+    commands would divide by its zero concurrence.
+    """
+    q = _WEIGHT(text)
+    if q == 0.5:
+        raise argparse.ArgumentTypeError(
+            "dephasing weight 0.5 leaves the chain state no entanglement to normalize by")
+    return q
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,17 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--theta-count", type=_COUNT, default=25)
     cp.add_argument("--theta-list", type=_float_list("theta"), default=None,
                     help="explicit angles in radians (overrides --theta-count)")
-    cp.add_argument("--pmd-q", type=_PMD_Q, default=0.0)
+    cp.add_argument("--pmd-q", type=_pmd_q, default=0.0)
 
     tp = sub.add_parser("tradeoff", parents=[common], help="concurrence/rate envelope")
     tp.add_argument("--pdl-db", type=_PDL_DB, default=5.1)
     tp.add_argument("--orientations", type=_COUNT, default=64)
-    tp.add_argument("--pmd-q", type=_PMD_Q, default=0.0)
+    tp.add_argument("--pmd-q", type=_pmd_q, default=0.0)
 
     ep = sub.add_parser("entropy-feedback", parents=[common], help="marginal-entropy feedback sweep")
     ep.add_argument("--pdl-db", type=_PDL_DB, default=5.27)
     ep.add_argument("--orientations", type=_COUNT, default=64)
-    ep.add_argument("--pmd-q", type=_PMD_Q, default=0.155)
+    ep.add_argument("--pmd-q", type=_pmd_q, default=0.155)
 
     sub.add_parser("verify", parents=[common], help="run invariant suites")
     return p

@@ -4,10 +4,11 @@ Jones convention: |H> = (1, 0), |V> = (0, 1), so sigma_3 = diag(1, -1) and
 Stokes components are ordered (s1, s2, s3) against (sigma_1, sigma_2, sigma_3).
 Density matrices are plain complex ndarrays; validators return a symmetrized
 canonical copy rather than wrapping arrays in a class. The state functions
-with a stack form (`check_states`, `concurrences`, `reduced_qubit`,
+with a stack form (`check_states`, `concurrences`, `purity`, `reduced_qubit`,
 `linear_entropies`, `trace_distances`, `correlation_of`) take any leading
-batch axes and apply the single-state arithmetic row by row; `check_state`
-and `concurrence` are the one-state case of the first two.
+batch axes and apply the single-state arithmetic row by row, one state giving
+a 0-d result; `check_state` and `concurrence` are the one-state case of the
+first two.
 """
 
 from enum import Enum
@@ -180,9 +181,10 @@ def concurrence(rho: np.ndarray) -> float:
     return float(concurrences(rho))
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2), in [1/d, 1]."""
-    return float(np.trace(rho @ rho).real)
+def purity(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho^2), in [1/d, 1], of one state (d, d) or of each state of a stack (..., d, d)."""
+    rho = np.asarray(rho)
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real[()]
 
 
 def linear_entropies(q: np.ndarray) -> np.ndarray:

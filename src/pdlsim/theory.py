@@ -11,6 +11,7 @@ average entanglement per emitted pair e^{-(gA+gB)} c0, depends only on the
 total loss. `kappa`, `predicted_concurrence` and `predicted_rate` broadcast
 over leading axes, as `channels.propagate` does, with scalars giving a 0-d
 result; every domain check holds element by element, and NaN fails it.
+`design_compensator` takes one arm-A element or a stack in the same way.
 """
 
 from dataclasses import dataclass
@@ -100,21 +101,26 @@ def equivalence_map(element: PdlElement, t) -> PdlElement:
 
 @dataclass(frozen=True)
 class CompensatorPlan:
-    """Arm-B element that maximizes concurrence against a given arm-A PDL."""
+    """Arm-B elements that maximize concurrence against given arm-A PDL.
+
+    For one arm-A element the fields are numpy floats; for a stack `element`
+    is the stacked arm-B element and the other fields are arrays of its shape.
+    """
 
     element: PdlElement
-    kappa: float
-    predicted_concurrence: float
-    predicted_rate: float
+    kappa: np.ndarray
+    predicted_concurrence: np.ndarray
+    predicted_rate: np.ndarray
 
 
 def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
-    """Optimal arm-B PDL against arm-A PDL `element_a` on the Bell-diagonal state t.
+    """Optimal arm-B PDL against arm-A PDL `element_a` (one or a stack) on the Bell-diagonal state t.
 
     With m = |T a| and u = T a / m, the optimum is the anti-aligned axis -u at
     tanh(gamma_b) = m tanh(gamma_a), reaching
     C' = c0 / (cosh gamma_a sqrt(1 - m^2 tanh^2 gamma_a)). m = 1 (Bell states,
-    or an axis on a unit-correlation direction) restores c0 completely.
+    or an axis on a unit-correlation direction) restores c0 completely. Every
+    arm-A element needs m > 0, else ValueError.
     """
     t = np.asarray(t, dtype=float)
     w = bell_weights(t)
@@ -122,22 +128,22 @@ def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
         raise ValueError(f"unphysical correlation triple {tuple(t)}")
     c0 = max(0.0, 2 * w.max() - 1)
     ta = t * element_a.axis
-    m = float(np.linalg.norm(ta))
-    if m < 1e-12:
+    # row-wise |T a| by matmul, bit-equal to np.linalg.norm of each row
+    m = np.sqrt((ta[..., None, :] @ ta[..., :, None])[..., 0, 0])
+    if (m < 1e-12).any():
         raise ValueError(
             "no compensation direction: the correlation annihilates the arm-A axis"
         )
-    g_a = element_a.gamma
-    g_b = float(np.arctanh(min(m * np.tanh(g_a), 1.0 - 1e-16)))
-    element_b = PdlElement(g_b, -ta / m)
-    kap = float(np.clip(np.sum(ta * element_b.axis), -1.0, 1.0))  # = -m
-    c_best = c0 / (np.cosh(g_a) * np.sqrt(1.0 - (m * np.tanh(g_a)) ** 2))
-    return CompensatorPlan(
-        element=element_b,
-        kappa=kap,
-        predicted_concurrence=float(c_best),
-        predicted_rate=predicted_rate(g_a, g_b, kap),
-    )
+    g_a = np.asarray(element_a.gamma, dtype=float)
+    x = m * np.tanh(g_a)
+    g_b = np.arctanh(np.minimum(x, 1.0 - 1e-16))
+    element_b = PdlElement(g_b, -ta / m[..., None])
+    kap = np.clip(np.sum(ta * element_b.axis, axis=-1), -1.0, 1.0)  # = -m
+    # x * x, not x ** 2: a numpy scalar squares through pow(), an array does
+    # not, so only x * x rounds the same for one element and for a stack
+    c_best = c0 / (np.cosh(g_a) * np.sqrt(1.0 - x * x))
+    return CompensatorPlan(element=element_b, kappa=kap, predicted_concurrence=c_best,
+                           predicted_rate=predicted_rate(g_a, g_b, kap))
 
 
 @dataclass(frozen=True)

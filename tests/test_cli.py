@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from pdlsim.cli import RunConfig, load_config, main
+from pdlsim.cli import RunConfig, _fmt, _write_csv, load_config, main
 
 G51 = 0.5871591987134815
 DB_PER_NEPER = 8.685889638065037
@@ -123,6 +123,17 @@ def test_config_range_errors_quote_the_line(tmp_path):
         lineno = text.count("\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{lineno}: {re.escape(msg)}$"):
             load_config(p)
+
+
+@pytest.mark.parametrize("command", ["compensate", "tradeoff", "entropy-feedback"])
+def test_fully_dephased_chain_is_a_usage_error(tmp_path, command, capsys):
+    # at q = 0.5 the chain state is separable: nothing to normalize by
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--pmd-q", "0.5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --pmd-q:" in err and "no entanglement to normalize by" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_config_validation():
@@ -281,6 +292,28 @@ def test_csv_formatting(tmp_path):
             float(field)  # parses
             if "." in field and "e" not in field:
                 assert len(field.replace("-", "").replace(".", "").lstrip("0")) <= 9
+
+
+def test_column_writer_formats_fields_as_fmt(tmp_path):
+    columns = [
+        [0, 1, 2, np.int64(3)],
+        ["min", "median", "max", "x"],
+        np.array([0.1, -2.5e-12, 1 / 3, 12345678912.0]),
+        [0.5, 1e300, -0.0, np.float64(2 / 3)],
+        np.array([-0.0, 0.0, -1e-320, np.pi]),
+        np.arange(4),
+    ]
+    path = _write_csv(tmp_path / "mixed.csv", ["a", "b", "c", "d", "e", "f"], columns)
+    want = "a,b,c,d,e,f\n" + "".join(
+        ",".join(_fmt(c[i]) for c in columns) + "\n" for i in range(4))
+    assert path.read_text() == want
+    assert want.splitlines()[1] == "0,min,0.1,0.5,-0,0"
+    # more rows than one written block
+    n = 1500
+    path = _write_csv(tmp_path / "long.csv", ["k", "x"], [np.arange(n), np.linspace(-1, 1, n)])
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1 and lines[-1] == f"{n - 1},1"
+    assert lines[1:] == [f"{k},{_fmt(x)}" for k, x in enumerate(np.linspace(-1, 1, n))]
 
 
 def test_noisy_sweep_runs(tmp_path):

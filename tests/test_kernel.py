@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from pdlsim import cli, compensation, instrument
+from pdlsim import channels, cli, compensation, instrument
 from pdlsim.channels import (
     CANONICAL_AXIS,
     ChannelBatch,
@@ -52,6 +52,7 @@ from pdlsim.qmath import (
     check_state,
     concurrence,
 )
+from pdlsim.theory import design_compensator
 
 _YY = np.kron(PAULI[1], PAULI[1])
 
@@ -313,6 +314,40 @@ def test_amplifying_filter_anywhere_in_a_stack_raises(row):
         propagate(rho, SIGMA0[None], stack)
 
 
+def max_singular_value_cases(rng):
+    """Filter stacks (n, 2, 2): PDL filters near and at gamma = 0, cascades of two, random complex."""
+    n = 2000
+    stacks = [pdl_operator(PdlElement(np.full(n, g), random_draws(rng, n)[1]))
+              for g in (0.0, 1e-12, 1e-8, 1e-6)]
+    stacks.append(pdl_operator(random_elements(rng, n)) @ pdl_operator(random_elements(rng, n)))
+    stacks.append(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    return stacks
+
+
+def test_closed_form_max_singular_value_matches_svd():
+    for m in max_singular_value_cases(np.random.default_rng(113)):
+        want = np.linalg.svd(m, compute_uv=False)[:, 0]
+        assert np.abs(channels._max_singular_values(m) / want - 1).max() < 1e-14
+
+
+def test_near_lossless_filters_pass_the_trace_check():
+    # the two singular values nearly coincide; a cancelling closed form reads
+    # sigma_max above 1 + 1e-9 here
+    rng = np.random.default_rng(127)
+    stack = pdl_operator(PdlElement(np.full(2000, 1e-8), random_draws(rng, 2000)[1]))
+    batch = propagate(bell_state(BellKind.PHI_PLUS), stack, stack)
+    assert batch.rate.shape == (2000,)
+
+
+@pytest.mark.parametrize("row", [0, 1000, 1999])
+def test_slightly_amplifying_filter_in_a_cascade_stack_raises(row):
+    rng = np.random.default_rng(131)
+    stack = pdl_operator(random_elements(rng, 2000)) @ pdl_operator(random_elements(rng, 2000))
+    stack[row] = stack[row] / np.linalg.svd(stack[row], compute_uv=False)[0] * (1 + 1e-8)
+    with pytest.raises(ValueError, match="m_a is not trace-nonincreasing"):
+        propagate(bell_state(BellKind.PHI_PLUS), stack, SIGMA0[None])
+
+
 # SHA-256 pins of search traces and CLI files, recorded from the scalar route
 # before the kernel existed (numpy 2.4, OpenBLAS 0.3.31, x86-64). Another
 # numeric stack may round differently and need fresh pins.
@@ -492,6 +527,22 @@ def test_noisy_cli_measures_once_per_channel_batch(tmp_path, argv, monkeypatch):
     # (compensate: uncompensated and compensated) in one call
     assert len(batches) == {"b2b": 0, "compensate": 2}.get(argv[0], 1)
     assert measured == ([()] if argv[0] == "b2b" else [b.rate.shape for b in batches])
+
+
+@pytest.mark.parametrize("argv", [(), ("--noisy",), ("--pmd-q", "0.155"),
+                                  ("--theta-count", "1"), ("--theta-list", "0.3,2.9", "--noisy")])
+def test_compensate_designs_all_angles_in_one_call(tmp_path, argv, monkeypatch):
+    rows = []
+
+    def counting(element_a, t):
+        rows.append(np.shape(element_a.gamma))
+        return design_compensator(element_a, t)
+
+    monkeypatch.setattr(cli, "design_compensator", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compensate", *argv, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "compensate.csv").read_text().splitlines()
+    assert rows == [(len(lines) - 1,)]
 
 
 def test_reconstruct_16_pinned():

@@ -152,6 +152,17 @@ def test_purity_and_linear_entropy():
         assert abs(entropy - want) < 1e-12
 
 
+def test_purity_of_a_stack_matches_one_state_calls():
+    rng = np.random.default_rng(211)
+    stack = np.array([random_density(rng) for _ in range(50)]).reshape(5, 10, 4, 4)
+    got = purity(stack)
+    assert got.shape == (5, 10)
+    want = [purity(rho) for rho in stack.reshape(-1, 4, 4)]
+    assert got.tobytes() == np.array(want).tobytes()
+    one = purity(stack[0, 0])
+    assert np.ndim(one) == 0 and one == got[0, 0]
+
+
 def test_reduced_qubit():
     rho = bell_state(BellKind.PHI_PLUS)
     for which in ("A", "B"):

@@ -252,6 +252,44 @@ def test_design_compensator_degenerate():
         design_compensator(PdlElement(0.5, np.array([1.0, 0, 0])), (0.0, 0.0, 1.0))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("t", [(1.0, -1.0, 1.0), (0.69, -0.69, 1.0), (0.3, -0.2, 0.45)])
+def test_design_compensator_stack_matches_one_element_calls(t):
+    # m = 1 on a Bell triple, partial m otherwise; the first magnitudes are 0
+    rng = np.random.default_rng(131)
+    n = 2000
+    gammas = rng.uniform(0, 2.5, n)
+    gammas[:20] = 0.0
+    v = rng.normal(size=(n, 3))
+    stack = PdlElement(gammas, v / np.linalg.norm(v, axis=1, keepdims=True))
+    plans = design_compensator(stack, t)
+    assert plans.element.gamma.shape == plans.kappa.shape == (n,)
+    assert plans.element.axis.shape == (n, 3)
+    ones = [design_compensator(stack[i], t) for i in range(n)]
+    assert _bits(plans.element.gamma) == _bits([p.element.gamma for p in ones])
+    assert _bits(plans.element.axis) == _bits([p.element.axis for p in ones])
+    for field in ("kappa", "predicted_concurrence", "predicted_rate"):
+        assert _bits(getattr(plans, field)) == _bits([getattr(p, field) for p in ones])
+
+
+def test_design_compensator_one_element_gives_floats():
+    plan = design_compensator(PdlElement(G51, np.array([1.0, 0, 0])), (0.69, -0.69, 1.0))
+    for value in (plan.element.gamma, plan.kappa, plan.predicted_concurrence, plan.predicted_rate):
+        assert isinstance(value, float) and np.ndim(value) == 0
+    assert plan.element.axis.shape == (3,)
+
+
+def test_design_compensator_stack_with_annihilated_axis_raises():
+    axes = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    msg = "no compensation direction: the correlation annihilates the arm-A axis"
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        design_compensator(PdlElement(np.full(4, 0.5), axes), (0.0, 0.0, 1.0))
+    design_compensator(PdlElement(np.full(2, 0.5), axes[:2]), (0.0, 0.0, 1.0))  # no raise
+
+
 def test_rate_bounds_frozen():
     rb = rate_bounds(G51, G51)
     assert abs(rb.c_min - 0.5641802873434723) < 1e-12
