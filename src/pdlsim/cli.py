@@ -386,18 +386,22 @@ _COUNT = _number("count", 1, kind=int)
 _SEED = _number("seed", 0, 2**64 - 1, kind=int)
 _PDL_DB = _number("magnitude", 0)
 _WEIGHT = _number("dephasing weight", 0, 0.5)
+_MIN_CHAIN_C = 1e-5  # least chain concurrence 1 - 2q the protocol rows can be normalized by
 
 
 def _pmd_q(text: str) -> float:
     """argparse type for the chain's dephasing weight, in [0, 0.5).
 
-    At q = 0.5 the dephased chain state is separable, so the protocol
-    commands would divide by its zero concurrence.
+    The protocol commands divide concurrences, whose absolute error is near
+    1e-16, by the chain concurrence 1 - 2q, so their 1e-9 row checks fail once
+    it falls to about 1e-7 (q = 0.5 leaves none). Weights leaving less than
+    _MIN_CHAIN_C are usage errors.
     """
     q = _WEIGHT(text)
-    if q == 0.5:
+    if 1 - 2 * q < _MIN_CHAIN_C:
         raise argparse.ArgumentTypeError(
-            "dephasing weight 0.5 leaves the chain state no entanglement to normalize by")
+            f"dephasing weight {text} leaves the chain state no entanglement to normalize by: "
+            f"1 - 2q = {1 - 2 * q:.3g} is below {_MIN_CHAIN_C:g}")
     return q
 
 

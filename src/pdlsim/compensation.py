@@ -5,16 +5,18 @@ measure (or compute) the resulting concurrence, and keep the best orientation
 and magnitude. The coarse stage scans a Fibonacci sphere lattice crossed with a
 magnitude grid, one stacked `PdlElement`, in one `propagate` call; a
 coordinate-descent stage with interval halving then polishes the winner. Each
-refine trial starts from the best point so far, so a sweep stacks its
-remaining trials into one element and one `propagate` call, records them
-(each record holding its row of the stack) in order up to the first
-improvement, and rebuilds the rest from the new point: the trace is the one a
-trial-at-a-time loop gives. With the noisy flag set the kernel's batch is
-replaced by the one `instrument.measure` estimates from it, read the same way:
-each kernel call's live rows are measured in one call, row i on the sub-seed
-of the trace index it is recorded at, so a row dropped after an improvement
-costs one measurement and the trace is the one a candidate-by-candidate loop
-gives.
+refine trial starts from the best point so far, and until a trial improves
+every later one is known: the rest of its sweep, then whole sweeps from the
+same point with halved steps. So a refine batch stacks that plan, up to
+`REFINE_LOOKAHEAD` sweeps past the current one, into one element and one
+`propagate` call, records its rows (each record holding its row of the stack)
+in order up to the first improvement, and plans the next batch from the new
+point: the trace is the one a trial-at-a-time loop gives, whatever the
+look-ahead. With the noisy flag set the kernel's batch is replaced by the one
+`instrument.measure` estimates from it, read the same way: each kernel call's
+live rows are measured in one call, row i on the sub-seed of the trace index
+it is recorded at, so a row dropped after an improvement costs one measurement
+and the trace is the one a candidate-by-candidate loop gives.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,7 @@ from .instrument import DetectorModel, SourceModel, derive_seed, measure
 from .qmath import check_state
 
 REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
+REFINE_LOOKAHEAD = 2  # sweeps a refine batch plans past the current one
 
 
 @dataclass(frozen=True)
@@ -113,18 +116,9 @@ def optimize_compensator(
         raise ValueError("noisy search needs source and detector models")
 
     records: list[EvalRecord] = []
-    best_c = -1.0
-    best_el = None
 
-    def record(element: PdlElement, rate: float, obj: float, s_a: float) -> None:
-        nonlocal best_c, best_el
-        records.append(EvalRecord(element, obj, rate, s_a))
-        if obj > best_c:
-            best_c = obj
-            best_el = element
-
-    def evaluate(elements: PdlElement) -> list[tuple[float, float, float]]:
-        """(rate, objective, S_A) of each element of a stack in one kernel call, 0s if extinct."""
+    def evaluate(elements: PdlElement) -> tuple[list[float], list[float], list[float]]:
+        """Rates, objectives and S_A of a stack of elements in one kernel call, 0s if extinct."""
         batch = propagate(base, m_a[None], pdl_operator(elements))
         if cfg.noisy:
             # one sub-seed per candidate: row i would be recorded at index len(records) + i
@@ -132,7 +126,7 @@ def optimize_compensator(
                      for i in range(len(batch.rate))]
             batch = measure(batch, cfg.source, cfg.detector, cfg.pulses, seeds)
         rate = np.where(batch.extinct, 0.0, batch.rate)
-        return list(zip(rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()))
+        return rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()
 
     if cfg.gamma_grid is not None:
         grid = cfg.gamma_grid
@@ -142,12 +136,16 @@ def optimize_compensator(
         grid = tuple(np.linspace(0.7 * pdl_a.gamma, 1.3 * pdl_a.gamma, 7))
     axes = fibonacci_sphere(cfg.sphere_points)
     lattice = PdlElement(np.repeat(grid, len(axes)), np.tile(axes, (len(grid), 1)))
-    for i, row in enumerate(evaluate(lattice)):
-        record(lattice[i], *row)
+    rates, objs, s_as = evaluate(lattice)
+    records.extend([EvalRecord(lattice[i], obj, rate, s_a)
+                    for i, (rate, obj, s_a) in enumerate(zip(rates, objs, s_as))])
+    best_c = max(objs)
+    best_el = records[objs.index(best_c)].element  # the first maximum: ties keep the earliest
 
     # polish: coordinate descent on (theta, phi, gamma) with interval halving.
-    # Moves after an improving one must start from the improved point, so a
-    # batch is recorded only up to its first improvement.
+    # A refine state is (move index, sweep, angle step, gamma step, best at
+    # the sweep's start); moves after an improving one start from the
+    # improved point.
     ax = best_el.axis
     point = (float(np.arccos(np.clip(ax[2], -1, 1))), float(np.arctan2(ax[1], ax[0])),
              best_el.gamma)
@@ -155,31 +153,47 @@ def optimize_compensator(
     diffs = np.diff(sorted(set(grid)))
     step_g = float(diffs.max()) if diffs.size else 0.1 * max(pdl_a.gamma, 0.5)
     moves = [(coord, sign) for coord in range(3) for sign in (1.0, -1.0)]
-    for _ in range(cfg.refine_iters):
-        before = best_c
-        steps = (step_ang, step_ang, step_g)
-        k = 0
-        while k < len(moves):
-            points = []
-            for coord, sign in moves[k:]:
-                p = list(point)
-                p[coord] += sign * steps[coord]
-                if coord == 2:
-                    p[2] = max(p[2], 0.0)
-                points.append(tuple(p))
-            th, ph, g = np.array(points).T
-            trials = PdlElement(g, axis_from_polar(th, ph))
-            for i, row in enumerate(evaluate(trials)):
-                trial = trials[i]
-                record(trial, *row)
-                k += 1
-                if best_el is trial:
-                    point = points[i]
-                    break
-        if best_c - before < REFINE_TOL:
-            step_ang /= 2
-            step_g /= 2
+
+    def after(state, best):
+        """The state after the move at `state`, with `best` the best so far, or None at the end.
+
+        A sweep's last move starts the next sweep, halving both steps when the
+        sweep gained less than REFINE_TOL; the search stops after
+        `refine_iters` sweeps or once both steps fall below 1e-10.
+        """
+        k, sweep, step_ang, step_g, before = state
+        if k + 1 < len(moves):
+            return k + 1, sweep, step_ang, step_g, before
+        if best - before < REFINE_TOL:
+            step_ang, step_g = step_ang / 2, step_g / 2
             if max(step_ang, step_g) < 1e-10:
+                return None
+        return (0, sweep + 1, step_ang, step_g, best) if sweep + 1 < cfg.refine_iters else None
+
+    # Each batch holds the moves that follow if none improves: the rest of
+    # this sweep and REFINE_LOOKAHEAD more. It is recorded up to its first
+    # improvement, and the next batch is planned from the state after it.
+    state = (0, 0, step_ang, step_g, best_c) if cfg.refine_iters else None
+    while state is not None:
+        plan, last = [], state[1] + REFINE_LOOKAHEAD
+        while state is not None and state[1] <= last:
+            plan.append(state)
+            state = after(state, best_c)
+        points = []
+        for k, _, move_ang, move_g, _ in plan:
+            coord, sign = moves[k]
+            p = list(point)
+            p[coord] += sign * (move_g if coord == 2 else move_ang)
+            if coord == 2:
+                p[2] = max(p[2], 0.0)
+            points.append(tuple(p))
+        th, ph, g = np.array(points).T
+        trials = PdlElement(g, axis_from_polar(th, ph))
+        for i, (rate, obj, s_a) in enumerate(zip(*evaluate(trials))):
+            records.append(EvalRecord(trials[i], obj, rate, s_a))
+            state = after(plan[i], max(best_c, obj))
+            if obj > best_c:
+                best_c, best_el, point = obj, records[-1].element, points[i]
                 break
 
     return SearchResult(best=best_el, best_concurrence=best_c, evaluations=tuple(records))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from pdlsim.cli import RunConfig, _fmt, _write_csv, load_config, main
+from pdlsim.cli import _MIN_CHAIN_C, RunConfig, _fmt, _write_csv, load_config, main
 
 G51 = 0.5871591987134815
 DB_PER_NEPER = 8.685889638065037
@@ -134,6 +134,25 @@ def test_fully_dephased_chain_is_a_usage_error(tmp_path, command, capsys):
     err = capsys.readouterr().err
     assert "argument --pmd-q:" in err and "no entanglement to normalize by" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q", ["0.4999999999", "0.49999999999999994"])
+@pytest.mark.parametrize("command", ["compensate", "tradeoff", "entropy-feedback"])
+def test_nearly_dephased_chain_is_a_usage_error(tmp_path, command, q, capsys):
+    # 1 - 2q of 2e-10 or 1.1e-16 is too little to normalize rows by
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--pmd-q", q, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --pmd-q: dephasing weight {q} leaves" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["compensate", "tradeoff", "entropy-feedback"])
+def test_weakly_entangled_chain_passes_the_row_checks(tmp_path, command):
+    # 1 - 2q = 2e-5, near the least accepted chain concurrence
+    assert _MIN_CHAIN_C < 1 - 2 * 0.49999 < 3 * _MIN_CHAIN_C
+    assert main([command, "--pmd-q", "0.49999", "--out", str(tmp_path)]) == 0
 
 
 def test_run_config_validation():

@@ -444,33 +444,57 @@ def test_search_trace_pinned(kind):
     assert trace_sha256(res) == SEARCH_PINS[kind]
 
 
-@pytest.mark.parametrize("kind", ["pdl", "pmd", "grid"])
-def test_refine_makes_one_kernel_call_per_sweep_and_improvement(kind, monkeypatch):
-    rows = []
+# kernel calls per search when each refine batch held the rest of one sweep
+CALLS_PER_SWEEP_BATCH = {"pdl": 38, "pmd": 33, "grid": 22}
+
+
+@pytest.mark.parametrize("kind", list(CALLS_PER_SWEEP_BATCH))
+def test_refine_calls_hold_the_lookahead_plan_up_to_the_first_improvement(kind, monkeypatch):
+    filters = []
 
     def counting(rho, m_a, m_b):
-        rows.append(len(m_b))
+        filters.append(m_b)
         return propagate(rho, m_a, m_b)
 
     monkeypatch.setattr(compensation, "propagate", counting)
-    res = optimize_compensator(*search_case(kind))
-    lattice, refine = rows[0], res.evaluations[rows[0]:]
-    # a sweep records its six moves in order, so a call starts at each sweep
-    # and after each improving trial that is not the sweep's last, and holds
-    # the moves left in that sweep
-    assert len(refine) % 6 == 0
+    args = search_case(kind)
+    res = optimize_compensator(*args)
+    lattice, refine = len(filters[0]), res.evaluations[len(filters[0]):]
+    # these searches stop at their sweep count, never at the step floor
+    sweeps = args[2].refine_iters
+    assert len(refine) == 6 * sweeps
+    # a call plans the moves left in its sweep and REFINE_LOOKAHEAD more
+    # sweeps, or up to the last sweep; its rows are recorded in order up to
+    # the first improvement or to the end of the plan
     best = max(r.concurrence for r in res.evaluations[:lattice])
-    expected, improved, improving_nonfinal = [], False, 0
-    for i, r in enumerate(refine):
-        if i % 6 == 0 or improved:
-            expected.append(6 - i % 6)
-        improved = r.concurrence > best
-        if improved:
-            best = r.concurrence
-            improving_nonfinal += i % 6 != 5
-    assert improving_nonfinal > 0
-    assert len(rows) - 1 == len(refine) // 6 + improving_nonfinal
-    assert rows[1:] == expected
+    pos, improving = 0, 0
+    for m_b in filters[1:]:
+        assert pos < len(refine)
+        last_sweep = min(pos // 6 + compensation.REFINE_LOOKAHEAD, sweeps - 1)
+        assert len(m_b) == 6 * (last_sweep + 1) - pos
+        for i, m in enumerate(m_b):
+            r = refine[pos + i]
+            assert np.array_equal(m, pdl_operator(r.element))
+            if r.concurrence > best:
+                best, improving = r.concurrence, improving + 1
+                break
+        pos += i + 1
+    assert pos == len(refine) and improving > 0
+    assert len(filters) < CALLS_PER_SWEEP_BATCH[kind]
+
+
+def test_default_search_makes_fewer_kernel_calls(monkeypatch):
+    calls = []
+
+    def counting(rho, m_a, m_b):
+        calls.append(len(m_b))
+        return propagate(rho, m_a, m_b)
+
+    monkeypatch.setattr(compensation, "propagate", counting)
+    agg, base, _, _ = search_case("pdl")
+    optimize_compensator(agg, base, SearchConfig())
+    # 51 calls when each refine batch held the rest of one sweep
+    assert len(calls) < 51
 
 
 def test_noisy_search_measures_once_per_kernel_call(monkeypatch):
