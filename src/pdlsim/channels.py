@@ -19,7 +19,6 @@ renormalizes each row. `apply_local` is its one-row case, giving a one-state
 batch; the search, the CLI sweeps and the verify suites pass whole stacks.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,16 +77,13 @@ def db_from_gamma(gamma):
 def unit_axis(axis) -> np.ndarray:
     """Validate Stokes axes (..., 3), each of unit norm within TOL, and return them renormalized."""
     a = np.asarray(axis, dtype=float)
-    if a.shape == (3,):  # np.linalg.norm's own route for a real vector
-        nrm = np.sqrt(a.dot(a))
-        unit = abs(nrm - 1.0) <= TOL  # False for NaN
-    elif a.shape[-1:] == (3,):  # a row-wise matmul matches it bit for bit, einsum does not
-        nrm = np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0])
-        unit = np.all(abs(nrm - 1.0) <= TOL)
-    else:
+    if a.shape[-1:] != (3,):
         raise ValueError(f"axis must have 3 components, got shape {a.shape}")
-    if not unit:
-        raise ValueError(f"axis is not unit length: |a| = {nrm[~(abs(nrm - 1.0) <= TOL)][0]}")
+    # a row-wise matmul matches np.linalg.norm of each row bit for bit, einsum does not
+    nrm = np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0])
+    off = ~(abs(nrm - 1.0) <= TOL)  # True for NaN
+    if off.any():
+        raise ValueError(f"axis is not unit length: |a| = {nrm[off][0]}")
     a = a / nrm
     a.setflags(write=False)
     return a
@@ -115,18 +111,11 @@ class PdlElement:
     axis: np.ndarray = field(default_factory=lambda: CANONICAL_AXIS.copy())
 
     def __post_init__(self):
-        gamma = self.gamma
-        stacked = isinstance(gamma, (list, tuple)) or getattr(gamma, "ndim", 0) > 0
-        if stacked:
-            gamma = _check_gamma(gamma, "gamma")
-        elif not math.isfinite(gamma) or gamma < 0:  # one element: no array round trip
-            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+        gamma = _check_gamma(self.gamma, "gamma")
         axis = unit_axis(self.axis)
-        if stacked or axis.ndim > 1:
-            shape = np.broadcast_shapes(np.shape(gamma), axis.shape[:-1])
-            object.__setattr__(self, "gamma", np.broadcast_to(np.asarray(gamma, dtype=float), shape))
-            axis = np.broadcast_to(axis, shape + (3,))
-        object.__setattr__(self, "axis", axis)
+        shape = np.broadcast_shapes(gamma.shape, axis.shape[:-1])
+        object.__setattr__(self, "gamma", np.broadcast_to(gamma, shape)[()])
+        object.__setattr__(self, "axis", np.broadcast_to(axis, shape + (3,)))
 
     def __getitem__(self, index) -> "PdlElement":
         """Row or sub-stack `index` as stored: neither checked nor renormalized again."""
@@ -237,8 +226,6 @@ def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch
     filtered = big @ rho @ np.swapaxes(big.conj(), -1, -2)
     rate = np.trace(filtered, axis1=-2, axis2=-1).real
     live = ~(rate < EXTINCTION_RATE)
-    if live.all():
-        return ChannelBatch(check_states(filtered / rate[:, None, None]), rate)
     states = np.zeros_like(filtered)
     states[live] = check_states(filtered[live] / rate[live, None, None])
     return ChannelBatch(states, rate)

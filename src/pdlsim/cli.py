@@ -32,7 +32,7 @@ from .channels import (
     propagate,
 )
 from .compensation import fibonacci_sphere
-from .instrument import DetectorModel, calibrate_source, derive_seed, measure, source_state
+from .instrument import DetectorModel, Rig, calibrate_source, measure, source_state
 from .qmath import (
     SIGMA0,
     BellKind,
@@ -62,11 +62,17 @@ class RunConfig:
     noisy: bool = False
 
     def __post_init__(self):
-        # source/detector ranges are enforced by their own constructors
         if self.pulses < 1:
             raise ValueError(f"tomo.pulses must be >= 1, got {self.pulses}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"run.seed must fit in 64 bits, got {self.seed}")
+        self.rig()  # the source and detector ranges, checked by their constructors
+
+    def rig(self) -> Rig:
+        """The tomography bench these knobs describe, for noisy runs and the source model."""
+        return Rig(calibrate_source(self.c_b2b, self.hh_vv_ratio, mu=self.mu),
+                   DetectorModel(efficiency=self.efficiency, dark_prob=self.dark_prob),
+                   self.pulses, self.seed)
 
 
 _CONFIG_KEYS = {
@@ -84,8 +90,13 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 
 
 def load_config(path) -> RunConfig:
-    """Parse a flat key=value file; '#' comments and blank lines are skipped."""
-    overrides = {}
+    """Parse a flat key=value file; '#' comments and blank lines are skipped.
+
+    Values that fit together are accepted in any order. Otherwise the error
+    quotes the first line at which the file's values so far, with defaults
+    for the keys it sets later, stop fitting.
+    """
+    lines = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -97,22 +108,20 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         field, conv = _CONFIG_KEYS[key]
         try:
-            overrides[field] = conv(value)
+            lines.append((lineno, field, conv(value)))
         except (KeyError, ValueError):
             raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
-        try:  # the range check of this one field
-            RunConfig(**{field: overrides[field]})
+    try:
+        return RunConfig(**{field: value for _, field, value in lines})
+    except ValueError:
+        pass
+    so_far = {}
+    for lineno, field, value in lines:  # the last line at the latest fails again
+        so_far[field] = value
+        try:
+            RunConfig(**so_far)
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
-    return RunConfig(**overrides)
-
-
-def _source(cfg: RunConfig):
-    return calibrate_source(cfg.c_b2b, cfg.hh_vv_ratio, mu=cfg.mu)
-
-
-def _detector(cfg: RunConfig):
-    return DetectorModel(efficiency=cfg.efficiency, dark_prob=cfg.dark_prob)
 
 
 def _fmt(x) -> str:
@@ -152,21 +161,16 @@ def _write_keyvals(path: Path, pairs):
 def _observer(cfg: RunConfig, label: str):
     """One command's reader of a channel batch, as the run reports its rows.
 
-    `observe(batch, seed_indices)` raises ExtinctionError on an extinct row,
-    else gives the `ChannelBatch` the run reports. Noiseless runs report the
-    exact batch. Noisy runs report its tomographic estimate, with the same
-    rates, the whole batch measured in one call with row i drawn from the
-    sub-seed (label, seed_indices[i]), using source and detector models built
-    once here.
+    `observe(batch, indices)` raises ExtinctionError on an extinct row, else
+    gives the `ChannelBatch` the run reports. Noiseless runs report the exact
+    batch. Noisy runs report its tomographic estimate, with the same rates:
+    `measure(batch, rig, label, indices)` on the one rig built here.
     """
-    src, det = (_source(cfg), _detector(cfg)) if cfg.noisy else (None, None)
+    rig = cfg.rig() if cfg.noisy else None
 
-    def observe(batch, seed_indices):
+    def observe(batch, indices):
         batch.require_live()
-        if cfg.noisy:
-            seeds = [derive_seed(cfg.seed, label, k) for k in seed_indices]
-            return measure(batch, src, det, cfg.pulses, seeds)
-        return batch
+        return batch if rig is None else measure(batch, rig, label, indices)
 
     return observe
 
@@ -197,11 +201,7 @@ def _baseline_scale(cfg: RunConfig, pmd_q: float, chain_c: float) -> float:
 
 def cmd_b2b(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Back-to-back source state: density matrix CSV plus summary metrics."""
-    src = _source(cfg)
-    state = source_state(src)
-    if cfg.noisy:
-        state = measure(state, src, _detector(cfg), cfg.pulses, derive_seed(cfg.seed, "b2b", 0))
-    rho = state.rho
+    rho = _observer(cfg, "b2b")(source_state(cfg.rig().source), 0).rho
     metrics = [
         ("concurrence", concurrence(rho)),
         ("purity", purity(rho)),
@@ -223,8 +223,7 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     aggregate column is their concatenation. kappa is the orientation overlap
     of the two arm-A elements through the state.
     """
-    src = _source(cfg)
-    src_el = src.source_pdl
+    src_el = cfg.rig().source.source_pdl
     base = bell_diagonal([cfg.c_b2b, -cfg.c_b2b, 1.0])
     t = correlation_of(base)
     axes = fibonacci_sphere(orientations_n)
@@ -250,8 +249,7 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     measured baseline), the designed element, and both coincidence rates. Arm A
     aggregates source PDL and the emulator at angle theta from the source axis.
     """
-    src = _source(cfg)
-    src_el = src.source_pdl
+    src_el = cfg.rig().source.source_pdl
     base, chain_c = _chain_state(pmd_q)
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     t = correlation_of(base)
@@ -445,8 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config) if args.config else RunConfig()
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = load_config(args.config) if args.config else RunConfig()
+    except (OSError, ValueError) as err:
+        parser.error(str(err))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.noisy:

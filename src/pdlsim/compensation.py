@@ -12,11 +12,11 @@ same point with halved steps. So a refine batch stacks that plan, up to
 `propagate` call, records its rows (each record holding its row of the stack)
 in order up to the first improvement, and plans the next batch from the new
 point: the trace is the one a trial-at-a-time loop gives, whatever the
-look-ahead. With the noisy flag set the kernel's batch is replaced by the one
-`instrument.measure` estimates from it, read the same way: each kernel call's
-live rows are measured in one call, row i on the sub-seed of the trace index
-it is recorded at, so a row dropped after an improvement costs one measurement
-and the trace is the one a candidate-by-candidate loop gives.
+look-ahead. When the config holds a `Rig`, the kernel's batch is replaced by
+the one `measure(batch, rig, "cand", indices)` estimates from it, read the
+same way: each kernel call's live rows are measured in one call, row i at the
+trace index it is recorded at, so a row dropped after an improvement costs
+one measurement and the trace is the one a candidate-by-candidate loop gives.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from .channels import (
     pmd_dephase,
     propagate,
 )
-from .instrument import DetectorModel, SourceModel, derive_seed, measure
+from .instrument import Rig, measure
 from .qmath import check_state
 
 REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
@@ -40,24 +40,18 @@ REFINE_LOOKAHEAD = 2  # sweeps a refine batch plans past the current one
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid density, refinement control, and the optional noisy-objective rig."""
+    """Grid density, refinement control, and the rig that measures a noisy objective."""
 
     sphere_points: int = 128
     gamma_grid: tuple[float, ...] | None = None
     refine_iters: int = 40
-    noisy: bool = False
-    seed: int = 0
-    source: SourceModel | None = None
-    detector: DetectorModel | None = None
-    pulses: int = 1_000_000
+    rig: Rig | None = None  # None: the exact concurrence
 
     def __post_init__(self):
         if self.sphere_points < 32:
             raise ValueError(f"sphere_points must be >= 32, got {self.sphere_points}")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
-        if self.pulses < 1:
-            raise ValueError("pulses must be >= 1")
         if self.gamma_grid is not None:
             grid = tuple(float(g) for g in self.gamma_grid)
             if len(grid) == 0 or any(g < 0 for g in grid):
@@ -112,19 +106,15 @@ def optimize_compensator(
     if pmd_a is not None:
         base = pmd_dephase(base, pmd_a)
     m_a = pdl_operator(pdl_a)
-    if cfg.noisy and (cfg.source is None or cfg.detector is None):
-        raise ValueError("noisy search needs source and detector models")
 
     records: list[EvalRecord] = []
 
     def evaluate(elements: PdlElement) -> tuple[list[float], list[float], list[float]]:
         """Rates, objectives and S_A of a stack of elements in one kernel call, 0s if extinct."""
         batch = propagate(base, m_a[None], pdl_operator(elements))
-        if cfg.noisy:
-            # one sub-seed per candidate: row i would be recorded at index len(records) + i
-            seeds = [derive_seed(cfg.seed, "cand", len(records) + i)
-                     for i in range(len(batch.rate))]
-            batch = measure(batch, cfg.source, cfg.detector, cfg.pulses, seeds)
+        if cfg.rig is not None:  # row i would be recorded at trace index len(records) + i
+            start = len(records)
+            batch = measure(batch, cfg.rig, "cand", range(start, start + len(batch.rate)))
         rate = np.where(batch.extinct, 0.0, batch.rate)
         return rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()
 

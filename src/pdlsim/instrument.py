@@ -10,12 +10,17 @@ bench. The bench uses two fixed analyzer schedules, the module constants
 built once at import with its projector kets, model matrix, pseudo-inverse
 and basis groups. Counts are plain arrays with one entry per setting, in
 schedule order: `expected_coincidences` gives the means, `simulate_counts`
-draws integer counts from them, and `reconstruct` inverts either. `measure`
-chains them into the one route from a `ChannelBatch` of exact states to the
-`ChannelBatch` of their estimates, read the same way. Each of these functions
-takes one state or a stack of them (any leading batch axes, one sub-seed per
-state), and each state's result is bit for bit the one its own one-state
-call gives.
+draws integer counts from them, and `reconstruct` inverts either. Each of
+these functions takes one state or a stack of them (any leading batch axes,
+one sub-seed per state), and each state's result is bit for bit the one its
+own one-state call gives.
+
+`measure(batch, rig, label, indices)` chains them into the one noisy route
+from a `ChannelBatch` of exact states to the `ChannelBatch` of their
+estimates, read the same way. A `Rig` holds the bench (source, detectors,
+pulses per setting, master seed), and state k is measured on the sub-seed
+`derive_seed(rig.seed, label, indices[k])`: this module is the only one that
+derives sub-seeds or draws counts.
 """
 
 import hashlib
@@ -188,18 +193,6 @@ def expected_coincidences(
     return pulses * per_pulse
 
 
-def _sub_seeds(seed, shape) -> np.ndarray:
-    """`seed` as an object array of integer sub-seeds, one per state of `shape`."""
-    # object dtype keeps 64-bit seeds exact; a float array would round them
-    seeds = np.asarray(seed, dtype=object)
-    if seeds.shape != shape:
-        raise ValueError(f"need one seed per state, got shape {seeds.shape} "
-                         f"for {shape} states")
-    if not all(isinstance(s, (int, np.integer)) for s in seeds.flat):
-        raise TypeError("sub-seeds must be integers")
-    return seeds
-
-
 def simulate_counts(
     batch: ChannelBatch,
     settings: Schedule,
@@ -216,7 +209,13 @@ def simulate_counts(
     by its own sub-seed, so its counts do not depend on the rest of the stack.
     """
     expected = expected_coincidences(batch, settings, src, det, pulses)
-    seeds = _sub_seeds(seed, expected.shape[:-1])
+    # object dtype keeps 64-bit seeds exact; a float array would round them
+    seeds = np.asarray(seed, dtype=object)
+    if seeds.shape != expected.shape[:-1]:
+        raise ValueError(f"need one seed per state, got shape {seeds.shape} "
+                         f"for {expected.shape[:-1]} states")
+    if not all(isinstance(s, (int, np.integer)) for s in seeds.flat):
+        raise TypeError("sub-seeds must be integers")
     counts = np.empty(expected.shape, dtype=np.int64)
     for n in np.ndindex(seeds.shape):
         counts[n] = np.random.default_rng(int(seeds[n])).poisson(expected[n])
@@ -295,28 +294,39 @@ def project_physical(m: np.ndarray) -> np.ndarray:
     return repaired
 
 
-def measure(
-    batch: ChannelBatch,
-    src: SourceModel,
-    det: DetectorModel,
-    pulses: int,
-    seed,
-) -> ChannelBatch:
+@dataclass(frozen=True)
+class Rig:
+    """A tomography bench: calibrated source, detectors, pulses per setting, master seed."""
+
+    source: SourceModel
+    detector: DetectorModel
+    pulses: int = 1_000_000
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.pulses < 1:
+            raise ValueError(f"pulses must be >= 1, got {self.pulses}")
+
+
+def measure(batch: ChannelBatch, rig: Rig, label: str, indices) -> ChannelBatch:
     """Tomographic estimates of a batch's states, the one noisy measurement route.
 
-    Each live state gets Poissonian counts on the 36-setting schedule drawn
-    from its own sub-seed (`seed` holds one per state, see `simulate_counts`),
-    linear inversion, then the nearest-physical repair. The live states are
+    `indices` holds one int per state (an int for a one-state batch), and
+    state k draws Poissonian counts on the 36-setting schedule from the
+    sub-seed derive_seed(rig.seed, label, indices[k]), then goes through
+    linear inversion and the nearest-physical repair. The live states are
     measured in one call; extinct rows stay zero matrices. The result carries
     the batch's rates, so it is read like the exact batch.
     """
     live = ~batch.extinct
-    if live.all():
-        counts = simulate_counts(batch, SETTINGS_36, src, det, pulses, seed=seed)
-        return ChannelBatch(project_physical(reconstruct(counts, SETTINGS_36)), batch.rate)
+    indices = np.asarray(indices)
+    if indices.shape != live.shape:
+        raise ValueError(f"need one index per state, got shape {indices.shape} "
+                         f"for {live.shape} states")
     rho = np.zeros_like(batch.rho)
     if live.any():
-        counts = simulate_counts(ChannelBatch(batch.rho[live], batch.rate[live]), SETTINGS_36,
-                                 src, det, pulses, seed=_sub_seeds(seed, live.shape)[live])
+        seeds = [derive_seed(rig.seed, label, k) for k in indices[live].tolist()]
+        counts = simulate_counts(ChannelBatch(batch.rho[live], np.asarray(batch.rate)[live]),
+                                 SETTINGS_36, rig.source, rig.detector, rig.pulses, seed=seeds)
         rho[live] = project_physical(reconstruct(counts, SETTINGS_36))
     return ChannelBatch(rho, batch.rate)

@@ -8,9 +8,10 @@ PDL of magnitudes (gamma_a, gamma_b) along axes (a, b) gives
 
 with the alignment factor kappa = sum_j a_j b_j t_j. Their product, the
 average entanglement per emitted pair e^{-(gA+gB)} c0, depends only on the
-total loss. `kappa`, `predicted_concurrence` and `predicted_rate` broadcast
-over leading axes, as `channels.propagate` does, with scalars giving a 0-d
-result; every domain check holds element by element, and NaN fails it.
+total loss. `kappa`, `predicted_concurrence`, `predicted_rate` and
+`rate_bounds` broadcast over leading axes, as `channels.propagate` does, with
+scalars giving a 0-d result; every domain check holds element by element, and
+NaN fails it.
 `design_compensator` takes one arm-A element or a stack in the same way.
 """
 
@@ -152,23 +153,26 @@ class RateBounds:
 
     c_min and c_max_norm bound the concurrence normalized to its zero-PDL
     value; the rates bound the post-selection rate between the fully aligned
-    (kappa = +1) and fully compensating (kappa = -1) orientations.
+    (kappa = +1) and fully compensating (kappa = -1) orientations. Each field
+    has the broadcast shape of the magnitudes.
     """
 
-    c_min: float
-    c_max_norm: float
-    rate_at_kappa_minus1: float
-    rate_at_kappa_plus1: float
+    c_min: np.ndarray
+    c_max_norm: np.ndarray
+    rate_at_kappa_minus1: np.ndarray
+    rate_at_kappa_plus1: np.ndarray
 
 
-def rate_bounds(gamma_a: float, gamma_b: float) -> RateBounds:
+def rate_bounds(gamma_a, gamma_b) -> RateBounds:
     """Orientation envelope of normalized concurrence and rate for Bell inputs."""
-    g_a = float(_check_gamma(gamma_a, "gamma_a"))
-    g_b = float(_check_gamma(gamma_b, "gamma_b"))
-    return RateBounds(
-        # 1/cosh(x) as 2e^{-x}/(1 + e^{-2x}), which cannot overflow
-        c_min=float(2 * np.exp(-(g_a + g_b)) / (1 + np.exp(-2 * (g_a + g_b)))),
-        c_max_norm=1.0,
-        rate_at_kappa_minus1=float((np.exp(-2 * g_a) + np.exp(-2 * g_b)) / 2),
-        rate_at_kappa_plus1=float((1.0 + np.exp(-2 * (g_a + g_b))) / 2),
-    )
+    g_a = _check_gamma(gamma_a, "gamma_a")
+    g_b = _check_gamma(gamma_b, "gamma_b")
+    with np.errstate(over="ignore"):  # as in predicted_concurrence
+        g = g_a + g_b
+        return RateBounds(
+            # 1/cosh(g) as 2e^{-g}/(1 + e^{-2g}), which cannot overflow
+            c_min=(2 * np.exp(-g) / (1 + np.exp(-2 * g)))[()],
+            c_max_norm=np.ones(g.shape)[()],
+            rate_at_kappa_minus1=((np.exp(-2 * g_a) + np.exp(-2 * g_b)) / 2)[()],
+            rate_at_kappa_plus1=((1.0 + np.exp(-2 * g)) / 2)[()],
+        )

@@ -24,6 +24,7 @@ from pdlsim.instrument import (
     SETTINGS_16,
     SETTINGS_36,
     DetectorModel,
+    Rig,
     calibrate_source,
     expected_coincidences,
     project_physical,
@@ -136,10 +137,8 @@ def test_criterion_05_compensation_protocol():
     det = DetectorModel()
     measured, true_c = [], []
     for seed in range(20):
-        cfg = SearchConfig(
-            sphere_points=48, refine_iters=12, noisy=True, seed=seed,
-            source=src, detector=det, pulses=1_000_000,
-        )
+        cfg = SearchConfig(sphere_points=48, refine_iters=12,
+                           rig=Rig(src, det, pulses=1_000_000, seed=seed))
         r = optimize_compensator(agg, base, cfg)
         measured.append(scale * r.best_concurrence)
         out = apply_local(base, m_a, pdl_operator(r.best))

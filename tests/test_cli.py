@@ -125,6 +125,45 @@ def test_config_range_errors_quote_the_line(tmp_path):
             load_config(p)
 
 
+@pytest.mark.parametrize("text, lineno, msg", [
+    ("det.efficiency = 2\n", 1, "efficiency must lie in (0, 1], got 2.0"),
+    ("run.seed = 3\ndet.dark_prob = 1\n", 2, "dark_prob must lie in [0, 1), got 1.0"),
+    ("\nsource.c_b2b = 0.3\n", 2, "target_c must lie in (0.5, 1], got 0.3"),
+    ("source.hh_vv_ratio = 0.5\n", 1, "hh_vv_ratio must be >= 1, got 0.5"),
+    ("source.mu = 0.5\n", 1, "mu must lie in (0.001, 0.1), got 0.5"),
+    # reachable only at a lower HH/VV ratio than the default, which line 1 still sees
+    ("source.c_b2b = 0.99\nsource.hh_vv_ratio = 1.38\n", 1,
+     "target concurrence 0.99 unreachable at HH/VV ratio 1.38"),
+])
+def test_config_source_and_detector_errors_quote_the_line(tmp_path, text, lineno, msg):
+    p = tmp_path / "bench.cfg"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{lineno}: {re.escape(msg)}$"):
+        load_config(p)
+
+
+def test_config_values_that_fit_together_load_in_any_order(tmp_path):
+    p = tmp_path / "bench.cfg"
+    lines = ["source.c_b2b = 0.99\n", "source.hh_vv_ratio = 1.0\n"]
+    for text in ("".join(lines), "".join(lines[::-1])):
+        p.write_text(text)
+        assert load_config(p) == RunConfig(c_b2b=0.99, hh_vv_ratio=1.0)
+
+
+@pytest.mark.parametrize("noisy", [(), ("--noisy",)])
+def test_config_errors_are_usage_errors(tmp_path, noisy, capsys):
+    p = tmp_path / "bench.cfg"
+    p.write_text("# detectors\ndet.efficiency = 2\n")
+    out = tmp_path / "out"
+    for config, want in ((p, f"{p}:2: efficiency must lie in (0, 1], got 2.0"),
+                         (tmp_path / "missing.cfg", "missing.cfg")):
+        with pytest.raises(SystemExit) as exc:
+            main(["b2b", "--config", str(config), "--out", str(out), *noisy])
+        assert exc.value.code == 2
+        assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compensate", "tradeoff", "entropy-feedback"])
 def test_fully_dephased_chain_is_a_usage_error(tmp_path, command, capsys):
     # at q = 0.5 the chain state is separable: nothing to normalize by

@@ -72,6 +72,43 @@ def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text()) == []
 
 
+SEED_RULE = ("derive_seed", "simulate_counts")  # sub-seeds are derived and drawn in instrument.py
+
+
+def seed_rule_uses(source: str) -> list[str]:
+    """Imports of, reads of and calls to `derive_seed` or `simulate_counts`, by name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in SEED_RULE]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detector_flags_a_seed_rule_use():
+    source = (
+        "from .instrument import derive_seed as ds, measure\n"
+        "import numpy as np\n"
+        "seeds = [instrument.derive_seed(1, 'x', k) for k in range(3)]\n"
+        "draw = simulate_counts\n"
+        "measure(batch, rig, 'x', range(3))\n"
+    )
+    assert seed_rule_uses(source) == [
+        "derive_seed (line 1)", "derive_seed (line 3)", "simulate_counts (line 4)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "instrument.py"],
+                         ids=[p.name for p in MODULES if p.name != "instrument.py"])
+def test_seed_rule_stays_in_instrument(path):
+    assert seed_rule_uses(path.read_text()) == []
+
+
 SPANS = SRC.parents[1] / "benchmark" / "spans.py"
 
 

@@ -10,6 +10,7 @@ from pdlsim.instrument import (
     SETTINGS_16,
     SETTINGS_36,
     DetectorModel,
+    Rig,
     SourceModel,
     calibrate_source,
     derive_seed,
@@ -230,7 +231,8 @@ def test_stack_matches_one_row_calls(settings):
     repaired = project_physical(raw)
     assert raw.shape == repaired.shape == (12, 4, 4)
     assert (np.linalg.eigvalsh(raw).min(axis=-1) < 0).any()  # the repair loop runs
-    measured = measure(stack, src, det, 10**5, seeds).rho if settings is SETTINGS_36 else None
+    rig = Rig(src, det, 10**5, seed=5)
+    measured = measure(stack, rig, "row", range(12)).rho if settings is SETTINGS_36 else None
     for i in range(12):
         one = ChannelBatch(rho=stack.rho[i], rate=float(stack.rate[i]))
         one_counts = simulate_counts(one, settings, src, det, 10**5, seed=seeds[i])
@@ -240,7 +242,7 @@ def test_stack_matches_one_row_calls(settings):
             expected_coincidences(one, settings, src, det, 10**5), settings))
         assert np.array_equal(repaired[i], project_physical(raw[i]))
         if measured is not None:
-            assert np.array_equal(measured[i], measure(one, src, det, 10**5, seeds[i]).rho)
+            assert np.array_equal(measured[i], measure(one, rig, "row", i).rho)
     # a permuted stack gives the same rows, permuted
     perm = rng.permutation(12)
     shuffled = ChannelBatch(rho=stack.rho[perm], rate=stack.rate[perm])
@@ -250,7 +252,7 @@ def test_stack_matches_one_row_calls(settings):
     assert np.array_equal(reconstruct(p_counts, settings), raw[perm])
     assert np.array_equal(project_physical(raw[perm]), repaired[perm])
     if measured is not None:
-        assert np.array_equal(measure(shuffled, src, det, 10**5, p_seeds).rho, measured[perm])
+        assert np.array_equal(measure(shuffled, rig, "row", perm).rho, measured[perm])
 
 
 def test_measure_skips_extinct_rows(monkeypatch):
@@ -261,7 +263,7 @@ def test_measure_skips_extinct_rows(monkeypatch):
     rho = np.array([np.zeros((4, 4), dtype=complex) if dead else random_state(rng)
                     for dead in extinct])
     batch = ChannelBatch(rho, rates)
-    seeds = [derive_seed(7, "row", i) for i in range(len(rates))]
+    rig = Rig(src, det, 10**5, seed=7)
     seen = []
 
     def counting(states, *args, **kwargs):
@@ -269,20 +271,48 @@ def test_measure_skips_extinct_rows(monkeypatch):
         return simulate_counts(states, *args, **kwargs)
 
     monkeypatch.setattr(instrument, "simulate_counts", counting)
-    measured = measure(batch, src, det, 10**5, seeds)
+    measured = measure(batch, rig, "row", range(len(rates)))
     assert len(seen) == 1 and np.array_equal(seen[0], rates[~extinct])
     assert measured.rate is batch.rate and measured.extinct.tolist() == extinct.tolist()
     assert not measured.rho[extinct].any()
     assert (measured.concurrence[extinct] == 0).all()
     for i in np.flatnonzero(~extinct):
-        alone = measure(ChannelBatch(rho[i], rates[i]), src, det, 10**5, seeds[i])
+        alone = measure(ChannelBatch(rho[i], rates[i]), rig, "row", i)
         assert alone.rho.shape == (4, 4)
         assert measured.rho[i].tobytes() == alone.rho.tobytes()
         assert measured.concurrence[i].tobytes() == alone.concurrence.tobytes()
     # a batch with no live row is not measured at all
     seen.clear()
-    dead = measure(ChannelBatch(rho[extinct], rates[extinct]), src, det, 10**5, seeds[:2])
+    dead = measure(ChannelBatch(rho[extinct], rates[extinct]), rig, "row", [1, 3])
     assert seen == [] and not dead.rho.any()
+
+
+def test_measure_derives_each_states_sub_seed(monkeypatch):
+    rng = np.random.default_rng(43)
+    rig = Rig(calibrate_source(0.925, 1.38), DetectorModel(), 10**5, seed=2**64 - 1)
+    batch = random_outcomes(rng, 3)
+    seen = []
+
+    def recording(states, *args, seed, **kwargs):
+        seen.append(seed)
+        return simulate_counts(states, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(instrument, "simulate_counts", recording)
+    measure(batch, rig, "cand", range(4, 7))
+    measure(ChannelBatch(batch.rho[0], batch.rate[0]), rig, "b2b", 0)
+    assert seen == [[derive_seed(2**64 - 1, "cand", k) for k in (4, 5, 6)],
+                    [derive_seed(2**64 - 1, "b2b", 0)]]
+    for indices in (range(2), 0, [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="one index per state"):
+            measure(batch, rig, "cand", indices)
+
+
+def test_rig_validation():
+    src, det = calibrate_source(0.925, 1.38), DetectorModel()
+    assert Rig(src, det).pulses == 1_000_000 and Rig(src, det).seed == 0
+    for pulses in (0, -5):
+        with pytest.raises(ValueError, match=f"pulses must be >= 1, got {pulses}"):
+            Rig(src, det, pulses=pulses)
 
 
 def test_stack_checks_every_row():

@@ -37,6 +37,7 @@ from pdlsim.compensation import SearchConfig, fibonacci_sphere, optimize_compens
 from pdlsim.instrument import (
     SETTINGS_16,
     DetectorModel,
+    Rig,
     calibrate_source,
     expected_coincidences,
     reconstruct,
@@ -429,8 +430,8 @@ def search_case(kind):
         return agg, phi_plus, SearchConfig(sphere_points=64, refine_iters=20), pmd
     if kind == "noisy":
         agg = concat_pdl(src, PdlElement(gamma_from_db(2.55), axis_from_polar(1.3, 0.4)))
-        cfg = SearchConfig(sphere_points=48, refine_iters=12, noisy=True, seed=0,
-                           source=calibrate_source(0.925, 1.38), detector=DetectorModel())
+        rig = Rig(calibrate_source(0.925, 1.38), DetectorModel(), seed=0)
+        cfg = SearchConfig(sphere_points=48, refine_iters=12, rig=rig)
         return agg, phi_plus, cfg, None
     if kind == "zero-pdl":
         return PdlElement(0.0), phi_plus, SearchConfig(sphere_points=32, refine_iters=5), None
@@ -547,10 +548,10 @@ def test_noisy_cli_measures_once_per_channel_batch(tmp_path, argv, monkeypatch):
     monkeypatch.setattr(instrument, "simulate_counts", counting_counts)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--noisy", "--out", str(tmp_path)]) == 0
-    # b2b measures its one source state; the others each channel batch
-    # (compensate: uncompensated and compensated) in one call
+    # b2b measures its one source state, as a one-row stack; the others each
+    # channel batch (compensate: uncompensated and compensated) in one call
     assert len(batches) == {"b2b": 0, "compensate": 2}.get(argv[0], 1)
-    assert measured == ([()] if argv[0] == "b2b" else [b.rate.shape for b in batches])
+    assert measured == ([(1,)] if argv[0] == "b2b" else [b.rate.shape for b in batches])
 
 
 @pytest.mark.parametrize("argv", [(), ("--noisy",), ("--pmd-q", "0.155"),

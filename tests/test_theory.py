@@ -308,6 +308,20 @@ def test_rate_bounds_finite_past_cosh_overflow():
     assert rb.rate_at_kappa_plus1 == 0.5
 
 
+def test_rate_bounds_broadcasts_bit_for_bit():
+    g_a = np.array([0.0, 0.3, G51, 400.0, 1e308])
+    g_b = np.array([[0.1], [5.0]])
+    rb = rate_bounds(g_a, g_b)
+    for name in ("c_min", "c_max_norm", "rate_at_kappa_minus1", "rate_at_kappa_plus1"):
+        stacked = getattr(rb, name)
+        assert stacked.shape == (2, 5)
+        for i, j in np.ndindex(stacked.shape):
+            one = getattr(rate_bounds(float(g_a[j]), float(g_b[i, 0])), name)
+            assert np.ndim(one) == 0 and stacked[i, j].tobytes() == np.float64(one).tobytes()
+    with pytest.raises(ValueError, match=r"^gamma_b must be finite and >= 0, got -1.0$"):
+        rate_bounds(g_a, [0.1, -1.0, 0.2, 0.3, 0.4])
+
+
 def test_rate_bounds_bracket_brute_force():
     rng = np.random.default_rng(71)
     g_a, g_b = 0.35, 0.5
