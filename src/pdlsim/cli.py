@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import theory, verify as verify_mod
 from .channels import (
     CANONICAL_AXIS,
     PdlElement,
@@ -162,17 +162,12 @@ def _observer(cfg: RunConfig, label: str):
     """One command's reader of a channel batch, as the run reports its rows.
 
     `observe(batch, indices)` raises ExtinctionError on an extinct row, else
-    gives the `ChannelBatch` the run reports. Noiseless runs report the exact
-    batch. Noisy runs report its tomographic estimate, with the same rates:
-    `measure(batch, rig, label, indices)` on the one rig built here.
+    gives the `ChannelBatch` the run reports: `measure(batch, rig, label,
+    indices)`, on the one rig built here for a noisy run (the tomographic
+    estimate, with the same rates) and on no rig otherwise (the exact batch).
     """
     rig = cfg.rig() if cfg.noisy else None
-
-    def observe(batch, indices):
-        batch.require_live()
-        return batch if rig is None else measure(batch, rig, label, indices)
-
-    return observe
+    return lambda batch, indices: measure(batch.require_live(), rig, label, indices)
 
 
 def _matrix_columns(rho) -> list:
@@ -215,6 +210,11 @@ def cmd_b2b(cfg: RunConfig, out_dir: Path) -> list[Path]:
     ]
 
 
+# bounds of the noiseless rows' self-checks against the closed-form laws
+MAGNITUDE_TOL = 1e-6
+CONSERVATION_TOL = 1e-9
+
+
 def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: int) -> list[Path]:
     """Emulator magnitude x orientation sweep of the degraded source state.
 
@@ -233,7 +233,8 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     batch = propagate(base, pdl_operator(ems) @ pdl_operator(src_el), SIGMA0[None])
     aggs = concat_pdl(src_el, ems)
     seen = _observer(cfg, "sweep")(batch, range(len(raw)))
-    if not cfg.noisy and (np.abs(seen.concurrence * np.cosh(aggs.gamma) - cfg.c_b2b) > 1e-6).any():
+    if not cfg.noisy and (theory.magnitude_residual(seen.concurrence, aggs.gamma, cfg.c_b2b)
+                          > MAGNITUDE_TOL):
         raise RuntimeError("sweep row violates the magnitude-only concurrence law")
     columns = [np.repeat(np.asarray(pdl_db_list, dtype=float), len(axes)), *raw.T,
                aggs.gamma_db, kappas, seen.concurrence, purity(seen.rho), seen.rate]
@@ -265,12 +266,12 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     cs_u = observe(uncompensated, range(0, 2 * len(thetas), 2)).concurrence
     cs_c = observe(compensated, range(1, 2 * len(thetas), 2)).concurrence
     if not cfg.noisy:
-        if (np.abs(cs_u * np.cosh(aggs.gamma) - chain_c) > 1e-6).any():
+        if theory.magnitude_residual(cs_u, aggs.gamma, chain_c) > MAGNITUDE_TOL:
             raise RuntimeError("uncompensated row violates the magnitude-only law")
         # physical magnitudes, not the aggregate: the concatenated product
         # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
         total = src_el.gamma + ems.gamma + plans.element.gamma
-        if (np.abs(compensated.rate * cs_c - np.exp(-total) * chain_c) > 1e-9).any():
+        if theory.conservation_residual(compensated.rate, cs_c, total, chain_c) > CONSERVATION_TOL:
             raise RuntimeError("compensated row violates rate-concurrence conservation")
     columns = [thetas, aggs.gamma_db, scale * cs_u, scale * cs_c, plans.element.gamma_db,
                *plans.element.axis.T, uncompensated.rate, compensated.rate]
@@ -311,7 +312,9 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
     chain_c, g, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
     c_norm = seen.concurrence / chain_c
     avg = c_norm * seen.rate
-    if not cfg.noisy and (np.abs(avg - np.exp(-2 * g)) > 1e-9).any():
+    # normalized rows: c0 = 1, and both arms carry g
+    if not cfg.noisy and (theory.conservation_residual(seen.rate, c_norm, 2 * g, 1.0)
+                          > CONSERVATION_TOL):
         raise RuntimeError("tradeoff row violates rate-concurrence conservation")
     header = ["kappa", "concurrence_norm", "rate_norm", "avg_entanglement"]
     return [_write_csv(out_dir / "tradeoff.csv", header, [kappas, c_norm, seen.rate, avg])]
@@ -438,13 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--orientations", type=_COUNT, default=64)
     ep.add_argument("--pmd-q", type=_pmd_q, default=0.155)
 
-    sub.add_parser("verify", parents=[common], help="run invariant suites")
+    vp = sub.add_parser("verify", help="run invariant suites")
+    vp.add_argument("--seed", type=_SEED, default=verify_mod.DEFAULT_SEED, help="suite seed")
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        return cmd_verify(args.seed)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
     except (OSError, ValueError) as err:
@@ -453,9 +459,6 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.noisy:
         cfg = dataclasses.replace(cfg, noisy=True)
-
-    if args.command == "verify":
-        return cmd_verify(args.seed if args.seed is not None else verify_mod.DEFAULT_SEED)
 
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)

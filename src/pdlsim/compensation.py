@@ -112,9 +112,8 @@ def optimize_compensator(
     def evaluate(elements: PdlElement) -> tuple[list[float], list[float], list[float]]:
         """Rates, objectives and S_A of a stack of elements in one kernel call, 0s if extinct."""
         batch = propagate(base, m_a[None], pdl_operator(elements))
-        if cfg.rig is not None:  # row i would be recorded at trace index len(records) + i
-            start = len(records)
-            batch = measure(batch, cfg.rig, "cand", range(start, start + len(batch.rate)))
+        # row i would be recorded at trace index len(records) + i
+        batch = measure(batch, cfg.rig, "cand", range(len(records), len(records) + len(batch.rate)))
         rate = np.where(batch.extinct, 0.0, batch.rate)
         return rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()
 

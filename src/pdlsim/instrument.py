@@ -20,7 +20,8 @@ from a `ChannelBatch` of exact states to the `ChannelBatch` of their
 estimates, read the same way. A `Rig` holds the bench (source, detectors,
 pulses per setting, master seed), and state k is measured on the sub-seed
 `derive_seed(rig.seed, label, indices[k])`: this module is the only one that
-derives sub-seeds or draws counts.
+derives sub-seeds or draws counts. With no rig (`None`) `measure` returns the
+exact batch itself, so no caller branches around it.
 """
 
 import hashlib
@@ -308,16 +309,19 @@ class Rig:
             raise ValueError(f"pulses must be >= 1, got {self.pulses}")
 
 
-def measure(batch: ChannelBatch, rig: Rig, label: str, indices) -> ChannelBatch:
+def measure(batch: ChannelBatch, rig: Rig | None, label: str, indices) -> ChannelBatch:
     """Tomographic estimates of a batch's states, the one noisy measurement route.
 
-    `indices` holds one int per state (an int for a one-state batch), and
-    state k draws Poissonian counts on the 36-setting schedule from the
-    sub-seed derive_seed(rig.seed, label, indices[k]), then goes through
-    linear inversion and the nearest-physical repair. The live states are
-    measured in one call; extinct rows stay zero matrices. The result carries
-    the batch's rates, so it is read like the exact batch.
+    No rig means exact: `batch` itself comes back, whatever the indices.
+    Otherwise `indices` holds one int per state (an int for a one-state
+    batch), and state k draws Poissonian counts on the 36-setting schedule
+    from the sub-seed derive_seed(rig.seed, label, indices[k]), then goes
+    through linear inversion and the nearest-physical repair. The live states
+    are measured in one call; extinct rows stay zero matrices. The result
+    carries the batch's rates, so it is read like the exact batch.
     """
+    if rig is None:
+        return batch
     live = ~batch.extinct
     indices = np.asarray(indices)
     if indices.shape != live.shape:

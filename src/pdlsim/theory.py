@@ -13,6 +13,9 @@ total loss. `kappa`, `predicted_concurrence`, `predicted_rate` and
 scalars giving a 0-d result; every domain check holds element by element, and
 NaN fails it.
 `design_compensator` takes one arm-A element or a stack in the same way.
+`magnitude_residual` and `conservation_residual` state the two laws the CLI
+rows check (the `rate-conservation` verify suite calls the second): each gives
+the worst residual over a stack.
 """
 
 from dataclasses import dataclass
@@ -85,6 +88,22 @@ def predicted_rate(gamma_a, gamma_b, kap) -> np.ndarray:
     kap = _check_kappa(kap)
     with np.errstate(over="ignore"):  # as in predicted_concurrence
         return _scaled_rate(gamma_a, gamma_b, kap)[()]
+
+
+def magnitude_residual(c, gamma, c0) -> float:
+    """Worst |c cosh(gamma) - c0| over a stack, 0.0 when empty.
+
+    The single-channel law C' = c0 / cosh(gamma) at aggregate magnitude gamma.
+    """
+    return float(np.max(np.abs(c * np.cosh(gamma) - c0), initial=0.0))
+
+
+def conservation_residual(rate, c, total, c0) -> float:
+    """Worst |rate c - e^{-total} c0| over a stack, 0.0 when empty.
+
+    Rate times concurrence depends only on the total loss of both arms.
+    """
+    return float(np.max(np.abs(rate * c - np.exp(-total) * c0), initial=0.0))
 
 
 def equivalence_map(element: PdlElement, t) -> PdlElement:

@@ -6,9 +6,12 @@ forward counts vs inverted state) and reports its worst observed error against
 a fixed tolerance. All suites are seeded and deterministic. Each suite draws
 all its random inputs first, case by case in a fixed order, then builds one
 stacked `PdlElement` per arm and one Bell-diagonal stack, and sends every case
-through one `propagate` (or `concat_pdl`) call.
+through one `propagate` (or `concat_pdl`) call. Each suite is written as a
+check `name(rng, **sizes) -> (worst, cases)` under the one `_suite(tol)`
+harness, which seeds, times, names and judges every suite the same way.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -61,24 +64,34 @@ class SuiteResult:
     passed: bool
 
 
-def _result(name, max_err, tol, cases, t0):
-    return SuiteResult(
-        name=name,
-        max_err=float(max_err),
-        tol=tol,
-        cases=cases,
-        runtime_s=time.perf_counter() - t0,
-        passed=bool(max_err <= tol),
-    )
+def _suite(tol):
+    """Decorator making a check `name(rng, **sizes) -> (worst, cases)` a suite.
+
+    The suite is `name(seed=DEFAULT_SEED, **sizes) -> SuiteResult`. It draws
+    from `default_rng(seed)`, is timed from before its first draw, is named
+    `name` with '-' for '_', and passes when worst <= tol.
+    """
+
+    def wrap(check):
+        @functools.wraps(check)
+        def suite(seed=DEFAULT_SEED, **sizes) -> SuiteResult:
+            t0 = time.perf_counter()
+            worst, cases = check(np.random.default_rng(seed), **sizes)
+            return SuiteResult(name=check.__name__.replace("_", "-"), max_err=float(worst),
+                               tol=tol, cases=cases, runtime_s=time.perf_counter() - t0,
+                               passed=bool(worst <= tol))
+
+        return suite
+
+    return wrap
 
 
 def _random_axis(rng):
-    v = rng.normal(size=3)
-    n = np.sqrt(v.dot(v))  # np.linalg.norm's own route for a real vector
-    while n < 1e-6:
+    while True:
         v = rng.normal(size=3)
-        n = np.sqrt(v.dot(v))
-    return v / n
+        n = np.sqrt(v.dot(v))  # np.linalg.norm's own route for a real vector
+        if n >= 1e-6:
+            return v / n
 
 
 def _random_element(rng):
@@ -103,14 +116,13 @@ def _worst(*errors) -> float:
     return max(float(np.max(e, initial=0.0)) for e in errors)
 
 
-def oracle_equivalence(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
+@_suite(tol=1e-9)
+def oracle_equivalence(rng, cases=1000):
     """Closed-form concurrence vs Wootters concurrence of the filtered matrix.
 
     `theory.predicted_concurrence` is looked up at call time, so a test can
     patch in a corrupted formula and watch the suite fail.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     weights, draws_a, draws_b = [], [], []
     for _ in range(cases):
         weights.append(rng.dirichlet(np.ones(4)))
@@ -122,13 +134,16 @@ def oracle_equivalence(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     closed = theory.predicted_concurrence(concurrences(rhos), el_a.gamma, el_b.gamma, kap)
     batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b)).require_live()
     worst = _worst(np.abs(closed - batch.concurrence))
-    return _result("oracle-equivalence", worst, 1e-9, cases, t0)
+    return worst, cases
 
 
-def rate_conservation(seed=DEFAULT_SEED, cases=400) -> SuiteResult:
-    """Rate x concurrence stays at exp(-(gA+gB)) c0, however the sum is split."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+@_suite(tol=1e-9)
+def rate_conservation(rng, cases=400):
+    """Rate x concurrence stays at exp(-(gA+gB)) c0, however the sum is split.
+
+    `theory.conservation_residual` is looked up at call time, as in
+    `oracle_equivalence`.
+    """
     weights, totals, draws_a, draws_b = [], [], [], []
     for _ in range(cases):
         weights.append(rng.dirichlet(np.ones(4)))
@@ -138,20 +153,18 @@ def rate_conservation(seed=DEFAULT_SEED, cases=400) -> SuiteResult:
             draws_a.append((ga, _random_axis(rng)))
             draws_b.append((totals[-1] - ga, _random_axis(rng)))
     rhos = _bell_diagonals(weights)
-    want = np.exp(-np.array(totals)) * concurrences(rhos)
     # three splits of each case's total loss, consecutive rows
     batch = propagate(np.repeat(rhos, 3, axis=0), pdl_operator(_stack(draws_a)),
-                      pdl_operator(_stack(draws_b)))
-    batch.require_live()
+                      pdl_operator(_stack(draws_b))).require_live()
     products = (batch.rate * batch.concurrence).reshape(-1, 3)
-    worst = _worst(np.abs(products - want[:, None]), products.max(axis=1) - products.min(axis=1))
-    return _result("rate-conservation", worst, 1e-9, cases, t0)
+    law = theory.conservation_residual(batch.rate, batch.concurrence, np.repeat(totals, 3),
+                                       np.repeat(concurrences(rhos), 3))
+    return max(law, _worst(products.max(axis=1) - products.min(axis=1))), cases
 
 
-def orientation_independence(seed=DEFAULT_SEED, per_magnitude=100) -> SuiteResult:
+@_suite(tol=1e-12)
+def orientation_independence(rng, per_magnitude=100):
     """Single-channel concurrence depends on PDL magnitude only, never its axis."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     c0 = 0.925
     rho = bell_diagonal([c0, -c0, 1.0])
     gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
@@ -160,17 +173,16 @@ def orientation_independence(seed=DEFAULT_SEED, per_magnitude=100) -> SuiteResul
     vals = batch.concurrence.reshape(len(gammas), per_magnitude)
     worst = _worst(vals.max(axis=1) - vals.min(axis=1),
                    np.abs(vals - c0 / np.cosh(gammas)[:, None]))
-    return _result("orientation-independence", worst, 1e-12, 5 * per_magnitude, t0)
+    return worst, 5 * per_magnitude
 
 
-def equivalence_mapping(seed=DEFAULT_SEED, per_state=100) -> SuiteResult:
+@_suite(tol=1e-12)
+def equivalence_mapping(rng, per_state=100):
     """Moving a PDL element across arms along T gives the identical matrix.
 
     The filtered matrices are compared unnormalized, one filter stack per arm
     and Bell state.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for kind in BellKind:
         rho = bell_state(kind)
@@ -182,13 +194,12 @@ def equivalence_mapping(seed=DEFAULT_SEED, per_state=100) -> SuiteResult:
         left = ma @ rho @ np.swapaxes(ma.conj(), -1, -2)
         right = mb @ rho @ np.swapaxes(mb.conj(), -1, -2)
         worst = max(worst, _worst(np.abs(left - right)))
-    return _result("equivalence-mapping", worst, 1e-12, 4 * per_state, t0)
+    return worst, 4 * per_state
 
 
-def concatenation_law(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
+@_suite(tol=1e-9)
+def concatenation_law(rng, cases=1000):
     """Aggregate magnitude of two cascaded elements follows the cosh law."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     pairs = [(_random_element(rng), _random_element(rng)) for _ in range(cases)]
     firsts, seconds = _stack([d1 for d1, _ in pairs]), _stack([d2 for _, d2 in pairs])
     g1, a1, g2, a2 = firsts.gamma, firsts.axis, seconds.gamma, seconds.axis
@@ -200,17 +211,16 @@ def concatenation_law(seed=DEFAULT_SEED, cases=1000) -> SuiteResult:
     ang = angle_from_aggregate(g1[defined], g2[defined], agg_g[defined])
     worst = _worst(np.abs(np.cosh(agg_g) - want),
                    np.abs(np.cos(ang) - np.clip(dots[defined], -1, 1)))
-    return _result("concatenation-law", worst, 1e-9, cases, t0)
+    return worst, cases
 
 
-def compensation_optimality(seed=DEFAULT_SEED, alternatives=500) -> SuiteResult:
+@_suite(tol=1e-3)
+def compensation_optimality(rng, alternatives=500):
     """Designed compensator beats random alternatives; optimizer matches theory.
 
     The binding tolerance is the optimizer's 1e-3; the designed-element checks
     run far below it (their 1e-9-scale agreement is asserted in unit tests).
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     worst = 0.0
     problems = [
         (bell_state(BellKind.PHI_PLUS), PdlElement(5.1 / DB_PER_NEPER, (0.0, 0.0, 1.0))),
@@ -229,13 +239,12 @@ def compensation_optimality(seed=DEFAULT_SEED, alternatives=500) -> SuiteResult:
                     _worst(batch.concurrence[1:] - designed))
         res = optimize_compensator(el_a, rho, SearchConfig(sphere_points=64, refine_iters=20))
         worst = max(worst, abs(res.best_concurrence - plan.predicted_concurrence))
-    return _result("compensation-optimality", worst, 1e-3, 2 * (alternatives + 1), t0)
+    return worst, 2 * (alternatives + 1)
 
 
-def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
+@_suite(tol=1e-8)
+def tomography_roundtrip(rng, cases=20):
     """Exact forward counts invert back to the state, one stacked pass per schedule."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel(dark_prob=0.0)
     worst = 0.0
@@ -254,13 +263,12 @@ def tomography_roundtrip(seed=DEFAULT_SEED, cases=20) -> SuiteResult:
         repaired = project_physical(rho_hat)
         worst = max(worst, _worst(trace_distances(rho_hat, states.rho),
                                   trace_distances(project_physical(repaired), repaired)))
-    return _result("tomography-roundtrip", worst, 1e-8, 2 * cases, t0)
+    return worst, 2 * cases
 
 
-def envelope_bounds(seed=DEFAULT_SEED, cases=300) -> SuiteResult:
+@_suite(tol=1e-9)
+def envelope_bounds(rng, cases=300):
     """Equal-magnitude sweeps stay inside the kappa = +/-1 envelope, touching it."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     rho = bell_state(BellKind.PHI_PLUS)
     t = correlation_of(rho)
     worst = 0.0
@@ -283,7 +291,7 @@ def envelope_bounds(seed=DEFAULT_SEED, cases=300) -> SuiteResult:
             np.abs(c_end - [bounds.c_max_norm, bounds.c_min]),
             np.abs(rate_end - [bounds.rate_at_kappa_minus1, bounds.rate_at_kappa_plus1]),
         ))
-    return _result("envelope-bounds", worst, 1e-9, 2 * (cases + 2), t0)
+    return worst, 2 * (cases + 2)
 
 
 ALL_SUITES = (

@@ -3,7 +3,10 @@ import re
 import numpy as np
 import pytest
 
+import pdlsim.theory
+from pdlsim import cli
 from pdlsim.cli import _MIN_CHAIN_C, RunConfig, _fmt, _write_csv, load_config, main
+from pdlsim.verify import DEFAULT_SEED
 
 G51 = 0.5871591987134815
 DB_PER_NEPER = 8.685889638065037
@@ -339,6 +342,53 @@ def test_entropy_feedback_span_default_rig(tmp_path):
 
 def test_verify_subcommand():
     assert main(["verify"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out", "--noisy"])
+def test_verify_takes_no_run_flags(tmp_path, flag, capsys):
+    argv = ["verify", flag] + ([] if flag == "--noisy" else [str(tmp_path / "missing.cfg")])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_reads_no_config_and_takes_a_seed(monkeypatch, capsys):
+    def no_config(*args, **kwargs):
+        raise AssertionError("verify read a run config")
+
+    monkeypatch.setattr(cli, "RunConfig", no_config)
+    monkeypatch.setattr(cli, "load_config", no_config)
+    monkeypatch.setattr(cli, "cmd_verify", lambda seed: seed)
+    assert main(["verify"]) == DEFAULT_SEED
+    assert main(["verify", "--seed", "5"]) == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", str(2**64)])
+    assert exc.value.code == 2
+    assert "argument --seed:" in capsys.readouterr().err
+
+
+def test_row_checks_fail_on_a_corrupted_conservation_law(tmp_path, monkeypatch):
+    law = pdlsim.theory.conservation_residual
+    monkeypatch.setattr(pdlsim.theory, "conservation_residual", lambda *args: law(*args) + 1e-6)
+    with pytest.raises(RuntimeError, match="^tradeoff row violates rate-concurrence conservation$"):
+        main(["tradeoff", "--orientations", "4", "--out", str(tmp_path)])
+    with pytest.raises(RuntimeError,
+                       match="^compensated row violates rate-concurrence conservation$"):
+        main(["compensate", "--theta-count", "3", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_row_checks_fail_on_a_corrupted_magnitude_law(tmp_path, monkeypatch):
+    law = pdlsim.theory.magnitude_residual
+    monkeypatch.setattr(pdlsim.theory, "magnitude_residual", lambda *args: law(*args) + 1e-5)
+    with pytest.raises(RuntimeError,
+                       match="^sweep row violates the magnitude-only concurrence law$"):
+        main(["sweep-pdl", "--orientations", "4", "--out", str(tmp_path)])
+    with pytest.raises(RuntimeError, match="^uncompensated row violates the magnitude-only law$"):
+        main(["compensate", "--theta-count", "3", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_formatting(tmp_path):

@@ -109,6 +109,37 @@ def test_seed_rule_stays_in_instrument(path):
     assert seed_rule_uses(path.read_text()) == []
 
 
+CLOSED_FORM_CALLS = ("cosh", "sinh", "exp")  # the transport laws live in theory.py
+
+
+def closed_form_calls(source: str) -> list[str]:
+    """Calls to `np.cosh`, `np.sinh` or `np.exp` (or `numpy.`), and imports of them from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in CLOSED_FORM_CALLS]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+              and node.func.attr in CLOSED_FORM_CALLS):
+            found.append((node.lineno, node.func.attr))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detector_flags_a_closed_form_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy import sinh, log\n"
+        "y = np.cosh(g) * np.log(x)\n"
+        "z = numpy.exp(-t) + math.exp(1) + rate.exp()\n"
+        "w = np.expm1(t)\n"
+    )
+    assert closed_form_calls(source) == ["sinh (line 2)", "cosh (line 3)", "exp (line 4)"]
+
+
+def test_cli_states_no_closed_form():
+    assert closed_form_calls((SRC / "cli.py").read_text()) == []
+
+
 SPANS = SRC.parents[1] / "benchmark" / "spans.py"
 
 

@@ -307,6 +307,14 @@ def test_measure_derives_each_states_sub_seed(monkeypatch):
             measure(batch, rig, "cand", indices)
 
 
+def test_measure_without_a_rig_returns_the_batch(monkeypatch):
+    batch = random_outcomes(np.random.default_rng(47), 3)
+    monkeypatch.setattr(instrument, "simulate_counts", None)  # any draw would fail
+    assert measure(batch, None, "x", range(3)) is batch
+    # no rig means exact before the indices are looked at
+    assert measure(batch, None, "x", 0) is batch
+
+
 def test_rig_validation():
     src, det = calibrate_source(0.925, 1.38), DetectorModel()
     assert Rig(src, det).pulses == 1_000_000 and Rig(src, det).seed == 0

@@ -20,9 +20,11 @@ from pdlsim.qmath import (
     concurrence,
 )
 from pdlsim.theory import (
+    conservation_residual,
     design_compensator,
     equivalence_map,
     kappa,
+    magnitude_residual,
     predicted_concurrence,
     predicted_rate,
     rate_bounds,
@@ -424,3 +426,23 @@ def test_magnitudes_near_the_float_limit_do_not_warn():
         assert predicted_concurrence(1.0, 1e308, 1e308, 0.5) == 0.0
         assert predicted_concurrence(1.0, 1e308, 1e308, -1.0) == 1.0
         assert rate_bounds(1e308, 1e308).c_min == 0.0
+
+
+def test_law_residuals_give_the_worst_row_and_zero_on_an_empty_stack():
+    rng = np.random.default_rng(53)
+    c, gamma, rate, total = rng.uniform(0, 2, (4, 9))
+    c0 = 0.925
+    got = magnitude_residual(c, gamma, c0)
+    assert type(got) is float and got == np.abs(c * np.cosh(gamma) - c0).max()
+    got = conservation_residual(rate, c, total, c0)
+    assert type(got) is float and got == np.abs(rate * c - np.exp(-total) * c0).max()
+    empty = np.zeros(0)
+    assert magnitude_residual(empty, empty, c0) == 0.0
+    assert conservation_residual(empty, empty, empty, c0) == 0.0
+    # both laws hold on a filtered Bell-diagonal state, one row at a time
+    rho = bell_diagonal(random_bd(rng)[0])
+    ea, eb = PdlElement(0.4, random_axis(rng)), PdlElement(0.7, random_axis(rng))
+    out = apply_local(rho, pdl_operator(ea), SIGMA0)
+    assert magnitude_residual(out.concurrence, ea.gamma, concurrence(rho)) < 1e-12
+    out = apply_local(rho, pdl_operator(ea), pdl_operator(eb))
+    assert conservation_residual(out.rate, out.concurrence, 1.1, concurrence(rho)) < 1e-12

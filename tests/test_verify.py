@@ -1,4 +1,7 @@
-"""The verify suites against their one-case-at-a-time routes and a corrupted law."""
+"""The verify suites against their one-case-at-a-time routes and corrupted laws."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +10,19 @@ import pdlsim.theory
 from pdlsim.channels import PdlElement, angle_from_aggregate, apply_local, concat_pdl, pdl_operator
 from pdlsim.qmath import SIGMA0, BellKind, bell_state, check_state, concurrence, correlation_of
 from pdlsim.verify import (
+    ALL_SUITES,
+    DEFAULT_SEED,
     GAMMA_MAX,
     _random_axis,
+    _suite,
     concatenation_law,
     equivalence_mapping,
     oracle_equivalence,
+    rate_conservation,
+    run_all,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
 
 
 def random_bell_diagonal(rng):
@@ -81,3 +91,62 @@ def test_oracle_equivalence_fails_on_a_corrupted_formula(monkeypatch):
     r = oracle_equivalence(cases=100)
     assert not r.passed
     assert r.max_err > r.tol
+
+
+@pytest.mark.parametrize("seed", [5, 505])
+def test_rate_conservation_matches_the_per_case_loop(seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(50):
+        rho = random_bell_diagonal(rng)
+        total = rng.uniform(0, 2 * GAMMA_MAX)
+        want = np.exp(-total) * concurrence(rho)
+        products = []
+        for _ in range(3):
+            ga = rng.uniform(0, total)
+            ea = PdlElement(ga, _random_axis(rng))
+            eb = PdlElement(total - ga, _random_axis(rng))
+            out = apply_local(rho, pdl_operator(ea), pdl_operator(eb))
+            products.append(out.rate * concurrence(out.rho))
+            worst = max(worst, abs(products[-1] - want))
+        worst = max(worst, max(products) - min(products))
+    assert rate_conservation(seed=seed, cases=50).max_err == worst
+
+
+def test_rate_conservation_fails_on_a_corrupted_law(monkeypatch):
+    law = pdlsim.theory.conservation_residual
+    monkeypatch.setattr(pdlsim.theory, "conservation_residual", lambda *args: law(*args) + 1e-6)
+    r = rate_conservation(cases=50)
+    assert not r.passed
+    assert r.max_err > r.tol
+
+
+def test_suite_harness_seeds_names_times_and_judges():
+    @_suite(tol=0.5)
+    def largest_draw(rng, draws=3):
+        return rng.uniform(size=draws).max(), draws
+
+    r = largest_draw(seed=9, draws=4)
+    want = float(np.random.default_rng(9).uniform(size=4).max())
+    assert (r.name, r.max_err, r.tol, r.cases, r.passed) == ("largest-draw", want, 0.5, 4,
+                                                               want <= 0.5)
+    assert type(r.max_err) is float and type(r.passed) is bool and r.runtime_s >= 0
+    assert largest_draw().max_err == np.random.default_rng(DEFAULT_SEED).uniform(size=3).max()
+    assert largest_draw.__name__ == "largest_draw"
+
+
+def benchmark_verify_cases() -> dict:
+    """The `VERIFY_CASES` mapping (suite name -> cases) of the benchmark, read with ast."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "VERIFY_CASES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("no VERIFY_CASES assignment")
+
+
+def test_run_all_gives_the_suites_the_benchmark_expects():
+    expected = benchmark_verify_cases()
+    results = run_all()
+    assert [(r.name, r.cases) for r in results] == list(expected.items())
+    assert [r.name for r in results] == [s.__name__.replace("_", "-") for s in ALL_SUITES]
+    assert all(r.passed for r in results)
