@@ -19,6 +19,7 @@ trace index it is recorded at, so a row dropped after an improvement costs
 one measurement and the trace is the one a candidate-by-candidate loop gives.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,19 @@ class SearchConfig:
     rig: Rig | None = None  # None: the exact concurrence
 
     def __post_init__(self):
-        if self.sphere_points < 32:
-            raise ValueError(f"sphere_points must be >= 32, got {self.sphere_points}")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
+        for name, least in (("sphere_points", 32), ("refine_iters", 0)):
+            value = getattr(self, name)
+            try:
+                ok = operator.index(value) >= least  # ints and numpy ints, never floats
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.gamma_grid is not None:
             grid = tuple(float(g) for g in self.gamma_grid)
-            if len(grid) == 0 or any(g < 0 for g in grid):
-                raise ValueError("gamma_grid must be nonempty with gamma >= 0")
+            if len(grid) == 0 or not all(np.isfinite(g) and g >= 0 for g in grid):
+                raise ValueError(f"gamma_grid must be nonempty with every gamma finite "
+                                 f"and >= 0, got {grid}")
             object.__setattr__(self, "gamma_grid", grid)
 
 

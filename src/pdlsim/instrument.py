@@ -5,12 +5,12 @@ target Bell state) filtered by a fixed internal PDL along s3, calibrated so
 back-to-back measurements reproduce a chosen concurrence and HH/VV imbalance.
 Projective two-arm settings, Poissonian coincidence counts, and linear
 least-squares state reconstruction mirror a standard polarization tomography
-bench. The bench uses two fixed analyzer schedules, the module constants
-`SETTINGS_36` (full 6x6 product) and `SETTINGS_16` (James et al. 2001), each
-built once at import with its projector kets, model matrix, pseudo-inverse
-and basis groups. Counts are plain arrays with one entry per setting, in
-schedule order: `expected_coincidences` gives the means, `simulate_counts`
-draws integer counts from them, and `reconstruct` inverts either. Each of
+bench. The bench has one fixed analyzer schedule, the module constant
+`SETTINGS_36` (the full 6x6 H/V/D/A/R/L product), built once at import with
+its projector kets, model matrix, pseudo-inverse and basis groups. Counts are
+plain arrays with one entry per setting, in schedule order:
+`expected_coincidences` gives the means, `simulate_counts` draws integer
+counts from them, and `reconstruct` inverts either. Each of
 these functions takes one state or a stack of them (any leading batch axes,
 one sub-seed per state), and each state's result is bit for bit the one its
 own one-state call gives.
@@ -137,40 +137,34 @@ class Schedule:
     `kets[k]` its two-photon projector ket, `model[k]` its row of the linear
     map from Pauli-product coefficients to projector probabilities. `pinv`
     (16, K) is the pseudo-inverse of `model`, the least-squares inversion.
-    `groups` names the complete product basis each setting belongs to, or is
-    None when the settings do not tile into such bases. All arrays are
-    read-only.
+    `groups[k]` numbers the complete product basis setting k belongs to. All
+    arrays are read-only.
     """
 
     labels: tuple[str, ...]
     kets: np.ndarray
     model: np.ndarray
     pinv: np.ndarray
-    groups: np.ndarray | None
+    groups: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
-def _schedule(labels: list[str], grouped: bool) -> Schedule:
+def _schedule(labels: list[str]) -> Schedule:
     kets = np.array([np.kron(ANALYZERS[a], ANALYZERS[b]) for a, b in labels])
     model = np.einsum("ki,mij,kj->km", kets.conj(), _HERM_BASIS, kets).real
     # "HVDARL" lists the analyzers as three orthogonal pairs, one per basis
-    groups = (np.array([3 * ("HVDARL".index(a) // 2) + "HVDARL".index(b) // 2
-                        for a, b in labels]) if grouped else None)
+    groups = np.array([3 * ("HVDARL".index(a) // 2) + "HVDARL".index(b) // 2
+                       for a, b in labels])
     pinv = np.linalg.pinv(model)
     for arr in (kets, model, pinv, groups):
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return Schedule(tuple(labels), kets, model, pinv, groups)
 
 
 # Full 6x6 analyzer product over H, V, D, A, R, L: nine complete product bases.
-SETTINGS_36 = _schedule([a + b for a, b in product("HVDARL", repeat=2)], grouped=True)
-# Minimal informationally complete 16-projector set (James et al. 2001).
-SETTINGS_16 = _schedule(
-    "HH HV VV VH RH RV DV DH DR DD RD HD VD VL HL RL".split(), grouped=False
-)
+SETTINGS_36 = _schedule([a + b for a, b in product("HVDARL", repeat=2)])
 
 
 def expected_coincidences(
@@ -226,13 +220,12 @@ def simulate_counts(
 def reconstruct(counts, settings: Schedule) -> np.ndarray:
     """Linear inversion of normalized count frequencies, row by row.
 
-    When the settings tile into complete product bases (`SETTINGS_36` does)
-    each count is normalized by its basis-group total, turning the fit into one
-    over per-basis outcome probabilities. Otherwise (`SETTINGS_16`) the overall
-    scale is left to the fit. The schedule's precomputed pseudo-inverse then
-    gives the least-squares Pauli coefficients. Either way the result is trace
-    normalized; it is Hermitian but may be unphysical under shot noise, see
-    project_physical.
+    Each count is normalized by its basis-group total, turning the fit into one
+    over per-basis outcome probabilities; a row with an empty basis group is
+    fitted on its raw counts instead, leaving the overall scale to the fit. The
+    schedule's precomputed pseudo-inverse then gives the least-squares Pauli
+    coefficients. Either way the result is trace normalized; it is Hermitian
+    but may be unphysical under shot noise, see project_physical.
 
     `counts` holds one finite, nonnegative number per setting (an array or
     any sequence), as `simulate_counts` and `expected_coincidences` return,
@@ -246,11 +239,10 @@ def reconstruct(counts, settings: Schedule) -> np.ndarray:
     if (counts.sum(axis=-1) <= 0).any():
         raise ValueError("all counts are zero")
     groups = settings.groups
-    if groups is not None:
-        members = groups == np.arange(groups.max() + 1)[:, None]
-        group_tot = np.where(members, counts[..., None, :], 0.0).sum(axis=-1)
-        normalize = (group_tot > 0).all(axis=-1, keepdims=True)
-        counts = counts / np.where(normalize, group_tot[..., groups], 1.0)
+    members = groups == np.arange(groups.max() + 1)[:, None]
+    group_tot = np.where(members, counts[..., None, :], 0.0).sum(axis=-1)
+    normalize = (group_tot > 0).all(axis=-1, keepdims=True)
+    counts = counts / np.where(normalize, group_tot[..., groups], 1.0)
     # stacked matrix-vector products keep each row's bits independent of the stack
     x = settings.pinv @ counts[..., None]
     op = np.swapaxes(x, -1, -2) @ _HERM_BASIS.reshape(16, 16)

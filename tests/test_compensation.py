@@ -59,6 +59,16 @@ def test_search_config_validation():
         SearchConfig(refine_iters=-1)
     with pytest.raises(ValueError):
         SearchConfig(gamma_grid=(0.1, -0.2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma_grid"):
+            SearchConfig(gamma_grid=(0.1, bad))
+    # a float count is refused, not rounded up by np.arange or range
+    with pytest.raises(ValueError, match="sphere_points"):
+        SearchConfig(sphere_points=40.5)
+    with pytest.raises(ValueError, match="refine_iters"):
+        SearchConfig(refine_iters=2.5)
+    cfg = SearchConfig(sphere_points=np.int64(40), refine_iters=np.int32(2))
+    assert (cfg.sphere_points, cfg.refine_iters) == (40, 2)
 
 
 def test_optimizer_bell_recovers_designed_element():

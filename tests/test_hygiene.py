@@ -152,9 +152,12 @@ def traced_names(source: str) -> dict:
     raise LookupError("no TRACED assignment")
 
 
+def top_level_functions(source: str) -> dict:
+    return {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+
+
 def module_functions(name: str) -> dict:
-    tree = ast.parse((SRC / f"{name}.py").read_text())
-    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    return top_level_functions((SRC / f"{name}.py").read_text())
 
 
 def scalar_twins(source: str) -> list[str]:
@@ -194,12 +197,48 @@ def test_traced_names_reader():
         traced_names("TRACE = {}\n")
 
 
+# positional parameters `Tracer._observe` reads from a traced call: (module, function) -> {place: name}
+OBSERVED_ARGS = {
+    ("instrument", "simulate_counts"): {1: "settings"},
+    ("compensation", "optimize_compensator"): {0: "pdl_a", 2: "cfg"},
+}
+
+
+def traced_binding_faults(traced: dict, functions) -> list[str]:
+    """Traced names that are no function of their module, and observed parameters out of place.
+
+    `functions(mod)` gives the module's top-level functions, name -> `ast.FunctionDef`.
+    """
+    faults = []
+    for mod, names in traced.items():
+        defined = functions(mod)
+        for fn in names:
+            if fn not in defined:
+                faults.append(f"{mod}.{fn} is not a function")
+                continue
+            params = [a.arg for a in defined[fn].args.args]
+            for place, arg in OBSERVED_ARGS.get((mod, fn), {}).items():
+                if params[place:place + 1] != [arg]:
+                    faults.append(f"{mod}.{fn} parameter {place} is not {arg}")
+    return faults
+
+
+def test_detector_flags_a_missing_traced_name():
+    fake = {
+        "instrument": "def simulate_counts(batch, schedule, src):\n    pass\n",
+        "compensation": "def optimize_compensator(pdl_a, base):\n    pass\n",
+    }
+    traced = {"instrument": ("simulate_counts", "no_such_fn"),
+              "compensation": ("optimize_compensator",)}
+    assert traced_binding_faults(traced, lambda mod: top_level_functions(fake[mod])) == [
+        "instrument.simulate_counts parameter 1 is not settings",
+        "instrument.no_such_fn is not a function",
+        "compensation.optimize_compensator parameter 2 is not cfg",
+    ]
+
+
 def test_benchmark_traced_functions_exist():
+    """Every traced name is a pdlsim function, and the tracer's positional reads stay in place."""
     traced = traced_names(SPANS.read_text())
-    assert traced
-    missing = [f"{mod}.{fn}" for mod, names in traced.items()
-               for fn in names if fn not in module_functions(mod)]
-    assert missing == []
-    # the tracer counts simulated settings as len() of simulate_counts' second
-    # argument, passed by position or as `settings`
-    assert module_functions("instrument")["simulate_counts"].args.args[1].arg == "settings"
+    assert set(OBSERVED_ARGS) <= {(mod, fn) for mod, names in traced.items() for fn in names}
+    assert traced_binding_faults(traced, module_functions) == []

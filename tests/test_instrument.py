@@ -7,7 +7,6 @@ from pdlsim import instrument
 from pdlsim.channels import ChannelBatch, PdlElement
 from pdlsim.instrument import (
     ANALYZERS,
-    SETTINGS_16,
     SETTINGS_36,
     DetectorModel,
     Rig,
@@ -22,6 +21,8 @@ from pdlsim.instrument import (
     source_state,
 )
 from pdlsim.qmath import (
+    PAULI,
+    SIGMA0,
     BellKind,
     bell_state,
     bell_vector,
@@ -115,12 +116,9 @@ def test_analyzers():
 
 
 def test_settings_schedules():
-    assert len(SETTINGS_36) == 36 and len(SETTINGS_16) == 16
-    assert len(set(SETTINGS_36.labels)) == 36 and len(set(SETTINGS_16.labels)) == 16
-    assert set(SETTINGS_16.labels) <= set(SETTINGS_36.labels)
-    for settings in (SETTINGS_36, SETTINGS_16):
-        assert settings.kets.shape == (len(settings), 4)
-        assert settings.model.shape == (len(settings), 16)
+    assert len(SETTINGS_36) == 36 and len(set(SETTINGS_36.labels)) == 36
+    assert SETTINGS_36.kets.shape == (36, 4)
+    assert SETTINGS_36.model.shape == (36, 16)
 
 
 def test_projector_setting_validation():
@@ -130,17 +128,14 @@ def test_projector_setting_validation():
         assert vec.shape == (2,) and abs(np.linalg.norm(vec) - 1) < 1e-12
         with pytest.raises(ValueError):
             vec[0] = 0.0
-    for settings in (SETTINGS_36, SETTINGS_16):
-        for (a, b), ket in zip(settings.labels, settings.kets):
-            assert np.array_equal(ket, np.kron(ANALYZERS[a], ANALYZERS[b]))
-            assert abs(np.linalg.norm(ket) - 1) < 1e-12
+    for (a, b), ket in zip(SETTINGS_36.labels, SETTINGS_36.kets):
+        assert np.array_equal(ket, np.kron(ANALYZERS[a], ANALYZERS[b]))
+        assert abs(np.linalg.norm(ket) - 1) < 1e-12
 
 
 def test_schedules_informationally_complete():
-    for settings in (SETTINGS_36, SETTINGS_16):
-        assert np.linalg.matrix_rank(settings.model) == 16
-    # the 36 settings tile into nine complete product bases, the 16 do not
-    assert SETTINGS_16.groups is None
+    assert np.linalg.matrix_rank(SETTINGS_36.model) == 16
+    # the 36 settings tile into nine complete product bases
     groups = SETTINGS_36.groups
     assert np.bincount(groups).tolist() == [4] * 9
     for g in range(9):
@@ -172,14 +167,13 @@ def test_expected_coincidences_stack_matches_one_setting_calls():
     rng = np.random.default_rng(11)
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()
-    for settings in (SETTINGS_36, SETTINGS_16):
-        for _ in range(5):
-            out = ChannelBatch(rho=random_state(rng), rate=float(rng.uniform(0.1, 1.0)))
-            stacked = expected_coincidences(out, settings, src, det, 1_000_000)
-            assert stacked.shape == (len(settings),)
-            singles = [one_setting_counts(out, settings, k, src, det, 1_000_000)
-                       for k in range(len(settings))]
-            assert np.array_equal(stacked, singles)
+    for _ in range(5):
+        out = ChannelBatch(rho=random_state(rng), rate=float(rng.uniform(0.1, 1.0)))
+        stacked = expected_coincidences(out, SETTINGS_36, src, det, 1_000_000)
+        assert stacked.shape == (36,)
+        singles = [one_setting_counts(out, SETTINGS_36, k, src, det, 1_000_000)
+                   for k in range(36)]
+        assert np.array_equal(stacked, singles)
 
 
 def test_simulate_counts_deterministic():
@@ -219,7 +213,7 @@ def random_outcomes(rng, n):
                         rate=rng.uniform(0.1, 1.0, n))
 
 
-@pytest.mark.parametrize("settings", [SETTINGS_36, SETTINGS_16], ids=["36", "16"])
+@pytest.mark.parametrize("settings", [SETTINGS_36], ids=["36"])
 def test_stack_matches_one_row_calls(settings):
     rng = np.random.default_rng(29)
     src, det = calibrate_source(0.925, 1.38), DetectorModel()
@@ -232,7 +226,7 @@ def test_stack_matches_one_row_calls(settings):
     assert raw.shape == repaired.shape == (12, 4, 4)
     assert (np.linalg.eigvalsh(raw).min(axis=-1) < 0).any()  # the repair loop runs
     rig = Rig(src, det, 10**5, seed=5)
-    measured = measure(stack, rig, "row", range(12)).rho if settings is SETTINGS_36 else None
+    measured = measure(stack, rig, "row", range(12)).rho
     for i in range(12):
         one = ChannelBatch(rho=stack.rho[i], rate=float(stack.rate[i]))
         one_counts = simulate_counts(one, settings, src, det, 10**5, seed=seeds[i])
@@ -241,8 +235,7 @@ def test_stack_matches_one_row_calls(settings):
         assert np.array_equal(exact[i], reconstruct(
             expected_coincidences(one, settings, src, det, 10**5), settings))
         assert np.array_equal(repaired[i], project_physical(raw[i]))
-        if measured is not None:
-            assert np.array_equal(measured[i], measure(one, rig, "row", i).rho)
+        assert np.array_equal(measured[i], measure(one, rig, "row", i).rho)
     # a permuted stack gives the same rows, permuted
     perm = rng.permutation(12)
     shuffled = ChannelBatch(rho=stack.rho[perm], rate=stack.rate[perm])
@@ -251,8 +244,7 @@ def test_stack_matches_one_row_calls(settings):
     assert np.array_equal(p_counts, counts[perm])
     assert np.array_equal(reconstruct(p_counts, settings), raw[perm])
     assert np.array_equal(project_physical(raw[perm]), repaired[perm])
-    if measured is not None:
-        assert np.array_equal(measure(shuffled, rig, "row", perm).rho, measured[perm])
+    assert np.array_equal(measure(shuffled, rig, "row", perm).rho, measured[perm])
 
 
 def test_measure_skips_extinct_rows(monkeypatch):
@@ -367,22 +359,44 @@ def test_reconstruct_rejects_negative_count():
 def test_reconstruct_roundtrip_exact():
     src = calibrate_source(0.925, 1.38)
     out = source_state(src)
-    for settings in (SETTINGS_36, SETTINGS_16):
-        counts = exact_counts(out, settings, src, QUIET, 10**10)
-        rho = project_physical(reconstruct(counts, settings))
-        assert trace_distances(rho, out.rho) < 1e-6  # rounding-limited at 1e10 pulses
+    counts = exact_counts(out, SETTINGS_36, src, QUIET, 10**10)
+    rho = project_physical(reconstruct(counts, SETTINGS_36))
+    assert trace_distances(rho, out.rho) < 1e-6  # rounding-limited at 1e10 pulses
 
 
 def test_reconstruct_roundtrip_random_states():
     rng = np.random.default_rng(73)
     src = calibrate_source(0.925, 1.38)
-    for settings in (SETTINGS_36, SETTINGS_16):
-        for _ in range(10):
-            rho = random_state(rng)
-            outcome = ChannelBatch(rho=rho, rate=1.0)
-            expect = expected_coincidences(outcome, settings, src, QUIET, 1_000_000)
-            recon = reconstruct(expect, settings)  # real, non-integer counts accepted
-            assert trace_distances(recon, rho) < 1e-8
+    for _ in range(10):
+        rho = random_state(rng)
+        outcome = ChannelBatch(rho=rho, rate=1.0)
+        expect = expected_coincidences(outcome, SETTINGS_36, src, QUIET, 1_000_000)
+        recon = reconstruct(expect, SETTINGS_36)  # real, non-integer counts accepted
+        assert trace_distances(recon, rho) < 1e-8
+
+
+def test_reconstruct_fits_a_row_with_an_empty_basis_group_on_raw_counts():
+    src = calibrate_source(0.925, 1.38)
+    out = source_state(src)
+    groups = SETTINGS_36.groups
+    assert [SETTINGS_36.labels[k] for k in np.flatnonzero(groups == 0)] == ["HH", "HV", "VH", "VV"]
+    full = simulate_counts(out, SETTINGS_36, src, DetectorModel(), 10**6, seed=3)
+    counts = np.array([full, np.where(groups == 0, 0, full)])
+    rows = reconstruct(counts, SETTINGS_36)
+    assert rows.shape == (2, 4, 4)
+    assert abs(np.trace(rows[1]) - 1) < 1e-12
+    for row, c in zip(rows, counts):
+        assert np.array_equal(row, reconstruct(c, SETTINGS_36))
+    # least squares on the counts as they are, scale left to the fit
+    basis = np.array([np.kron(a, b) for a in (SIGMA0, *PAULI) for b in (SIGMA0, *PAULI)])
+
+    def raw_fit(c):
+        op = np.tensordot(SETTINGS_36.pinv @ c, basis, axes=1)
+        return op / np.trace(op).real
+
+    # row 1 takes the raw-count fit; row 0, every group filled, is normalized by group
+    assert np.abs(rows[1] - raw_fit(counts[1])).max() < 1e-12
+    assert np.abs(rows[0] - raw_fit(counts[0])).max() > 1e-4
 
 
 def test_reconstruct_accepts_ndarray_counts():
@@ -397,13 +411,12 @@ def test_reconstruct_accepts_ndarray_counts():
 
 
 def test_settings_built_once():
-    # module constants, frozen, with read-only arrays
-    for settings in (SETTINGS_36, SETTINGS_16):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            settings.kets = settings.kets.copy()
-        for arr in (settings.kets, settings.model):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+    # a module constant, frozen, with read-only arrays
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SETTINGS_36.kets = SETTINGS_36.kets.copy()
+    for arr in (SETTINGS_36.kets, SETTINGS_36.model):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
     with pytest.raises(ValueError):
         SETTINGS_36.groups[0] = 1
 

@@ -34,16 +34,7 @@ from pdlsim.channels import (
 )
 from pdlsim.cli import main
 from pdlsim.compensation import SearchConfig, fibonacci_sphere, optimize_compensator
-from pdlsim.instrument import (
-    SETTINGS_16,
-    DetectorModel,
-    Rig,
-    calibrate_source,
-    expected_coincidences,
-    reconstruct,
-    simulate_counts,
-    source_state,
-)
+from pdlsim.instrument import DetectorModel, Rig, calibrate_source, simulate_counts
 from pdlsim.qmath import (
     PAULI,
     SIGMA0,
@@ -405,10 +396,6 @@ CSV_PINS = {
             "0825d11295672d8b8369f4d14ebaafe5238e7dc5915550eb40a3e5d18f2bfc94",
     },
 }
-# reconstructions on the 16-setting schedule, which has no basis groups, so
-# the overall count scale is left to the fit; recorded from one sub-stream per
-# measured state and the precomputed pseudo-inverse
-RECONSTRUCT_16_PIN = "1fe24930262a4b57149e9a134667becd7cd5186ee904f94d021c84f9106004fc"
 
 
 def trace_sha256(result):
@@ -568,23 +555,6 @@ def test_compensate_designs_all_angles_in_one_call(tmp_path, argv, monkeypatch):
         assert main(["compensate", *argv, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "compensate.csv").read_text().splitlines()
     assert rows == [(len(lines) - 1,)]
-
-
-def test_reconstruct_16_pinned():
-    rng = np.random.default_rng(131)
-    src, det = calibrate_source(0.925, 1.38), DetectorModel()
-    outcomes = [source_state(src)]
-    for _ in range(4):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        outcomes.append(apply_local(g @ g.conj().T / np.trace(g @ g.conj().T).real,
-                                    SIGMA0, SIGMA0))
-    h = hashlib.sha256()
-    for k, out in enumerate(outcomes):
-        h.update(reconstruct(expected_coincidences(out, SETTINGS_16, src, det, 10**6),
-                             SETTINGS_16).tobytes())
-        h.update(reconstruct(simulate_counts(out, SETTINGS_16, src, det, 10**6, seed=k),
-                             SETTINGS_16).tobytes())
-    assert h.hexdigest() == RECONSTRUCT_16_PIN
 
 
 @pytest.mark.parametrize("argv", list(CSV_PINS))

@@ -8,7 +8,24 @@ import pytest
 
 import pdlsim.theory
 from pdlsim.channels import PdlElement, angle_from_aggregate, apply_local, concat_pdl, pdl_operator
-from pdlsim.qmath import SIGMA0, BellKind, bell_state, check_state, concurrence, correlation_of
+from pdlsim.instrument import (
+    SETTINGS_36,
+    DetectorModel,
+    calibrate_source,
+    expected_coincidences,
+    project_physical,
+    reconstruct,
+    source_state,
+)
+from pdlsim.qmath import (
+    SIGMA0,
+    BellKind,
+    bell_state,
+    check_state,
+    concurrence,
+    correlation_of,
+    trace_distances,
+)
 from pdlsim.verify import (
     ALL_SUITES,
     DEFAULT_SEED,
@@ -20,6 +37,7 @@ from pdlsim.verify import (
     oracle_equivalence,
     rate_conservation,
     run_all,
+    tomography_roundtrip,
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
@@ -82,6 +100,28 @@ def test_concatenation_law_matches_the_per_case_loop(seed):
             ang = angle_from_aggregate(e1.gamma, e2.gamma, agg.gamma)
             worst = max(worst, abs(np.cos(ang) - np.clip(dot, -1, 1)))
     assert concatenation_law(seed=seed, cases=300).max_err == worst
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 172])
+def test_tomography_roundtrip_matches_the_per_state_loop(seed):
+    rng = np.random.default_rng(seed)
+    src = calibrate_source(0.925, 1.38)
+    det = DetectorModel(dark_prob=0.0)
+    states = [source_state(src)]
+    for _ in range(39):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = g @ g.conj().T
+        states.append(apply_local(check_state(m / np.trace(m).real), SIGMA0, SIGMA0))
+    worst = 0.0
+    for state in states:
+        rho_hat = reconstruct(expected_coincidences(state, SETTINGS_36, src, det, 10**6),
+                              SETTINGS_36)
+        repaired = project_physical(rho_hat)
+        worst = max(worst, trace_distances(rho_hat, state.rho),
+                    trace_distances(project_physical(repaired), repaired))
+    r = tomography_roundtrip(seed=seed)
+    assert r.cases == 40
+    assert r.max_err == worst
 
 
 def test_oracle_equivalence_fails_on_a_corrupted_formula(monkeypatch):
