@@ -291,9 +291,8 @@ def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
     t = correlation_of(base)
     g = gamma_from_db(pdl_db)
     el_a = PdlElement(g, CANONICAL_AXIS.copy())
-    t_a = t * el_a.axis
-    m = np.linalg.norm(t_a)
-    axes = np.vstack([fibonacci_sphere(orientations_n), -t_a / m, t_a / m])
+    u = design_compensator(el_a, t).element.axis  # kappa = -1; -u gives kappa = +1
+    axes = np.vstack([fibonacci_sphere(orientations_n), u, -u])
     kappas = kappa(t, el_a.axis, axes)
     order = np.argsort(kappas, kind="stable")
     el_bs = PdlElement(g, axes[order])

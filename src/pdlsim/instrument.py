@@ -25,6 +25,7 @@ exact batch itself, so no caller branches around it.
 """
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -297,7 +298,11 @@ class Rig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pulses < 1:
+        try:
+            pulses = operator.index(self.pulses)  # ints and numpy ints, never floats
+        except TypeError:
+            raise ValueError(f"pulses must be an integer, got {self.pulses!r}") from None
+        if pulses < 1:
             raise ValueError(f"pulses must be >= 1, got {self.pulses}")
 
 

@@ -126,7 +126,7 @@ def bell_diagonal(t) -> np.ndarray:
     The triple t must give nonnegative Bell weights within TOL.
     """
     w = bell_weights(t)
-    if w.min() < -TOL:
+    if not w.min() >= -TOL:  # NaN fails it
         raise ValueError(f"unphysical correlation triple {tuple(t)}: weight {w.min()}")
     rho = np.eye(4, dtype=complex)
     for tj, ss in zip(t, _CORRELATORS):

@@ -8,11 +8,13 @@ PDL of magnitudes (gamma_a, gamma_b) along axes (a, b) gives
 
 with the alignment factor kappa = sum_j a_j b_j t_j. Their product, the
 average entanglement per emitted pair e^{-(gA+gB)} c0, depends only on the
-total loss. `kappa`, `predicted_concurrence`, `predicted_rate` and
-`rate_bounds` broadcast over leading axes, as `channels.propagate` does, with
-scalars giving a 0-d result; every domain check holds element by element, and
-NaN fails it.
-`design_compensator` takes one arm-A element or a stack in the same way.
+total loss. `predicted_concurrence` and `predicted_rate` are the package's
+one statement of these two laws. `kappa`, `predicted_concurrence` and
+`predicted_rate` broadcast over leading axes, as `channels.propagate` does,
+with scalars giving a 0-d result; every domain check holds element by
+element, and NaN fails it.
+`design_compensator` takes one arm-A element or a stack in the same way; its
+C' is the law at the designed element, so it lies in [0, c0] by construction.
 `magnitude_residual` and `conservation_residual` state the two laws the CLI
 rows check (the `rate-conservation` verify suite calls the second): each gives
 the worst residual over a stack.
@@ -139,12 +141,14 @@ def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
     With m = |T a| and u = T a / m, the optimum is the anti-aligned axis -u at
     tanh(gamma_b) = m tanh(gamma_a), reaching
     C' = c0 / (cosh gamma_a sqrt(1 - m^2 tanh^2 gamma_a)). m = 1 (Bell states,
-    or an axis on a unit-correlation direction) restores c0 completely. Every
-    arm-A element needs m > 0, else ValueError.
+    or an axis on a unit-correlation direction) restores c0 completely. The
+    plan's C' and rate are `predicted_concurrence` and `predicted_rate` at the
+    designed element, so C' lies in [0, c0] by construction. Every arm-A
+    element needs m > 0, else ValueError.
     """
     t = np.asarray(t, dtype=float)
     w = bell_weights(t)
-    if w.min() < -TOL:
+    if not w.min() >= -TOL:  # NaN fails it
         raise ValueError(f"unphysical correlation triple {tuple(t)}")
     c0 = max(0.0, 2 * w.max() - 1)
     ta = t * element_a.axis
@@ -155,43 +159,9 @@ def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
             "no compensation direction: the correlation annihilates the arm-A axis"
         )
     g_a = np.asarray(element_a.gamma, dtype=float)
-    x = m * np.tanh(g_a)
-    g_b = np.arctanh(np.minimum(x, 1.0 - 1e-16))
+    g_b = np.arctanh(np.minimum(m * np.tanh(g_a), 1.0 - 1e-16))
     element_b = PdlElement(g_b, -ta / m[..., None])
     kap = np.clip(np.sum(ta * element_b.axis, axis=-1), -1.0, 1.0)  # = -m
-    # x * x, not x ** 2: a numpy scalar squares through pow(), an array does
-    # not, so only x * x rounds the same for one element and for a stack
-    c_best = c0 / (np.cosh(g_a) * np.sqrt(1.0 - x * x))
-    return CompensatorPlan(element=element_b, kappa=kap, predicted_concurrence=c_best,
+    return CompensatorPlan(element=element_b, kappa=kap,
+                           predicted_concurrence=predicted_concurrence(c0, g_a, g_b, kap),
                            predicted_rate=predicted_rate(g_a, g_b, kap))
-
-
-@dataclass(frozen=True)
-class RateBounds:
-    """Envelope of the concurrence/rate tradeoff at fixed magnitudes.
-
-    c_min and c_max_norm bound the concurrence normalized to its zero-PDL
-    value; the rates bound the post-selection rate between the fully aligned
-    (kappa = +1) and fully compensating (kappa = -1) orientations. Each field
-    has the broadcast shape of the magnitudes.
-    """
-
-    c_min: np.ndarray
-    c_max_norm: np.ndarray
-    rate_at_kappa_minus1: np.ndarray
-    rate_at_kappa_plus1: np.ndarray
-
-
-def rate_bounds(gamma_a, gamma_b) -> RateBounds:
-    """Orientation envelope of normalized concurrence and rate for Bell inputs."""
-    g_a = _check_gamma(gamma_a, "gamma_a")
-    g_b = _check_gamma(gamma_b, "gamma_b")
-    with np.errstate(over="ignore"):  # as in predicted_concurrence
-        g = g_a + g_b
-        return RateBounds(
-            # 1/cosh(g) as 2e^{-g}/(1 + e^{-2g}), which cannot overflow
-            c_min=(2 * np.exp(-g) / (1 + np.exp(-2 * g)))[()],
-            c_max_norm=np.ones(g.shape)[()],
-            rate_at_kappa_minus1=((np.exp(-2 * g_a) + np.exp(-2 * g_b)) / 2)[()],
-            rate_at_kappa_plus1=((1.0 + np.exp(-2 * g)) / 2)[()],
-        )

@@ -272,7 +272,9 @@ def envelope_bounds(rng, cases=300):
     worst = 0.0
     for gamma_db in (2.0, 5.1):
         g = gamma_db / DB_PER_NEPER
-        bounds = theory.rate_bounds(g, g)
+        # the envelope is the laws at kappa = +/-1 (c0 = 1 for a Bell state)
+        c_min, c_max = theory.predicted_concurrence(1.0, g, g, [1.0, -1.0])
+        rate_min, rate_max = theory.predicted_rate(g, g, [-1.0, 1.0])
         el_a = PdlElement(g, (0.0, 0.0, 1.0))
         axes = [_random_axis(rng) for _ in range(cases)]
         # T zhat = t3 zhat for Bell states, so b = -/+ zhat sits at kappa = -/+ 1
@@ -280,15 +282,11 @@ def envelope_bounds(rng, cases=300):
         el_bs = PdlElement(g, np.array(axes))
         batch = propagate(rho, pdl_operator(el_a)[None], pdl_operator(el_bs)).require_live()
         c_norm, rate = batch.concurrence[:cases], batch.rate[:cases]
-        worst = max(worst, _worst(
-            bounds.c_min - c_norm, c_norm - bounds.c_max_norm,
-            bounds.rate_at_kappa_minus1 - rate, rate - bounds.rate_at_kappa_plus1,
-        ))
+        worst = max(worst, _worst(c_min - c_norm, c_norm - c_max,
+                                  rate_min - rate, rate - rate_max))
         c_end, rate_end = batch.concurrence[cases:], batch.rate[cases:]
-        worst = max(worst, _worst(
-            np.abs(c_end - [bounds.c_max_norm, bounds.c_min]),
-            np.abs(rate_end - [bounds.rate_at_kappa_minus1, bounds.rate_at_kappa_plus1]),
-        ))
+        worst = max(worst, _worst(np.abs(c_end - [c_max, c_min]),
+                                  np.abs(rate_end - [rate_min, rate_max])))
     return worst, 2 * (cases + 2)
 
 

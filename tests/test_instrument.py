@@ -310,9 +310,14 @@ def test_measure_without_a_rig_returns_the_batch(monkeypatch):
 def test_rig_validation():
     src, det = calibrate_source(0.925, 1.38), DetectorModel()
     assert Rig(src, det).pulses == 1_000_000 and Rig(src, det).seed == 0
-    for pulses in (0, -5):
+    for pulses in (0, -5, np.int64(0)):
         with pytest.raises(ValueError, match=f"pulses must be >= 1, got {pulses}"):
             Rig(src, det, pulses=pulses)
+    # a count is an integer: NaN and fractions are refused, not drawn from
+    for pulses in (float("nan"), 2.5, 1e6):
+        with pytest.raises(ValueError, match=f"^pulses must be an integer, got {pulses!r}$"):
+            Rig(src, det, pulses=pulses)
+    assert Rig(src, det, pulses=np.int64(5)).pulses == 5
 
 
 def test_stack_checks_every_row():

@@ -1,8 +1,10 @@
 """Open defects, each pinned as a strict xfail that states the right behaviour.
 
-All three come from the inexact concurrence route and the closed-form
-`design_compensator` at large magnitudes (ROADMAP item 1). A fix makes its
-test pass, and strict=True then fails the run until the marker is removed.
+The first two come from the inexact concurrence route, the third from the
+designed arm-B magnitude of `design_compensator` at large magnitudes (ROADMAP
+item 1): its C' is the law at that magnitude, so it stays in [0, c0], but the
+magnitude itself is off. A fix makes its test pass, and strict=True then fails
+the run until the marker is removed.
 """
 
 import pytest
@@ -27,7 +29,10 @@ def test_tradeoff_runs_at_80_db(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the design predicts 1.0003 at 16 Np on |phi+>")
-def test_designed_concurrence_stays_at_most_c0_at_16_np():
-    plan = design_compensator(PdlElement(16.0), BellKind.PHI_PLUS.correlation)
-    assert plan.predicted_concurrence <= 1.0
+                   reason="1 - m tanh(gamma_A) cancels: gamma_B is 16.000301 at 16 Np, so "
+                          "C' = 0.99999995, and it sticks at 18.715 from 18.5 Np on")
+def test_design_restores_c0_on_phi_plus_at_16_and_18_5_np():
+    for g in (16.0, 18.5):
+        plan = design_compensator(PdlElement(g), BellKind.PHI_PLUS.correlation)
+        assert abs(plan.element.gamma - g) <= 1e-12 * g
+        assert abs(plan.predicted_concurrence - 1.0) <= 1e-12

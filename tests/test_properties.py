@@ -2,9 +2,11 @@
 
 Magnitudes run over [0, 40] Np per arm (about 350 dB), far past the 7 dB
 that `pdlsim verify` samples; kappa covers [-1, 1] with both endpoints, and
-c0 covers [0, 1]. The compensator search's refine batches may look any number
-of sweeps ahead without changing its trace. The draws are derandomized and use
-no example database, so every run checks the same examples.
+c0 covers [0, 1]. The compensator design keeps its C' finite and in [0, c0]
+at every arm-A magnitude, on |phi+> and on a partially correlated state. The
+compensator search's refine batches may look any number of sweeps ahead
+without changing its trace. The draws are derandomized and use no example
+database, so every run checks the same examples.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from pdlsim import compensation
 from pdlsim.channels import PdlElement
 from pdlsim.compensation import SearchConfig, optimize_compensator
 from pdlsim.qmath import BellKind, bell_state
-from pdlsim.theory import predicted_concurrence, predicted_rate, rate_bounds
+from pdlsim.theory import design_compensator, predicted_concurrence, predicted_rate
 
 GAMMA = st.floats(0.0, 40.0)
 KAPPA = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
@@ -49,13 +51,29 @@ def test_concurrence_stays_between_zero_and_its_baseline(c0, g_a, g_b, kap):
 @PINNED
 @given(c0=C0, g_a=GAMMA, g_b=GAMMA, kap=KAPPA)
 def test_laws_stay_inside_the_orientation_envelope(c0, g_a, g_b, kap):
-    bounds = rate_bounds(g_a, g_b)
+    # each law is bounded by itself at kappa = -/+1
+    rate_min, rate_max = predicted_rate(g_a, g_b, [-1.0, 1.0])
     rate = predicted_rate(g_a, g_b, kap)
-    assert bounds.rate_at_kappa_minus1 * (1 - ROUNDING) <= rate
-    assert rate <= bounds.rate_at_kappa_plus1 * (1 + ROUNDING)
-    # C'/c0 >= c_min, multiplied through by c0 >= 0
-    c_floor = c0 * bounds.c_min * (1 - ROUNDING) - 4 * SUBNORMAL
-    assert predicted_concurrence(c0, g_a, g_b, kap) >= c_floor
+    assert rate_min * (1 - ROUNDING) <= rate <= rate_max * (1 + ROUNDING)
+    c_min, c_max = predicted_concurrence(c0, g_a, g_b, [1.0, -1.0])
+    c = predicted_concurrence(c0, g_a, g_b, kap)
+    assert c_min * (1 - ROUNDING) - 4 * SUBNORMAL <= c <= c_max * (1 + ROUNDING) + 4 * SUBNORMAL
+
+
+AXIS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.dot(v, v) > 0.01)
+
+
+@PINNED
+@given(g_a=GAMMA, axis_a=AXIS, state=st.sampled_from([(BellKind.PHI_PLUS.correlation, 1.0),
+                                                      ((0.69, -0.69, 1.0), 0.69)]))
+def test_designed_compensator_obeys_both_laws(g_a, axis_a, state):
+    t, c0 = state
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        plan = design_compensator(PdlElement(g_a, np.array(axis_a) / np.linalg.norm(axis_a)), t)
+    c, rate = plan.predicted_concurrence, plan.predicted_rate
+    assert np.isfinite(c) and 0.0 <= c <= c0
+    product = np.exp(-(g_a + plan.element.gamma)) * c0
+    assert abs(c * rate - product) <= 1e-12 * product
 
 
 SEARCH_GAMMA = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
@@ -64,7 +82,7 @@ SEARCH_GAMMA = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(
     gamma_a=SEARCH_GAMMA,
-    axis_a=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.dot(v, v) > 0.01),
+    axis_a=AXIS,
     weights=st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 0.1),
     sphere_points=st.integers(32, 48),
     refine_iters=st.integers(0, 6),

@@ -84,6 +84,8 @@ def test_bell_diagonal_rank_two_mixture():
 def test_bell_diagonal_rejects_unphysical_triple():
     with pytest.raises(ValueError):
         bell_diagonal((1, 1, 1))  # psi- weight -1/2
+    with pytest.raises(ValueError, match="^unphysical correlation triple"):
+        bell_diagonal([float("nan"), -0.5, 1.0])  # NaN weights fail the check
 
 
 def test_correlation_roundtrip():

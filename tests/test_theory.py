@@ -27,7 +27,6 @@ from pdlsim.theory import (
     magnitude_residual,
     predicted_concurrence,
     predicted_rate,
-    rate_bounds,
 )
 
 G51 = 0.5871591987134815  # gamma_from_db(5.1)
@@ -252,6 +251,9 @@ def test_design_compensator_degenerate():
     with pytest.raises(ValueError):
         # correlation annihilates the arm-A axis
         design_compensator(PdlElement(0.5, np.array([1.0, 0, 0])), (0.0, 0.0, 1.0))
+    for t in ((1.0, 1.0, 1.0), (float("nan"), -1.0, 1.0)):
+        with pytest.raises(ValueError, match="^unphysical correlation triple"):
+            design_compensator(PdlElement(0.5), t)
 
 
 def _bits(x):
@@ -292,42 +294,21 @@ def test_design_compensator_stack_with_annihilated_axis_raises():
     design_compensator(PdlElement(np.full(2, 0.5), axes[:2]), (0.0, 0.0, 1.0))  # no raise
 
 
-def test_rate_bounds_frozen():
-    rb = rate_bounds(G51, G51)
-    assert abs(rb.c_min - 0.5641802873434723) < 1e-12
-    assert rb.c_max_norm == 1.0
-    assert abs(rb.rate_at_kappa_minus1 - 0.3090295432513591) < 1e-12
-    assert abs(rb.rate_at_kappa_plus1 - 0.5477496293010718) < 1e-12
+def test_envelope_laws_frozen():
+    # the laws at kappa = +/-1 and equal magnitudes, for normalized concurrence (c0 = 1)
+    assert abs(predicted_concurrence(1.0, G51, G51, 1.0) - 0.5641802873434723) < 1e-12
+    assert abs(predicted_concurrence(1.0, G51, G51, -1.0) - 1.0) < 1e-15
+    assert abs(predicted_rate(G51, G51, -1.0) - 0.3090295432513591) < 1e-12
+    assert abs(predicted_rate(G51, G51, 1.0) - 0.5477496293010718) < 1e-12
 
 
-def test_rate_bounds_finite_past_cosh_overflow():
-    # cosh overflows from about 710 on; the envelope floor rounds to 0 silently
-    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
-        warnings.simplefilter("error")
-        rb = rate_bounds(400.0, 400.0)
-    assert rb.c_min == 0.0
-    assert rb.rate_at_kappa_minus1 == 0.0
-    assert rb.rate_at_kappa_plus1 == 0.5
-
-
-def test_rate_bounds_broadcasts_bit_for_bit():
-    g_a = np.array([0.0, 0.3, G51, 400.0, 1e308])
-    g_b = np.array([[0.1], [5.0]])
-    rb = rate_bounds(g_a, g_b)
-    for name in ("c_min", "c_max_norm", "rate_at_kappa_minus1", "rate_at_kappa_plus1"):
-        stacked = getattr(rb, name)
-        assert stacked.shape == (2, 5)
-        for i, j in np.ndindex(stacked.shape):
-            one = getattr(rate_bounds(float(g_a[j]), float(g_b[i, 0])), name)
-            assert np.ndim(one) == 0 and stacked[i, j].tobytes() == np.float64(one).tobytes()
-    with pytest.raises(ValueError, match=r"^gamma_b must be finite and >= 0, got -1.0$"):
-        rate_bounds(g_a, [0.1, -1.0, 0.2, 0.3, 0.4])
-
-
-def test_rate_bounds_bracket_brute_force():
+def test_laws_at_kappa_extremes_bracket_brute_force():
     rng = np.random.default_rng(71)
     g_a, g_b = 0.35, 0.5
-    rb = rate_bounds(g_a, g_b)
+    # the ceiling is 1/cosh(gA - gB), tight at unequal magnitudes
+    c_min, c_max = predicted_concurrence(1.0, g_a, g_b, [1.0, -1.0])
+    assert abs(c_max - 1 / np.cosh(g_a - g_b)) < 1e-15
+    rate_min, rate_max = predicted_rate(g_a, g_b, [-1.0, 1.0])
     rho = bell_state(BellKind.PHI_PLUS)
     for _ in range(100):
         out = apply_local(
@@ -336,8 +317,18 @@ def test_rate_bounds_bracket_brute_force():
             pdl_operator(PdlElement(g_b, random_axis(rng))),
         )
         c = concurrence(out.rho)
-        assert rb.c_min - 1e-9 <= c <= rb.c_max_norm + 1e-9
-        assert rb.rate_at_kappa_minus1 - 1e-9 <= out.rate <= rb.rate_at_kappa_plus1 + 1e-9
+        assert c_min - 1e-9 <= c <= c_max + 1e-9
+        assert rate_min - 1e-9 <= out.rate <= rate_max + 1e-9
+
+
+def test_designed_concurrence_stays_at_most_c0_at_large_magnitudes():
+    # on |phi+> along s3 the design once gave 1.0003 at 16 Np and inf at 19 Np
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        for g in (14.0, 16.0, 18.5, 19.0, 400.0):
+            plan = design_compensator(PdlElement(g), BellKind.PHI_PLUS.correlation)
+            assert np.isfinite(plan.predicted_concurrence)
+            assert 0.0 <= plan.predicted_concurrence <= 1.0
 
 
 def test_stacked_closed_forms_are_their_scalar_calls_row_by_row():
@@ -425,7 +416,7 @@ def test_magnitudes_near_the_float_limit_do_not_warn():
         assert predicted_rate(1e308, 1e308, 0.5) == 0.375
         assert predicted_concurrence(1.0, 1e308, 1e308, 0.5) == 0.0
         assert predicted_concurrence(1.0, 1e308, 1e308, -1.0) == 1.0
-        assert rate_bounds(1e308, 1e308).c_min == 0.0
+        assert predicted_concurrence(1.0, 1e308, 1e308, 1.0) == 0.0
 
 
 def test_law_residuals_give_the_worst_row_and_zero_on_an_empty_stack():
