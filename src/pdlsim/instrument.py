@@ -89,7 +89,7 @@ def calibrate_source(
     """
     if not 0.5 < target_c <= 1:
         raise ValueError(f"target_c must lie in (0.5, 1], got {target_c}")
-    if hh_vv_ratio < 1:
+    if not hh_vv_ratio >= 1:  # NaN fails here, not later as a gamma
         raise ValueError(f"hh_vv_ratio must be >= 1, got {hh_vv_ratio}")
     gamma_s = np.log(hh_vv_ratio) / 2
     v = (2 * target_c * np.cosh(gamma_s) + 1) / 3
@@ -298,11 +298,13 @@ class Rig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            pulses = operator.index(self.pulses)  # ints and numpy ints, never floats
-        except TypeError:
-            raise ValueError(f"pulses must be an integer, got {self.pulses!r}") from None
-        if pulses < 1:
+        for name in ("pulses", "seed"):
+            try:
+                operator.index(getattr(self, name))  # ints and numpy ints, never floats
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
+        if self.pulses < 1:
             raise ValueError(f"pulses must be >= 1, got {self.pulses}")
 
 
@@ -326,7 +328,8 @@ def measure(batch: ChannelBatch, rig: Rig | None, label: str, indices) -> Channe
                          f"for {live.shape} states")
     rho = np.zeros_like(batch.rho)
     if live.any():
-        seeds = [derive_seed(rig.seed, label, k) for k in indices[live].tolist()]
+        # a float index raises TypeError rather than hashing as "0.0"
+        seeds = [derive_seed(rig.seed, label, operator.index(k)) for k in indices[live].tolist()]
         counts = simulate_counts(ChannelBatch(batch.rho[live], np.asarray(batch.rate)[live]),
                                  SETTINGS_36, rig.source, rig.detector, rig.pulses, seed=seeds)
         rho[live] = project_physical(reconstruct(counts, SETTINGS_36))

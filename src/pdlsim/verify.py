@@ -4,8 +4,9 @@ Each suite exercises one law along two independent routes (closed form vs
 brute-force filtered density matrix, designed optimum vs sampled alternatives,
 forward counts vs inverted state) and reports its worst observed error against
 a fixed tolerance. All suites are seeded and deterministic. Each suite draws
-all its random inputs first, case by case in a fixed order, then builds one
-stacked `PdlElement` per arm and one Bell-diagonal stack, and sends every case
+each of its random inputs as one whole array, in a fixed order (Dirichlet
+weights, then magnitudes, then Gaussian axes), builds one stacked
+`PdlElement` per arm and one Bell-diagonal stack, and sends every case
 through one `propagate` (or `concat_pdl`) call; `tomography-roundtrip` then
 makes one forward-count and one inversion call on the bench's one schedule,
 `SETTINGS_36`. Each suite is written as a check `name(rng, **sizes) ->
@@ -44,7 +45,6 @@ from .qmath import (
     BellKind,
     bell_diagonal,
     bell_state,
-    check_state,
     check_states,
     concurrences,
     correlation_of,
@@ -87,23 +87,15 @@ def _suite(tol):
     return wrap
 
 
-def _random_axis(rng):
-    while True:
-        v = rng.normal(size=3)
-        n = np.sqrt(v.dot(v))  # np.linalg.norm's own route for a real vector
-        if n >= 1e-6:
-            return v / n
+def _axes(rng, n) -> np.ndarray:
+    """n random unit axes (n, 3): one Gaussian draw, each row normalized."""
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _random_element(rng):
-    """Magnitude and raw axis of one random element, drawn in that order."""
-    return float(rng.uniform(0, GAMMA_MAX)), _random_axis(rng)
-
-
-def _stack(draws) -> PdlElement:
-    """One stacked element of (magnitude, raw axis) draws, each axis normalized once."""
-    gammas, axes = [g for g, _ in draws], [a for _, a in draws]
-    return PdlElement(np.array(gammas, dtype=float), np.array(axes, dtype=float).reshape(-1, 3))
+def _elements(rng, n, gamma_max=GAMMA_MAX) -> PdlElement:
+    """n random elements: magnitudes uniform in [0, gamma_max), then their axes."""
+    return PdlElement(rng.uniform(0, gamma_max, n), _axes(rng, n))
 
 
 def _bell_diagonals(weights) -> np.ndarray:
@@ -124,13 +116,8 @@ def oracle_equivalence(rng, cases=1000):
     `theory.predicted_concurrence` is looked up at call time, so a test can
     patch in a corrupted formula and watch the suite fail.
     """
-    weights, draws_a, draws_b = [], [], []
-    for _ in range(cases):
-        weights.append(rng.dirichlet(np.ones(4)))
-        draws_a.append(_random_element(rng))
-        draws_b.append(_random_element(rng))
-    rhos = _bell_diagonals(weights)
-    el_a, el_b = _stack(draws_a), _stack(draws_b)
+    rhos = _bell_diagonals(rng.dirichlet(np.ones(4), size=cases))
+    el_a, el_b = _elements(rng, cases), _elements(rng, cases)
     kap = theory.kappa(correlation_of(rhos), el_a.axis, el_b.axis)
     closed = theory.predicted_concurrence(concurrences(rhos), el_a.gamma, el_b.gamma, kap)
     batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b)).require_live()
@@ -145,20 +132,16 @@ def rate_conservation(rng, cases=400):
     `theory.conservation_residual` is looked up at call time, as in
     `oracle_equivalence`.
     """
-    weights, totals, draws_a, draws_b = [], [], [], []
-    for _ in range(cases):
-        weights.append(rng.dirichlet(np.ones(4)))
-        totals.append(rng.uniform(0, 2 * GAMMA_MAX))
-        for _ in range(3):
-            ga = rng.uniform(0, totals[-1])
-            draws_a.append((ga, _random_axis(rng)))
-            draws_b.append((totals[-1] - ga, _random_axis(rng)))
-    rhos = _bell_diagonals(weights)
+    rhos = _bell_diagonals(rng.dirichlet(np.ones(4), size=cases))
     # three splits of each case's total loss, consecutive rows
-    batch = propagate(np.repeat(rhos, 3, axis=0), pdl_operator(_stack(draws_a)),
-                      pdl_operator(_stack(draws_b))).require_live()
+    totals = np.repeat(rng.uniform(0, 2 * GAMMA_MAX, cases), 3)
+    g_a = rng.uniform(0, totals)
+    el_a = PdlElement(g_a, _axes(rng, 3 * cases))
+    el_b = PdlElement(totals - g_a, _axes(rng, 3 * cases))
+    batch = propagate(np.repeat(rhos, 3, axis=0), pdl_operator(el_a),
+                      pdl_operator(el_b)).require_live()
     products = (batch.rate * batch.concurrence).reshape(-1, 3)
-    law = theory.conservation_residual(batch.rate, batch.concurrence, np.repeat(totals, 3),
+    law = theory.conservation_residual(batch.rate, batch.concurrence, totals,
                                        np.repeat(concurrences(rhos), 3))
     return max(law, _worst(products.max(axis=1) - products.min(axis=1))), cases
 
@@ -169,7 +152,7 @@ def orientation_independence(rng, per_magnitude=100):
     c0 = 0.925
     rho = bell_diagonal([c0, -c0, 1.0])
     gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
-    elements = _stack([(g, _random_axis(rng)) for g in np.repeat(gammas, per_magnitude)])
+    elements = PdlElement(np.repeat(gammas, per_magnitude), _axes(rng, 5 * per_magnitude))
     batch = propagate(rho, pdl_operator(elements), SIGMA0[None]).require_live()
     vals = batch.concurrence.reshape(len(gammas), per_magnitude)
     worst = _worst(vals.max(axis=1) - vals.min(axis=1),
@@ -187,7 +170,7 @@ def equivalence_mapping(rng, per_state=100):
     worst = 0.0
     for kind in BellKind:
         rho = bell_state(kind)
-        els = _stack([_random_element(rng) for _ in range(per_state)])
+        els = _elements(rng, per_state)
         mapped = theory.equivalence_map(els, kind.correlation)
         # np.kron of a (N, 2, 2) stack and a 2x2 filter is the (N, 4, 4) stack of row krons
         ma = np.kron(pdl_operator(els), SIGMA0)
@@ -201,8 +184,7 @@ def equivalence_mapping(rng, per_state=100):
 @_suite(tol=1e-9)
 def concatenation_law(rng, cases=1000):
     """Aggregate magnitude of two cascaded elements follows the cosh law."""
-    pairs = [(_random_element(rng), _random_element(rng)) for _ in range(cases)]
-    firsts, seconds = _stack([d1 for d1, _ in pairs]), _stack([d2 for _, d2 in pairs])
+    firsts, seconds = _elements(rng, cases), _elements(rng, cases)
     g1, a1, g2, a2 = firsts.gamma, firsts.axis, seconds.gamma, seconds.axis
     # row-wise a1 . a2 by matmul, bit-equal to a 1-D dot of each pair
     dots = (a1[:, None, :] @ a2[:, :, None])[:, 0, 0]
@@ -225,13 +207,12 @@ def compensation_optimality(rng, alternatives=500):
     worst = 0.0
     problems = [
         (bell_state(BellKind.PHI_PLUS), PdlElement(5.1 / DB_PER_NEPER, (0.0, 0.0, 1.0))),
-        (bell_diagonal([0.69, -0.69, 1.0]), PdlElement(*_random_element(rng))),
+        (bell_diagonal([0.69, -0.69, 1.0]), _elements(rng, 1)[0]),
     ]
     for rho, el_a in problems:
         t = correlation_of(rho)
         plan = theory.design_compensator(el_a, t)
-        alts = _stack([(float(rng.uniform(0, 2 * el_a.gamma + 0.1)), _random_axis(rng))
-                       for _ in range(alternatives)])
+        alts = _elements(rng, alternatives, 2 * el_a.gamma + 0.1)
         m_b = np.concatenate([pdl_operator(plan.element)[None], pdl_operator(alts)])
         batch = propagate(rho, pdl_operator(el_a)[None], m_b)
         batch.require_live()
@@ -248,12 +229,10 @@ def tomography_roundtrip(rng, cases=40):
     """Exact forward counts invert back to the state: the source and random states, one pass."""
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel(dark_prob=0.0)
-    rhos = []
-    for _ in range(cases - 1):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g @ g.conj().T
-        rhos.append(check_state(m / np.trace(m).real))
-    batch = propagate(np.array(rhos).reshape(-1, 4, 4), SIGMA0[None], SIGMA0[None]).require_live()
+    g = rng.normal(size=(cases - 1, 4, 4)) + 1j * rng.normal(size=(cases - 1, 4, 4))
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    rhos = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    batch = propagate(rhos, SIGMA0[None], SIGMA0[None]).require_live()
     first = source_state(src)
     states = ChannelBatch(np.concatenate([first.rho[None], batch.rho]),
                           np.concatenate([[first.rate], batch.rate]))
@@ -276,10 +255,9 @@ def envelope_bounds(rng, cases=300):
         c_min, c_max = theory.predicted_concurrence(1.0, g, g, [1.0, -1.0])
         rate_min, rate_max = theory.predicted_rate(g, g, [-1.0, 1.0])
         el_a = PdlElement(g, (0.0, 0.0, 1.0))
-        axes = [_random_axis(rng) for _ in range(cases)]
         # T zhat = t3 zhat for Bell states, so b = -/+ zhat sits at kappa = -/+ 1
-        axes += [(0.0, 0.0, sign * t[2]) for sign in (-1.0, 1.0)]
-        el_bs = PdlElement(g, np.array(axes))
+        axes = np.vstack([_axes(rng, cases), [[0.0, 0.0, -t[2]], [0.0, 0.0, t[2]]]])
+        el_bs = PdlElement(g, axes)
         batch = propagate(rho, pdl_operator(el_a)[None], pdl_operator(el_bs)).require_live()
         c_norm, rate = batch.concurrence[:cases], batch.rate[:cases]
         worst = max(worst, _worst(c_min - c_norm, c_norm - c_max,

@@ -133,6 +133,7 @@ def test_config_range_errors_quote_the_line(tmp_path):
     ("run.seed = 3\ndet.dark_prob = 1\n", 2, "dark_prob must lie in [0, 1), got 1.0"),
     ("\nsource.c_b2b = 0.3\n", 2, "target_c must lie in (0.5, 1], got 0.3"),
     ("source.hh_vv_ratio = 0.5\n", 1, "hh_vv_ratio must be >= 1, got 0.5"),
+    ("source.hh_vv_ratio = nan\n", 1, "hh_vv_ratio must be >= 1, got nan"),
     ("source.mu = 0.5\n", 1, "mu must lie in (0.001, 0.1), got 0.5"),
     # reachable only at a lower HH/VV ratio than the default, which line 1 still sees
     ("source.c_b2b = 0.99\nsource.hh_vv_ratio = 1.38\n", 1,

@@ -267,3 +267,44 @@ def test_benchmark_traced_functions_exist():
     traced = traced_names(SPANS.read_text())
     assert set(OBSERVED_ARGS) <= {(mod, fn) for mod, names in traced.items() for fn in names}
     assert traced_binding_faults(traced, module_functions) == []
+
+
+def looped_draws(source: str) -> list[str]:
+    """Comprehensions, `while` loops and `for ... in range(...)` loops that read the name `rng`.
+
+    Draws come as whole arrays; loops over a fixed set of configurations may still draw.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            kind = "comprehension"
+        elif isinstance(node, ast.While):
+            kind = "while"
+        elif (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+              and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range"):
+            kind = "for-range"
+        else:
+            continue
+        if any(isinstance(n, ast.Name) and n.id == "rng" for n in ast.walk(node)):
+            found.append((node.lineno, kind))
+    return [f"{kind} (line {line})" for line, kind in sorted(found)]
+
+
+def test_detector_flags_a_looped_draw():
+    source = (
+        "def axis(rng):\n    while True:\n        return rng.normal(size=3)\n"
+        "weights = [rng.dirichlet(np.ones(4)) for _ in range(cases)]\n"
+        "for _ in range(cases):\n    draws.append(axis(rng))\n"
+        "for kind in BellKind:\n    els = _elements(rng, 100)\n"
+        "for rho, el_a in problems:\n    alts = _elements(rng, 500)\n"
+        "for gamma_db in (2.0, 5.1):\n    axes = _axes(rng, cases)\n"
+        "for k in range(3):\n    total += k\n"
+        "pairs = [(k, rng) for rng in gens]\n"
+    )
+    assert looped_draws(source) == [
+        "while (line 2)", "comprehension (line 4)", "for-range (line 5)",
+        "comprehension (line 15)"]
+
+
+def test_verify_draws_whole_arrays():
+    assert looped_draws((SRC / "verify.py").read_text()) == []

@@ -318,6 +318,23 @@ def test_rig_validation():
         with pytest.raises(ValueError, match=f"^pulses must be an integer, got {pulses!r}$"):
             Rig(src, det, pulses=pulses)
     assert Rig(src, det, pulses=np.int64(5)).pulses == 5
+    # a master seed is an integer too: 1.5 would hash as 1
+    for seed in (1.5, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            Rig(src, det, seed=seed)
+    assert Rig(src, det, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+def test_measure_refuses_float_indices():
+    batch = random_outcomes(np.random.default_rng(53), 2)
+    rig = Rig(calibrate_source(0.925, 1.38), DetectorModel(), 10**5, seed=3)
+    # 0.0 would hash as "0.0", a sub-seed no integer index gives
+    with pytest.raises(TypeError):
+        measure(batch, rig, "x", np.array([0.0, 1.0]))
+    with pytest.raises(TypeError):
+        measure(ChannelBatch(batch.rho[0], batch.rate[0]), rig, "x", 0.0)
+    assert np.array_equal(measure(batch, rig, "x", np.array([0, 1], dtype=np.uint64)).rho,
+                          measure(batch, rig, "x", [0, 1]).rho)
 
 
 def test_stack_checks_every_row():

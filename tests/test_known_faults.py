@@ -13,13 +13,15 @@ from pdlsim.channels import PdlElement
 from pdlsim.cli import main
 from pdlsim.qmath import BellKind
 from pdlsim.theory import design_compensator
-from pdlsim.verify import oracle_equivalence
+from pdlsim.verify import oracle_equivalence, rate_conservation
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="oracle-equivalence reads 6.663e-7 against 1e-9 at seed 172")
-def test_oracle_equivalence_passes_at_seed_172():
-    assert oracle_equivalence(seed=172).passed
+                   reason="at seed 844 oracle-equivalence reads 7.684e-7 and rate-conservation "
+                          "4.432e-7 against 1e-9")
+def test_oracle_equivalence_and_rate_conservation_pass_at_seed_844():
+    assert oracle_equivalence(seed=844).passed
+    assert rate_conservation(seed=844).passed
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
