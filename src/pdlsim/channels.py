@@ -10,13 +10,18 @@ at the pair bandwidth acts as a phase flip channel of weight q about its axis.
 `concat_pdl` aggregates cascaded pairs row by row, broadcasting as numpy does.
 
 `ChannelBatch` is the one states-plus-rates type: normalized states with one
-post-selection rate each, from which it derives an extinction mask, Wootters
+post-selection rate each, from which it derives an extinction mask,
 concurrences and qubit-A linear entropies. Exact rows (from `propagate`) and
 measured rows (from `instrument.measure`) are read through it alike.
 `propagate` is the one state-through-channel kernel: it sends a base state
 through stacks of local filters, one row per candidate channel, and
-renormalizes each row. `apply_local` is its one-row case, giving a one-state
-batch; the search, the CLI sweeps and the verify suites pass whole stacks.
+renormalizes each row. Its result, a `FilteredBatch`, takes each row's
+concurrence from the local-filter identity
+C((A x B) rho (A x B)^dag / p) = |det A| |det B| C(rho) / p, with one
+Wootters call on the base state (one per row for a stack of bases); every
+other batch, the measured ones included, takes Wootters of its own rows.
+`apply_local` is its one-row case, giving a one-state batch; the search, the
+CLI sweeps and the verify suites pass whole stacks.
 """
 
 from dataclasses import dataclass, field
@@ -149,7 +154,7 @@ class ChannelBatch:
     rho holds the states (..., 4, 4) and rate the post-selection rates (...),
     with any leading batch axes, or none for one state. Rows whose rate falls
     below EXTINCTION_RATE are `extinct`: they carry a zero matrix and read 0
-    in `concurrence` and `entropy_a`.
+    in `concurrence` and `entropy_a`. `concurrence` is Wootters of each row.
     """
 
     rho: np.ndarray
@@ -176,6 +181,26 @@ class ChannelBatch:
             rate = np.ravel(self.rate)[np.flatnonzero(self.extinct)[0]]
             raise ExtinctionError(f"channel extinguishes the state: rate {float(rate)}")
         return self
+
+
+@dataclass(frozen=True, eq=False)
+class FilteredBatch(ChannelBatch):
+    """A `ChannelBatch` of local filters applied to base states, as `propagate` gives it.
+
+    base holds the unfiltered state (4, 4), or one per row, and det_ab the
+    products |det m_a| |det m_b| of each row's filters. Each live row's
+    concurrence is the local-filter identity det_ab C(base) / rate, with
+    C(base) from Wootters; it is computed when first read.
+    """
+
+    base: np.ndarray
+    det_ab: np.ndarray
+
+    @cached_property
+    def concurrence(self) -> np.ndarray:
+        """det_ab C(base) / rate on live rows, 0 on extinct ones."""
+        c = self.det_ab * concurrences(self.base)
+        return np.divide(c, self.rate, out=np.zeros_like(c), where=~self.extinct)
 
 
 def pdl_operator(element: PdlElement) -> np.ndarray:
@@ -205,7 +230,12 @@ def _max_singular_values(m: np.ndarray) -> np.ndarray:
     return np.sqrt((p + r + np.hypot(p - r, 2 * np.abs(q))) / 2)
 
 
-def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch:
+def _abs_dets(m: np.ndarray) -> np.ndarray:
+    """|ad - bc| of each matrix [[a, b], [c, d]] of a stack (..., 2, 2)."""
+    return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+
+
+def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
     """Apply local filter stacks (m_a on qubit A, m_b on qubit B) and renormalize.
 
     m_a and m_b are (N, 2, 2) stacks, either of which may be a single (1, 2, 2)
@@ -213,7 +243,11 @@ def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch
     (N, 4, 4). Every filter must be trace-nonincreasing (singular values
     <= 1), else ValueError. Each live row's normalized state passes
     check_state; rows whose rate falls below EXTINCTION_RATE are flagged
-    rather than raised, see ChannelBatch.
+    rather than raised, see ChannelBatch. Concurrences come from the
+    local-filter identity, see FilteredBatch. For a PDL filter |ad - bc| is
+    e^-gamma after cancelling terms near 1, so its relative error grows as
+    eps e^gamma: over 20 000 random axes at most 4e-14 at 5 Np, 4e-12 at
+    10 Np and 1e-7 at 20 Np.
     """
     m_a = np.asarray(m_a, dtype=complex)
     m_b = np.asarray(m_b, dtype=complex)
@@ -228,10 +262,10 @@ def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch
     live = ~(rate < EXTINCTION_RATE)
     states = np.zeros_like(filtered)
     states[live] = check_states(filtered[live] / rate[live, None, None])
-    return ChannelBatch(states, rate)
+    return FilteredBatch(states, rate, rho, _abs_dets(m_a) * _abs_dets(m_b))
 
 
-def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBatch:
+def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
     """Apply local filters (m_a on qubit A, m_b on qubit B) and renormalize.
 
     The one-row case of `propagate`, returned as a one-state batch. Both
@@ -239,7 +273,7 @@ def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> ChannelBat
     ExtinctionError when the post-selection rate falls below EXTINCTION_RATE.
     """
     batch = propagate(rho, np.asarray(m_a)[None], np.asarray(m_b)[None])
-    return ChannelBatch(batch.rho[0], batch.rate[0]).require_live()
+    return FilteredBatch(batch.rho[0], batch.rate[0], rho, batch.det_ab[0]).require_live()
 
 
 def pmd_dephase(rho: np.ndarray, element: PmdElement) -> np.ndarray:

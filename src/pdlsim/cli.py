@@ -22,6 +22,7 @@ import numpy as np
 from . import theory, verify as verify_mod
 from .channels import (
     CANONICAL_AXIS,
+    ExtinctionError,
     PdlElement,
     PmdElement,
     axis_from_polar,
@@ -40,6 +41,7 @@ from .qmath import (
     bell_state,
     bell_vector,
     concurrence,
+    concurrences,
     correlation_of,
     fidelity_to_pure,
     purity,
@@ -233,7 +235,7 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     batch = propagate(base, pdl_operator(ems) @ pdl_operator(src_el), SIGMA0[None])
     aggs = concat_pdl(src_el, ems)
     seen = _observer(cfg, "sweep")(batch, range(len(raw)))
-    if not cfg.noisy and (theory.magnitude_residual(seen.concurrence, aggs.gamma, cfg.c_b2b)
+    if not cfg.noisy and (theory.magnitude_residual(concurrences(seen.rho), aggs.gamma, cfg.c_b2b)
                           > MAGNITUDE_TOL):
         raise RuntimeError("sweep row violates the magnitude-only concurrence law")
     columns = [np.repeat(np.asarray(pdl_db_list, dtype=float), len(axes)), *raw.T,
@@ -266,12 +268,14 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     cs_u = observe(uncompensated, range(0, 2 * len(thetas), 2)).concurrence
     cs_c = observe(compensated, range(1, 2 * len(thetas), 2)).concurrence
     if not cfg.noisy:
-        if theory.magnitude_residual(cs_u, aggs.gamma, chain_c) > MAGNITUDE_TOL:
+        if (theory.magnitude_residual(concurrences(uncompensated.rho), aggs.gamma, chain_c)
+                > MAGNITUDE_TOL):
             raise RuntimeError("uncompensated row violates the magnitude-only law")
         # physical magnitudes, not the aggregate: the concatenated product
         # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
         total = src_el.gamma + ems.gamma + plans.element.gamma
-        if theory.conservation_residual(compensated.rate, cs_c, total, chain_c) > CONSERVATION_TOL:
+        if (theory.conservation_residual(compensated.rate, concurrences(compensated.rho), total,
+                                         chain_c) > CONSERVATION_TOL):
             raise RuntimeError("compensated row violates rate-concurrence conservation")
     columns = [thetas, aggs.gamma_db, scale * cs_u, scale * cs_c, plans.element.gamma_db,
                *plans.element.axis.T, uncompensated.rate, compensated.rate]
@@ -312,8 +316,8 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
     c_norm = seen.concurrence / chain_c
     avg = c_norm * seen.rate
     # normalized rows: c0 = 1, and both arms carry g
-    if not cfg.noisy and (theory.conservation_residual(seen.rate, c_norm, 2 * g, 1.0)
-                          > CONSERVATION_TOL):
+    if not cfg.noisy and (theory.conservation_residual(seen.rate, concurrences(seen.rho) / chain_c,
+                                                       2 * g, 1.0) > CONSERVATION_TOL):
         raise RuntimeError("tradeoff row violates rate-concurrence conservation")
     header = ["kappa", "concurrence_norm", "rate_norm", "avg_entanglement"]
     return [_write_csv(out_dir / "tradeoff.csv", header, [kappas, c_norm, seen.rate, avg])]
@@ -461,19 +465,22 @@ def main(argv=None) -> int:
 
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "b2b":
-        paths = cmd_b2b(cfg, out_dir)
-    elif args.command == "sweep-pdl":
-        paths = cmd_sweep_pdl(cfg, out_dir, args.pdl_db, args.orientations)
-    elif args.command == "compensate":
-        thetas = args.theta_list
-        if thetas is None:
-            thetas = list(np.linspace(0.0, np.pi, args.theta_count))
-        paths = cmd_compensate(cfg, out_dir, args.pdl_db, thetas, args.pmd_q)
-    elif args.command == "tradeoff":
-        paths = cmd_tradeoff(cfg, out_dir, args.pdl_db, args.orientations, args.pmd_q)
-    else:
-        paths = cmd_entropy_feedback(cfg, out_dir, args.pdl_db, args.orientations, args.pmd_q)
+    try:
+        if args.command == "b2b":
+            paths = cmd_b2b(cfg, out_dir)
+        elif args.command == "sweep-pdl":
+            paths = cmd_sweep_pdl(cfg, out_dir, args.pdl_db, args.orientations)
+        elif args.command == "compensate":
+            thetas = args.theta_list
+            if thetas is None:
+                thetas = list(np.linspace(0.0, np.pi, args.theta_count))
+            paths = cmd_compensate(cfg, out_dir, args.pdl_db, thetas, args.pmd_q)
+        elif args.command == "tradeoff":
+            paths = cmd_tradeoff(cfg, out_dir, args.pdl_db, args.orientations, args.pmd_q)
+        else:
+            paths = cmd_entropy_feedback(cfg, out_dir, args.pdl_db, args.orientations, args.pmd_q)
+    except ExtinctionError as err:  # the arguments ask for a channel no pair survives
+        parser.error(str(err))
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -41,9 +41,10 @@ def derive_seed(master_seed: int, *parts) -> int:
     """Deterministic 64-bit sub-seed keyed by (master seed, labels/indices).
 
     SHA-256 based so derived streams are stable across platforms and
-    independent of evaluation order.
+    independent of evaluation order. The master seed must be an integer (a
+    float raises TypeError rather than hashing as its truncation).
     """
-    payload = ":".join([str(int(master_seed)), *map(str, parts)]).encode()
+    payload = ":".join([str(operator.index(master_seed)), *map(str, parts)]).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 

@@ -135,11 +135,27 @@ class CompensatorPlan:
     predicted_rate: np.ndarray
 
 
+def _designed_gamma_b(m, gamma_a) -> np.ndarray:
+    """The designed arm-B magnitude artanh(m tanh gamma_a), m clamped to 1, without cancellation.
+
+    gamma_a itself where m = 1; elsewhere (1/2) log1p(2x / (1 - x)) with
+    x = m tanh gamma_a, and 1 - x formed as
+    (1 - m) + 2m e^{-2 gamma_a} / (1 + e^{-2 gamma_a}), a sum of nonnegative
+    terms, so it keeps its digits however close x comes to 1.
+    """
+    m = np.minimum(m, 1.0)
+    with np.errstate(over="ignore"):  # -2 gamma_a overflows to -inf only where e is 0 anyway
+        e = np.exp(-2 * gamma_a)
+    below = m < 1
+    one_minus_x = np.where(below, (1 - m) + 2 * m * e / (1 + e), 1.0)
+    return np.where(below, 0.5 * np.log1p(2 * m * np.tanh(gamma_a) / one_minus_x), gamma_a)
+
+
 def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
     """Optimal arm-B PDL against arm-A PDL `element_a` (one or a stack) on the Bell-diagonal state t.
 
     With m = |T a| and u = T a / m, the optimum is the anti-aligned axis -u at
-    tanh(gamma_b) = m tanh(gamma_a), reaching
+    tanh(gamma_b) = m tanh(gamma_a) (formed by `_designed_gamma_b`), reaching
     C' = c0 / (cosh gamma_a sqrt(1 - m^2 tanh^2 gamma_a)). m = 1 (Bell states,
     or an axis on a unit-correlation direction) restores c0 completely. The
     plan's C' and rate are `predicted_concurrence` and `predicted_rate` at the
@@ -159,7 +175,7 @@ def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
             "no compensation direction: the correlation annihilates the arm-A axis"
         )
     g_a = np.asarray(element_a.gamma, dtype=float)
-    g_b = np.arctanh(np.minimum(m * np.tanh(g_a), 1.0 - 1e-16))
+    g_b = _designed_gamma_b(m, g_a)
     element_b = PdlElement(g_b, -ta / m[..., None])
     kap = np.clip(np.sum(ta * element_b.axis, axis=-1), -1.0, 1.0)  # = -m
     return CompensatorPlan(element=element_b, kappa=kap,

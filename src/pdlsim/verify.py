@@ -3,7 +3,10 @@
 Each suite exercises one law along two independent routes (closed form vs
 brute-force filtered density matrix, designed optimum vs sampled alternatives,
 forward counts vs inverted state) and reports its worst observed error against
-a fixed tolerance. All suites are seeded and deterministic. Each suite draws
+a fixed tolerance. A suite that checks a propagated concurrence against a
+closed form reads Wootters of the filtered states, `concurrences(batch.rho)`,
+never `batch.concurrence`: that is the local-filter identity, the law under
+test. All suites are seeded and deterministic. Each suite draws
 each of its random inputs as one whole array, in a fixed order (Dirichlet
 weights, then magnitudes, then Gaussian axes), builds one stacked
 `PdlElement` per arm and one Bell-diagonal stack, and sends every case
@@ -121,7 +124,7 @@ def oracle_equivalence(rng, cases=1000):
     kap = theory.kappa(correlation_of(rhos), el_a.axis, el_b.axis)
     closed = theory.predicted_concurrence(concurrences(rhos), el_a.gamma, el_b.gamma, kap)
     batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b)).require_live()
-    worst = _worst(np.abs(closed - batch.concurrence))
+    worst = _worst(np.abs(closed - concurrences(batch.rho)))
     return worst, cases
 
 
@@ -140,8 +143,9 @@ def rate_conservation(rng, cases=400):
     el_b = PdlElement(totals - g_a, _axes(rng, 3 * cases))
     batch = propagate(np.repeat(rhos, 3, axis=0), pdl_operator(el_a),
                       pdl_operator(el_b)).require_live()
-    products = (batch.rate * batch.concurrence).reshape(-1, 3)
-    law = theory.conservation_residual(batch.rate, batch.concurrence, totals,
+    c = concurrences(batch.rho)
+    products = (batch.rate * c).reshape(-1, 3)
+    law = theory.conservation_residual(batch.rate, c, totals,
                                        np.repeat(concurrences(rhos), 3))
     return max(law, _worst(products.max(axis=1) - products.min(axis=1))), cases
 
@@ -154,7 +158,7 @@ def orientation_independence(rng, per_magnitude=100):
     gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
     elements = PdlElement(np.repeat(gammas, per_magnitude), _axes(rng, 5 * per_magnitude))
     batch = propagate(rho, pdl_operator(elements), SIGMA0[None]).require_live()
-    vals = batch.concurrence.reshape(len(gammas), per_magnitude)
+    vals = concurrences(batch.rho).reshape(len(gammas), per_magnitude)
     worst = _worst(vals.max(axis=1) - vals.min(axis=1),
                    np.abs(vals - c0 / np.cosh(gammas)[:, None]))
     return worst, 5 * per_magnitude
@@ -214,11 +218,9 @@ def compensation_optimality(rng, alternatives=500):
         plan = theory.design_compensator(el_a, t)
         alts = _elements(rng, alternatives, 2 * el_a.gamma + 0.1)
         m_b = np.concatenate([pdl_operator(plan.element)[None], pdl_operator(alts)])
-        batch = propagate(rho, pdl_operator(el_a)[None], m_b)
-        batch.require_live()
-        designed = batch.concurrence[0]
-        worst = max(worst, abs(designed - plan.predicted_concurrence),
-                    _worst(batch.concurrence[1:] - designed))
+        c = concurrences(propagate(rho, pdl_operator(el_a)[None], m_b).require_live().rho)
+        designed = c[0]
+        worst = max(worst, abs(designed - plan.predicted_concurrence), _worst(c[1:] - designed))
         res = optimize_compensator(el_a, rho, SearchConfig(sphere_points=64, refine_iters=20))
         worst = max(worst, abs(res.best_concurrence - plan.predicted_concurrence))
     return worst, 2 * (alternatives + 1)
@@ -259,10 +261,11 @@ def envelope_bounds(rng, cases=300):
         axes = np.vstack([_axes(rng, cases), [[0.0, 0.0, -t[2]], [0.0, 0.0, t[2]]]])
         el_bs = PdlElement(g, axes)
         batch = propagate(rho, pdl_operator(el_a)[None], pdl_operator(el_bs)).require_live()
-        c_norm, rate = batch.concurrence[:cases], batch.rate[:cases]
+        c = concurrences(batch.rho)
+        c_norm, rate = c[:cases], batch.rate[:cases]
         worst = max(worst, _worst(c_min - c_norm, c_norm - c_max,
                                   rate_min - rate, rate - rate_max))
-        c_end, rate_end = batch.concurrence[cases:], batch.rate[cases:]
+        c_end, rate_end = c[cases:], batch.rate[cases:]
         worst = max(worst, _worst(np.abs(c_end - [c_max, c_min]),
                                   np.abs(rate_end - [rate_min, rate_max])))
     return worst, 2 * (cases + 2)

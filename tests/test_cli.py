@@ -191,6 +191,18 @@ def test_nearly_dephased_chain_is_a_usage_error(tmp_path, command, q, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, rate", [(("tradeoff", "--pdl-db", "150"), "1.0000000012556615e-15"),
+                                        (("entropy-feedback", "--pdl-db", "200"),
+                                         "9.999992218801395e-21")])
+def test_extinct_channel_is_a_usage_error(tmp_path, argv, rate, capsys):
+    # the kappa = -1 row's rate falls below EXTINCTION_RATE
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: channel extinguishes the state: rate {rate}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["compensate", "tradeoff", "entropy-feedback"])
 def test_weakly_entangled_chain_passes_the_row_checks(tmp_path, command):
     # 1 - 2q = 2e-5, near the least accepted chain concurrence

@@ -156,9 +156,10 @@ def test_cli_states_no_closed_form():
     assert closed_form_calls((SRC / "cli.py").read_text()) == []
 
 
-# the two-arm laws and the two residuals: no other theory.py function restates them
+# the two-arm laws, the two residuals and the designed arm-B magnitude: no
+# other theory.py function restates them
 THEORY_LAWS = ("_scaled_rate", "predicted_concurrence", "magnitude_residual",
-               "conservation_residual")
+               "conservation_residual", "_designed_gamma_b")
 
 
 def test_theory_states_each_law_once():

@@ -56,6 +56,13 @@ def test_derive_seed_deterministic_and_distinct():
     assert all(0 <= derive_seed(9, i) < 2**64 for i in range(10))
 
 
+def test_derive_seed_refuses_a_non_integral_master_seed():
+    for seed in (1.5, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            derive_seed(seed, "x", 0)
+    assert derive_seed(np.int64(1), "x", 0) == derive_seed(1, "x", 0)
+
+
 def test_calibrate_source_frozen():
     src = calibrate_source(0.925, 1.38)
     assert abs(src.source_pdl.gamma - 0.1610417495845566) < 1e-15

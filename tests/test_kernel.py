@@ -1,14 +1,16 @@
 """The batched state-through-channel kernel `channels.propagate`.
 
 A batch must reproduce, bit for bit, both its own one-row case and a plain
-np.kron + matmul + eigvals loop written out here, so routing the search, the
-CLI and verify through it changes no output. The same holds for stacked
+np.kron + matmul + eigvals loop written out here: the filtered states, rates
+and entropies, Wootters of the filtered states, and the local-filter identity
+that gives the batch's concurrence. The same holds for stacked
 element aggregation, and the search's pinned traces hold however its refine
 stage batches trials. The noisy search and the noisy CLI commands measure
 each kernel batch in one tomography call.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import re
@@ -16,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from pdlsim import channels, cli, compensation, instrument
+from pdlsim import channels, cli, compensation, instrument, verify
 from pdlsim.channels import (
     CANONICAL_AXIS,
     ChannelBatch,
@@ -43,6 +45,7 @@ from pdlsim.qmath import (
     bell_state,
     check_state,
     concurrence,
+    concurrences,
 )
 from pdlsim.theory import design_compensator
 
@@ -88,20 +91,30 @@ def loop_filter(element):
     return np.exp(-g / 2) * (np.cosh(g / 2) * SIGMA0 + np.sinh(g / 2) * n_sigma)
 
 
+def loop_wootters(rho):
+    lam = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY)
+    lam = np.sort(lam.real)[::-1]
+    lam[np.abs(lam) < 1e-12] = 0.0
+    s = np.sqrt(np.clip(lam, 0.0, None))
+    return max(0.0, s[0] - s[1] - s[2] - s[3])
+
+
+def loop_abs_det(m):
+    # one-element arrays: numpy's complex scalar product rounds unlike its array loop
+    a, b, c, d = m.reshape(4, 1)
+    return float(np.abs(a * d - b * c)[0])
+
+
 def loop_channel(rho, m_a, m_b):
-    """Filter, renormalize, Wootters and qubit-A entropy, one state at a time."""
+    """Filter, renormalize, Wootters, the identity's concurrence and qubit-A entropy, one state."""
     big = np.kron(m_a, m_b)
     filtered = big @ rho @ big.conj().T
     rate = float(np.trace(filtered).real)
     out = filtered / rate
     out = (out + out.conj().T) / 2
-    lam = np.linalg.eigvals(out @ _YY @ out.conj() @ _YY)
-    lam = np.sort(lam.real)[::-1]
-    lam[np.abs(lam) < 1e-12] = 0.0
-    s = np.sqrt(np.clip(lam, 0.0, None))
-    c = max(0.0, s[0] - s[1] - s[2] - s[3])
+    identity = loop_abs_det(m_a) * loop_abs_det(m_b) * loop_wootters(rho) / rate
     q = np.trace(out.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    return out, rate, c, 2.0 * (1.0 - np.trace(q @ q).real)
+    return out, rate, loop_wootters(out), identity, 2.0 * (1.0 - np.trace(q @ q).real)
 
 
 def same_bits(a, b):
@@ -110,10 +123,11 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_rows_match(batch, i, rho, rate, c, s_a):
+def assert_rows_match(batch, i, rho, rate, c, identity, s_a):
     assert same_bits(batch.rho[i], rho)
     assert same_bits(batch.rate[i], rate)
-    assert same_bits(batch.concurrence[i], c)
+    assert same_bits(concurrences(batch.rho[i:i + 1])[0], c)  # Wootters, the brute force
+    assert same_bits(batch.concurrence[i], identity)
     assert same_bits(batch.entropy_a[i], s_a)
 
 
@@ -228,11 +242,13 @@ def test_batch_matches_loop_and_one_row_calls(shared_base):
     batch = propagate(states[0] if shared_base else np.array(states), m_a, m_b)
     assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
     for i in range(n):
-        rho, rate, c, s_a = loop_channel(bases[i], loop_filter(els_a[i]), loop_filter(els_b[i]))
-        assert_rows_match(batch, i, rho, rate, c, s_a)
+        rho, rate, c, identity, s_a = loop_channel(bases[i], loop_filter(els_a[i]),
+                                                   loop_filter(els_b[i]))
+        assert_rows_match(batch, i, rho, rate, c, identity, s_a)
         one = apply_local(bases[i], pdl_operator(els_a[i]), pdl_operator(els_b[i]))
         assert same_bits(one.rho, rho) and same_bits(one.rate, rate)
-        assert same_bits(concurrence(one.rho), c) and same_bits(one.entropy_a, s_a)
+        assert same_bits(concurrence(one.rho), c) and same_bits(one.concurrence, identity)
+        assert same_bits(one.entropy_a, s_a)
 
 
 def test_single_filter_broadcasts_over_the_stack():
@@ -269,6 +285,86 @@ def test_extinct_rows_are_masked_in_a_batch():
         assert_rows_match(batch, i, *loop_channel(vv, m_a[i], m_b[i]))
     with pytest.raises(ExtinctionError):
         apply_local(vv, strong, strong)
+    # |phi+> has no HV component, so H on A and V on B pass nothing: rate 0 and
+    # det 0, which the identity must not divide (warnings are errors here)
+    h, v = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    batch = propagate(bell_state(BellKind.PHI_PLUS), np.array([h, SIGMA0]), np.array([v, SIGMA0]))
+    assert batch.rate[0] == 0.0 and batch.extinct.tolist() == [True, False]
+    assert batch.concurrence[0] == 0.0 and batch.concurrence[1] == pytest.approx(1.0)
+
+
+def random_rank_states(rng, n, rank):
+    """n random states (n, 4, 4) of the given rank, from one complex Gaussian draw."""
+    g = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def sqrt_wootters(rho):
+    """Wootters concurrence of a stack from the singular values of r (sy x sy) r*, r = sqrt(rho).
+
+    Exact on rank-deficient filtered states, where the eigenvalues of the
+    non-Hermitian rho rho~ that `qmath.concurrences` roots lose about 1e-6.
+    """
+    lam, u = np.linalg.eigh(rho)
+    r = (u * np.sqrt(np.where(lam < 1e-12, 0.0, lam))[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+    s = np.linalg.svd(r @ _YY @ r.conj(), compute_uv=False)
+    return np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_identity_matches_wootters_on_random_states(rank):
+    rng = np.random.default_rng(211 + rank)
+    rhos = random_rank_states(rng, 500, rank)
+    els_a, els_b = random_elements(rng, 500, 5.0), random_elements(rng, 500, 5.0)
+    batch = propagate(rhos, pdl_operator(els_a), pdl_operator(els_b))
+    assert not batch.extinct.any()
+    assert np.abs(batch.concurrence - sqrt_wootters(batch.rho)).max() <= 1e-11
+
+
+def test_pdl_filter_dets_are_exp_minus_gamma():
+    # |ad - bc| cancels terms near 1 down to e^-gamma: relative error ~ eps e^gamma
+    rng = np.random.default_rng(223)
+    gammas = np.concatenate([[0.0], rng.uniform(0, 20, 4000)])
+    dets = channels._abs_dets(pdl_operator(PdlElement(gammas, fibonacci_sphere(4001))))
+    rel = np.abs(dets / np.exp(-gammas) - 1)
+    assert (rel <= 4 * np.finfo(float).eps * np.exp(gammas)).all()
+    assert rel[gammas <= 5].max() <= 1e-13
+
+
+def inflate_the_identity(monkeypatch, module):
+    """Make `module`'s propagate give batches whose identity concurrence is 1.5 times the law."""
+
+    def inflated(rho, m_a, m_b):
+        batch = propagate(rho, m_a, m_b)
+        return dataclasses.replace(batch, det_ab=1.5 * batch.det_ab)
+
+    monkeypatch.setattr(module, "propagate", inflated)
+
+
+def test_verify_suites_judge_wootters_not_the_identity(monkeypatch):
+    want = [(r.name, r.max_err, r.cases) for r in verify.run_all()]
+    inflate_the_identity(monkeypatch, verify)
+    assert [(r.name, r.max_err, r.cases) for r in verify.run_all()] == want
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("sweep-pdl",), "concurrence"),
+    (("compensate",), "c_compensated"),
+    (("compensate", "--pmd-q", "0.155"), "c_uncompensated"),
+    (("tradeoff",), "concurrence_norm"),
+])
+def test_cli_law_checks_judge_wootters_not_the_identity(tmp_path, argv, column, monkeypatch):
+    def written():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(tmp_path)]) == 0  # every law check passes
+        path = next(tmp_path.iterdir())
+        return np.genfromtxt(path, delimiter=",", names=True)[column]
+
+    want = written()
+    inflate_the_identity(monkeypatch, cli)
+    # the rows carry the inflated identity, which no check read
+    assert np.allclose(written(), 1.5 * want, rtol=1e-8, atol=0) and want.max() > 0.1
 
 
 def test_require_live_quotes_the_first_extinct_rate():
@@ -344,12 +440,13 @@ def test_slightly_amplifying_filter_in_a_cascade_stack_raises(row):
 # before the kernel existed (numpy 2.4, OpenBLAS 0.3.31, x86-64). Another
 # numeric stack may round differently and need fresh pins.
 SEARCH_PINS = {
-    "pdl": "89a26361906c82709d90e57eb4859234e8275792264d64d4d34be21208883940",
-    "pmd": "bbac11d24772e4df5ee839c8917bea226163234c454fb784b1d48e2722de6c22",
+    # exact pins recorded from the local-filter identity's concurrences
+    "pdl": "a893ad026a811a36bd8360394f842420999727ef0c9dbb4f85d94c43a3a0d6b0",
+    "pmd": "398838f16663b1091978bc2d2cfbd6a2f079b098f4ec8900e82ef75b13836919",
     # recorded from one sub-stream per measured state, batch-measured rows
     "noisy": "5200ee58891daad4fbaacc7929b6622c067aedf5cf376db0693aceab0776b324",
-    "zero-pdl": "9cdb00d3cc08aa4ac45612b5ee7d9f0dce94ce49fcdbfb51c7940d49f013eaa1",
-    "grid": "20643e9adab37cc533d9c144953f5f8fbc0201722d8325328ce7cbf2e1552608",
+    "zero-pdl": "f7b987f79dc18354eae177c9fdff75423d3ee57c921dda15958026367d56a98b",
+    "grid": "a829eebcbc27c4d97f4d88f865c64bfdffd14fa3f8607a3787495b6b19062121",
 }
 CSV_PINS = {
     ("sweep-pdl",): {
@@ -483,6 +580,27 @@ def test_default_search_makes_fewer_kernel_calls(monkeypatch):
     optimize_compensator(agg, base, SearchConfig())
     # 51 calls when each refine batch held the rest of one sweep
     assert len(calls) < 51
+
+
+def test_exact_search_calls_wootters_once_per_kernel_call(monkeypatch):
+    # the identity needs Wootters of the base state only; every filtered row
+    # through Wootters was about 1100 rows per default search
+    calls, rows = [], []
+
+    def counting_propagate(rho, m_a, m_b):
+        calls.append(len(m_b))
+        return propagate(rho, m_a, m_b)
+
+    def counting_concurrences(rho):
+        rows.append(np.shape(rho))
+        return concurrences(rho)
+
+    monkeypatch.setattr(compensation, "propagate", counting_propagate)
+    monkeypatch.setattr(channels, "concurrences", counting_concurrences)
+    agg, base, _, _ = search_case("pdl")
+    res = optimize_compensator(agg, base, SearchConfig())
+    assert sum(calls) > 1000 and len(res.evaluations) > 1000
+    assert rows == [(4, 4)] * len(calls)
 
 
 def test_noisy_search_measures_once_per_kernel_call(monkeypatch):

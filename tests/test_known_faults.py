@@ -1,17 +1,18 @@
 """Open defects, each pinned as a strict xfail that states the right behaviour.
 
-The first two come from the inexact concurrence route, the third from the
-designed arm-B magnitude of `design_compensator` at large magnitudes (ROADMAP
-item 1): its C' is the law at that magnitude, so it stays in [0, c0], but the
-magnitude itself is off. A fix makes its test pass, and strict=True then fails
-the run until the marker is removed.
+The first three come from the inexact Wootters concurrence route (ROADMAP
+item 1). A fix makes a test pass, and strict=True then fails the run until its
+marker is removed. The last test pins a mended defect: the designed arm-B magnitude of
+`design_compensator` once cancelled in 1 - m tanh(gamma_A) at large
+magnitudes, and now restores c0 on |phi+>.
 """
 
+import numpy as np
 import pytest
 
-from pdlsim.channels import PdlElement
+from pdlsim.channels import PdlElement, pdl_operator, propagate
 from pdlsim.cli import main
-from pdlsim.qmath import BellKind
+from pdlsim.qmath import BellKind, concurrences
 from pdlsim.theory import design_compensator
 from pdlsim.verify import oracle_equivalence, rate_conservation
 
@@ -31,8 +32,18 @@ def test_tradeoff_runs_at_80_db(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="1 - m tanh(gamma_A) cancels: gamma_B is 16.000301 at 16 Np, so "
-                          "C' = 0.99999995, and it sticks at 18.715 from 18.5 Np on")
+                   reason="Wootters of these filtered rank-4 states is off by up to 1.7e-7; "
+                          "the identity matches an exact route to 3e-12 (tests/test_kernel.py)")
+def test_wootters_matches_the_identity_on_random_filtered_states():
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    rhos = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    el_a, el_b = (PdlElement(rng.uniform(0, 5, 500), [0.0, 0.0, 1.0]) for _ in range(2))
+    batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b))
+    assert np.abs(concurrences(batch.rho) - batch.concurrence).max() <= 1e-11
+
+
 def test_design_restores_c0_on_phi_plus_at_16_and_18_5_np():
     for g in (16.0, 18.5):
         plan = design_compensator(PdlElement(g), BellKind.PHI_PLUS.correlation)
