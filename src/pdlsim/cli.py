@@ -217,6 +217,13 @@ MAGNITUDE_TOL = 1e-6
 CONSERVATION_TOL = 1e-9
 
 
+def _require_identity(written, wootters, what: str) -> None:
+    """Fail if the concurrence column a noiseless run writes (the local-filter
+    identity) leaves Wootters of the same rows by more than MAGNITUDE_TOL."""
+    if np.max(np.abs(written - wootters), initial=0.0) > MAGNITUDE_TOL:
+        raise RuntimeError(f"{what} concurrence disagrees with Wootters of its rows")
+
+
 def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: int) -> list[Path]:
     """Emulator magnitude x orientation sweep of the degraded source state.
 
@@ -235,9 +242,11 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     batch = propagate(base, pdl_operator(ems) @ pdl_operator(src_el), SIGMA0[None])
     aggs = concat_pdl(src_el, ems)
     seen = _observer(cfg, "sweep")(batch, range(len(raw)))
-    if not cfg.noisy and (theory.magnitude_residual(concurrences(seen.rho), aggs.gamma, cfg.c_b2b)
-                          > MAGNITUDE_TOL):
-        raise RuntimeError("sweep row violates the magnitude-only concurrence law")
+    if not cfg.noisy:
+        wootters = concurrences(seen.rho)
+        if theory.magnitude_residual(wootters, aggs.gamma, cfg.c_b2b) > MAGNITUDE_TOL:
+            raise RuntimeError("sweep row violates the magnitude-only concurrence law")
+        _require_identity(seen.concurrence, wootters, "sweep")
     columns = [np.repeat(np.asarray(pdl_db_list, dtype=float), len(axes)), *raw.T,
                aggs.gamma_db, kappas, seen.concurrence, purity(seen.rho), seen.rate]
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
@@ -268,15 +277,16 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     cs_u = observe(uncompensated, range(0, 2 * len(thetas), 2)).concurrence
     cs_c = observe(compensated, range(1, 2 * len(thetas), 2)).concurrence
     if not cfg.noisy:
-        if (theory.magnitude_residual(concurrences(uncompensated.rho), aggs.gamma, chain_c)
-                > MAGNITUDE_TOL):
+        w_u, w_c = concurrences(uncompensated.rho), concurrences(compensated.rho)
+        if theory.magnitude_residual(w_u, aggs.gamma, chain_c) > MAGNITUDE_TOL:
             raise RuntimeError("uncompensated row violates the magnitude-only law")
         # physical magnitudes, not the aggregate: the concatenated product
         # attenuates globally by exp(gamma_agg - gamma_s - gamma_em)
         total = src_el.gamma + ems.gamma + plans.element.gamma
-        if (theory.conservation_residual(compensated.rate, concurrences(compensated.rho), total,
-                                         chain_c) > CONSERVATION_TOL):
+        if theory.conservation_residual(compensated.rate, w_c, total, chain_c) > CONSERVATION_TOL:
             raise RuntimeError("compensated row violates rate-concurrence conservation")
+        _require_identity(cs_u, w_u, "uncompensated")
+        _require_identity(cs_c, w_c, "compensated")
     columns = [thetas, aggs.gamma_db, scale * cs_u, scale * cs_c, plans.element.gamma_db,
                *plans.element.axis.T, uncompensated.rate, compensated.rate]
     header = ["theta", "aggregate_pdl_db", "c_uncompensated", "c_compensated",
@@ -316,9 +326,12 @@ def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: i
     c_norm = seen.concurrence / chain_c
     avg = c_norm * seen.rate
     # normalized rows: c0 = 1, and both arms carry g
-    if not cfg.noisy and (theory.conservation_residual(seen.rate, concurrences(seen.rho) / chain_c,
-                                                       2 * g, 1.0) > CONSERVATION_TOL):
-        raise RuntimeError("tradeoff row violates rate-concurrence conservation")
+    if not cfg.noisy:
+        wootters = concurrences(seen.rho)
+        residual = theory.conservation_residual(seen.rate, wootters / chain_c, 2 * g, 1.0)
+        if residual > CONSERVATION_TOL:
+            raise RuntimeError("tradeoff row violates rate-concurrence conservation")
+        _require_identity(seen.concurrence, wootters, "tradeoff")
     header = ["kappa", "concurrence_norm", "rate_norm", "avg_entanglement"]
     return [_write_csv(out_dir / "tradeoff.csv", header, [kappas, c_norm, seen.rate, avg])]
 
@@ -333,8 +346,10 @@ def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientati
     chain_c, _, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "entropy")
     scale = _baseline_scale(cfg, pmd_q, chain_c)
     entropies, concs = seen.entropy_a, scale * seen.concurrence
-    if not cfg.noisy and int(entropies.argmax()) != int(concs.argmax()):
-        raise RuntimeError("entropy argmax does not match concurrence argmax")
+    if not cfg.noisy:
+        if int(entropies.argmax()) != int(concs.argmax()):
+            raise RuntimeError("entropy argmax does not match concurrence argmax")
+        _require_identity(seen.concurrence, concurrences(seen.rho), "entropy-feedback")
     by_entropy = np.argsort(entropies, kind="stable")
     picks = by_entropy[[0, len(by_entropy) // 2, -1]]
     labels = [label for label in ("min", "median", "max") for _ in range(4)]

@@ -123,10 +123,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_rows_match(batch, i, rho, rate, c, identity, s_a):
+def assert_rows_match(batch, wootters, i, rho, rate, c, identity, s_a):
+    """`wootters` is concurrences(batch.rho), one call over the whole stack."""
     assert same_bits(batch.rho[i], rho)
     assert same_bits(batch.rate[i], rate)
-    assert same_bits(concurrences(batch.rho[i:i + 1])[0], c)  # Wootters, the brute force
+    assert same_bits(wootters[i], c)  # Wootters, the brute force
+    assert same_bits(concurrences(batch.rho[i:i + 1])[0], c)
     assert same_bits(batch.concurrence[i], identity)
     assert same_bits(batch.entropy_a[i], s_a)
 
@@ -241,10 +243,11 @@ def test_batch_matches_loop_and_one_row_calls(shared_base):
     bases = [states[0]] * n if shared_base else states
     batch = propagate(states[0] if shared_base else np.array(states), m_a, m_b)
     assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
+    wootters = concurrences(batch.rho)
     for i in range(n):
         rho, rate, c, identity, s_a = loop_channel(bases[i], loop_filter(els_a[i]),
                                                    loop_filter(els_b[i]))
-        assert_rows_match(batch, i, rho, rate, c, identity, s_a)
+        assert_rows_match(batch, wootters, i, rho, rate, c, identity, s_a)
         one = apply_local(bases[i], pdl_operator(els_a[i]), pdl_operator(els_b[i]))
         assert same_bits(one.rho, rho) and same_bits(one.rate, rate)
         assert same_bits(concurrence(one.rho), c) and same_bits(one.concurrence, identity)
@@ -258,10 +261,13 @@ def test_single_filter_broadcasts_over_the_stack():
     els_b = random_elements(rng, 40)
     batch = propagate(base, pdl_operator(el_a)[None], pdl_operator(els_b))
     flipped = propagate(base, pdl_operator(els_b), SIGMA0[None])
+    wootters, wootters_flipped = concurrences(batch.rho), concurrences(flipped.rho)
     for i in range(40):
         el_b = els_b[i]
-        assert_rows_match(batch, i, *loop_channel(base, loop_filter(el_a), loop_filter(el_b)))
-        assert_rows_match(flipped, i, *loop_channel(base, loop_filter(el_b), SIGMA0))
+        assert_rows_match(batch, wootters, i,
+                          *loop_channel(base, loop_filter(el_a), loop_filter(el_b)))
+        assert_rows_match(flipped, wootters_flipped, i,
+                          *loop_channel(base, loop_filter(el_b), SIGMA0))
 
 
 def test_extinct_rows_are_masked_in_a_batch():
@@ -281,8 +287,9 @@ def test_extinct_rows_are_masked_in_a_batch():
         assert batch.concurrence[i] == 0.0 and batch.entropy_a[i] == 0.0
         with pytest.raises(ExtinctionError):
             ChannelBatch(batch.rho[i], batch.rate[i]).require_live()
+    wootters = concurrences(batch.rho)
     for i in (0, 3, 4):
-        assert_rows_match(batch, i, *loop_channel(vv, m_a[i], m_b[i]))
+        assert_rows_match(batch, wootters, i, *loop_channel(vv, m_a[i], m_b[i]))
     with pytest.raises(ExtinctionError):
         apply_local(vv, strong, strong)
     # |phi+> has no HV component, so H on A and V on B pass nothing: rate 0 and
@@ -348,23 +355,23 @@ def test_verify_suites_judge_wootters_not_the_identity(monkeypatch):
     assert [(r.name, r.max_err, r.cases) for r in verify.run_all()] == want
 
 
-@pytest.mark.parametrize("argv, column", [
-    (("sweep-pdl",), "concurrence"),
-    (("compensate",), "c_compensated"),
-    (("compensate", "--pmd-q", "0.155"), "c_uncompensated"),
-    (("tradeoff",), "concurrence_norm"),
+@pytest.mark.parametrize("argv, what", [
+    (("sweep-pdl",), "sweep"),
+    (("compensate",), "uncompensated"),
+    (("compensate", "--pmd-q", "0.155"), "uncompensated"),
+    (("tradeoff",), "tradeoff"),
+    (("entropy-feedback",), "entropy-feedback"),
 ])
-def test_cli_law_checks_judge_wootters_not_the_identity(tmp_path, argv, column, monkeypatch):
-    def written():
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main([*argv, "--out", str(tmp_path)]) == 0  # every law check passes
-        path = next(tmp_path.iterdir())
-        return np.genfromtxt(path, delimiter=",", names=True)[column]
-
-    want = written()
+def test_cli_law_checks_judge_wootters_and_the_written_identity_is_checked(tmp_path, argv, what,
+                                                                          monkeypatch):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "exact")]) == 0
     inflate_the_identity(monkeypatch, cli)
-    # the rows carry the inflated identity, which no check read
-    assert np.allclose(written(), 1.5 * want, rtol=1e-8, atol=0) and want.max() > 0.1
+    # the law checks read Wootters and pass; the inflated column then fails
+    # its agreement with Wootters, and nothing is written
+    with pytest.raises(RuntimeError, match=f"^{what} concurrence disagrees with Wootters"):
+        main([*argv, "--out", str(tmp_path / "inflated")])
+    assert not any((tmp_path / "inflated").iterdir())
 
 
 def test_require_live_quotes_the_first_extinct_rate():

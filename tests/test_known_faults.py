@@ -1,10 +1,8 @@
 """Open defects, each pinned as a strict xfail that states the right behaviour.
 
-The first three come from the inexact Wootters concurrence route (ROADMAP
-item 1). A fix makes a test pass, and strict=True then fails the run until its
-marker is removed. The last test pins a mended defect: the designed arm-B magnitude of
-`design_compensator` once cancelled in 1 - m tanh(gamma_A) at large
-magnitudes, and now restores c0 on |phi+>.
+All three come from the inexact Wootters concurrence route (ROADMAP item 1).
+A fix makes a test pass, and strict=True then fails the run until its marker
+is removed.
 """
 
 import numpy as np
@@ -12,8 +10,7 @@ import pytest
 
 from pdlsim.channels import PdlElement, pdl_operator, propagate
 from pdlsim.cli import main
-from pdlsim.qmath import BellKind, concurrences
-from pdlsim.theory import design_compensator
+from pdlsim.qmath import concurrences
 from pdlsim.verify import oracle_equivalence, rate_conservation
 
 
@@ -42,10 +39,3 @@ def test_wootters_matches_the_identity_on_random_filtered_states():
     el_a, el_b = (PdlElement(rng.uniform(0, 5, 500), [0.0, 0.0, 1.0]) for _ in range(2))
     batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b))
     assert np.abs(concurrences(batch.rho) - batch.concurrence).max() <= 1e-11
-
-
-def test_design_restores_c0_on_phi_plus_at_16_and_18_5_np():
-    for g in (16.0, 18.5):
-        plan = design_compensator(PdlElement(g), BellKind.PHI_PLUS.correlation)
-        assert abs(plan.element.gamma - g) <= 1e-12 * g
-        assert abs(plan.predicted_concurrence - 1.0) <= 1e-12

@@ -322,13 +322,15 @@ def test_laws_at_kappa_extremes_bracket_brute_force():
 
 
 def test_designed_concurrence_stays_at_most_c0_at_large_magnitudes():
-    # on |phi+> along s3 the design once gave 1.0003 at 16 Np and inf at 19 Np
+    # on |phi+> along s3 the design once gave 1.0003 at 16 Np and inf at 19 Np,
+    # and its gamma_B cancelled in 1 - m tanh(gamma_A) from 16 Np on
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
         for g in (14.0, 16.0, 18.5, 19.0, 400.0):
             plan = design_compensator(PdlElement(g), BellKind.PHI_PLUS.correlation)
-            assert np.isfinite(plan.predicted_concurrence)
             assert 0.0 <= plan.predicted_concurrence <= 1.0
+            assert abs(plan.predicted_concurrence - 1.0) <= 1e-12
+            assert abs(plan.element.gamma - g) <= 1e-12 * g
 
 
 def test_stacked_closed_forms_are_their_scalar_calls_row_by_row():
