@@ -160,16 +160,14 @@ def _write_keyvals(path: Path, pairs):
     return path
 
 
-def _observer(cfg: RunConfig, label: str):
-    """One command's reader of a channel batch, as the run reports its rows.
+def _observe(cfg: RunConfig, label: str, batch, indices):
+    """The `ChannelBatch` a command reports for `batch`; ExtinctionError on an extinct row.
 
-    `observe(batch, indices)` raises ExtinctionError on an extinct row, else
-    gives the `ChannelBatch` the run reports: `measure(batch, rig, label,
-    indices)`, on the one rig built here for a noisy run (the tomographic
-    estimate, with the same rates) and on no rig otherwise (the exact batch).
+    That is `measure(batch, rig, label, indices)`: on the configured rig for a
+    noisy run (the tomographic estimate, with the same rates) and on no rig
+    otherwise (the exact batch).
     """
-    rig = cfg.rig() if cfg.noisy else None
-    return lambda batch, indices: measure(batch.require_live(), rig, label, indices)
+    return measure(batch.require_live(), cfg.rig() if cfg.noisy else None, label, indices)
 
 
 def _matrix_columns(rho) -> list:
@@ -196,9 +194,9 @@ def _baseline_scale(cfg: RunConfig, pmd_q: float, chain_c: float) -> float:
     return target / chain_c
 
 
-def cmd_b2b(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_b2b(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> list[Path]:
     """Back-to-back source state: density matrix CSV plus summary metrics."""
-    rho = _observer(cfg, "b2b")(source_state(cfg.rig().source), 0).rho
+    rho = _observe(cfg, "b2b", source_state(cfg.rig().source), 0).rho
     metrics = [
         ("concurrence", concurrence(rho)),
         ("purity", purity(rho)),
@@ -217,14 +215,17 @@ MAGNITUDE_TOL = 1e-6
 CONSERVATION_TOL = 1e-9
 
 
-def _require_identity(written, wootters, what: str) -> None:
-    """Fail if the concurrence column a noiseless run writes (the local-filter
-    identity) leaves Wootters of the same rows by more than MAGNITUDE_TOL."""
-    if np.max(np.abs(written - wootters), initial=0.0) > MAGNITUDE_TOL:
+def _checked_wootters(batch, what: str):
+    """Wootters of a noiseless batch's rows, for its law checks, once the
+    concurrence column the run writes (the local-filter identity) is within
+    MAGNITUDE_TOL of it."""
+    wootters = concurrences(batch.rho)
+    if np.max(np.abs(batch.concurrence - wootters), initial=0.0) > MAGNITUDE_TOL:
         raise RuntimeError(f"{what} concurrence disagrees with Wootters of its rows")
+    return wootters
 
 
-def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: int) -> list[Path]:
+def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> list[Path]:
     """Emulator magnitude x orientation sweep of the degraded source state.
 
     The sweep state is the rank-two Bell-diagonal state with the source's
@@ -235,49 +236,49 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, pdl_db_list, orientations_n: in
     src_el = cfg.rig().source.source_pdl
     base = bell_diagonal([cfg.c_b2b, -cfg.c_b2b, 1.0])
     t = correlation_of(base)
-    axes = fibonacci_sphere(orientations_n)
-    raw = np.tile(axes, (len(pdl_db_list), 1))
-    ems = PdlElement(np.repeat([gamma_from_db(db) for db in pdl_db_list], len(axes)), raw)
+    axes = fibonacci_sphere(args.orientations)
+    raw = np.tile(axes, (len(args.pdl_db), 1))
+    ems = PdlElement(np.repeat([gamma_from_db(db) for db in args.pdl_db], len(axes)), raw)
     kappas = kappa(t, src_el.axis, ems.axis)
     batch = propagate(base, pdl_operator(ems) @ pdl_operator(src_el), SIGMA0[None])
     aggs = concat_pdl(src_el, ems)
-    seen = _observer(cfg, "sweep")(batch, range(len(raw)))
+    seen = _observe(cfg, "sweep", batch, range(len(raw)))
     if not cfg.noisy:
-        wootters = concurrences(seen.rho)
+        wootters = _checked_wootters(seen, "sweep")
         if theory.magnitude_residual(wootters, aggs.gamma, cfg.c_b2b) > MAGNITUDE_TOL:
             raise RuntimeError("sweep row violates the magnitude-only concurrence law")
-        _require_identity(seen.concurrence, wootters, "sweep")
-    columns = [np.repeat(np.asarray(pdl_db_list, dtype=float), len(axes)), *raw.T,
+    columns = [np.repeat(np.asarray(args.pdl_db, dtype=float), len(axes)), *raw.T,
                aggs.gamma_db, kappas, seen.concurrence, purity(seen.rho), seen.rate]
     header = ["pdl_db_emulator", "ax1", "ax2", "ax3", "aggregate_pdl_db",
               "kappa", "concurrence", "purity", "rate"]
     return [_write_csv(out_dir / "sweep_pdl.csv", header, columns)]
 
 
-def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: float) -> list[Path]:
+def cmd_compensate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> list[Path]:
     """Designed channel-B compensator vs emulator angle.
 
-    Per angle: uncompensated and compensated concurrences (scaled to the
-    measured baseline), the designed element, and both coincidence rates. Arm A
+    Per angle (`--theta-list`, else `--theta-count` angles over [0, pi]):
+    uncompensated and compensated concurrences (scaled to the measured
+    baseline), the designed element, and both coincidence rates. Arm A
     aggregates source PDL and the emulator at angle theta from the source axis.
     """
     src_el = cfg.rig().source.source_pdl
-    base, chain_c = _chain_state(pmd_q)
-    scale = _baseline_scale(cfg, pmd_q, chain_c)
+    base, chain_c = _chain_state(args.pmd_q)
+    scale = _baseline_scale(cfg, args.pmd_q, chain_c)
     t = correlation_of(base)
-    thetas = np.asarray(thetas, dtype=float)
-    ems = PdlElement(gamma_from_db(pdl_db), axis_from_polar(thetas))
+    thetas = np.asarray(args.theta_list or np.linspace(0.0, np.pi, args.theta_count), dtype=float)
+    ems = PdlElement(gamma_from_db(args.pdl_db), axis_from_polar(thetas))
     aggs = concat_pdl(src_el, ems)
     plans = design_compensator(aggs, t)
     m_a = pdl_operator(ems) @ pdl_operator(src_el)
     uncompensated = propagate(base, m_a, SIGMA0[None])
     compensated = propagate(base, m_a, pdl_operator(plans.element))
-    observe = _observer(cfg, "compensate")
     # sub-seeds interleave: row i reads 2i uncompensated and 2i + 1 compensated
-    cs_u = observe(uncompensated, range(0, 2 * len(thetas), 2)).concurrence
-    cs_c = observe(compensated, range(1, 2 * len(thetas), 2)).concurrence
+    cs_u = _observe(cfg, "compensate", uncompensated, range(0, 2 * len(thetas), 2)).concurrence
+    cs_c = _observe(cfg, "compensate", compensated, range(1, 2 * len(thetas), 2)).concurrence
     if not cfg.noisy:
-        w_u, w_c = concurrences(uncompensated.rho), concurrences(compensated.rho)
+        w_u = _checked_wootters(uncompensated, "uncompensated")
+        w_c = _checked_wootters(compensated, "compensated")
         if theory.magnitude_residual(w_u, aggs.gamma, chain_c) > MAGNITUDE_TOL:
             raise RuntimeError("uncompensated row violates the magnitude-only law")
         # physical magnitudes, not the aggregate: the concatenated product
@@ -285,8 +286,6 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
         total = src_el.gamma + ems.gamma + plans.element.gamma
         if theory.conservation_residual(compensated.rate, w_c, total, chain_c) > CONSERVATION_TOL:
             raise RuntimeError("compensated row violates rate-concurrence conservation")
-        _require_identity(cs_u, w_u, "uncompensated")
-        _require_identity(cs_c, w_c, "compensated")
     columns = [thetas, aggs.gamma_db, scale * cs_u, scale * cs_c, plans.element.gamma_db,
                *plans.element.axis.T, uncompensated.rate, compensated.rate]
     header = ["theta", "aggregate_pdl_db", "c_uncompensated", "c_compensated",
@@ -294,62 +293,59 @@ def cmd_compensate(cfg: RunConfig, out_dir: Path, pdl_db: float, thetas, pmd_q: 
     return [_write_csv(out_dir / "compensate.csv", header, columns)]
 
 
-def _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, command_id):
+def _orientation_rows(cfg, args, command_id):
     """Shared equal-magnitude arm-B orientation sweep for tradeoff/entropy runs.
 
     Appends the exact kappa = -/+ 1 orientations to the lattice so envelope
     endpoints are hit exactly. Returns the chain's baseline concurrence, arm
     A's magnitude, and the kappas and observed batch, both sorted by kappa.
     """
-    base, chain_c = _chain_state(pmd_q)
+    base, chain_c = _chain_state(args.pmd_q)
     t = correlation_of(base)
-    g = gamma_from_db(pdl_db)
+    g = gamma_from_db(args.pdl_db)
     el_a = PdlElement(g, CANONICAL_AXIS.copy())
     u = design_compensator(el_a, t).element.axis  # kappa = -1; -u gives kappa = +1
-    axes = np.vstack([fibonacci_sphere(orientations_n), u, -u])
+    axes = np.vstack([fibonacci_sphere(args.orientations), u, -u])
     kappas = kappa(t, el_a.axis, axes)
     order = np.argsort(kappas, kind="stable")
     el_bs = PdlElement(g, axes[order])
     batch = propagate(base, pdl_operator(el_a)[None], pdl_operator(el_bs))
-    seen = _observer(cfg, command_id)(batch, range(len(order)))
+    seen = _observe(cfg, command_id, batch, range(len(order)))
     return chain_c, g, kappas[order], seen
 
 
-def cmd_tradeoff(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: int,
-                 pmd_q: float) -> list[Path]:
+def cmd_tradeoff(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> list[Path]:
     """Concurrence/rate envelope at equal arm magnitudes, normalized to no-PDL.
 
     gamma_B equals arm A's magnitude; the baseline is the zero-PDL run of the
     same chain state, so columns are directly comparable across magnitudes.
     """
-    chain_c, g, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "tradeoff")
+    chain_c, g, kappas, seen = _orientation_rows(cfg, args, "tradeoff")
     c_norm = seen.concurrence / chain_c
     avg = c_norm * seen.rate
     # normalized rows: c0 = 1, and both arms carry g
     if not cfg.noisy:
-        wootters = concurrences(seen.rho)
+        wootters = _checked_wootters(seen, "tradeoff")
         residual = theory.conservation_residual(seen.rate, wootters / chain_c, 2 * g, 1.0)
         if residual > CONSERVATION_TOL:
             raise RuntimeError("tradeoff row violates rate-concurrence conservation")
-        _require_identity(seen.concurrence, wootters, "tradeoff")
     header = ["kappa", "concurrence_norm", "rate_norm", "avg_entanglement"]
     return [_write_csv(out_dir / "tradeoff.csv", header, [kappas, c_norm, seen.rate, avg])]
 
 
-def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, pdl_db: float, orientations_n: int,
-                         pmd_q: float) -> list[Path]:
+def cmd_entropy_feedback(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> list[Path]:
     """Qubit-A linear entropy vs concurrence along an arm-B orientation sweep.
 
     The companion file holds the qubit-A reduced matrices at the minimum,
     median, and maximum entropy rows.
     """
-    chain_c, _, kappas, seen = _orientation_rows(cfg, pdl_db, pmd_q, orientations_n, "entropy")
-    scale = _baseline_scale(cfg, pmd_q, chain_c)
+    chain_c, _, kappas, seen = _orientation_rows(cfg, args, "entropy")
+    scale = _baseline_scale(cfg, args.pmd_q, chain_c)
     entropies, concs = seen.entropy_a, scale * seen.concurrence
     if not cfg.noisy:
         if int(entropies.argmax()) != int(concs.argmax()):
             raise RuntimeError("entropy argmax does not match concurrence argmax")
-        _require_identity(seen.concurrence, concurrences(seen.rho), "entropy-feedback")
+        _checked_wootters(seen, "entropy-feedback")
     by_entropy = np.argsort(entropies, kind="stable")
     picks = by_entropy[[0, len(by_entropy) // 2, -1]]
     labels = [label for label in ("min", "median", "max") for _ in range(4)]
@@ -429,20 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None, help="key=value config file")
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
     common.add_argument("--seed", type=_SEED, default=None, help="master seed override")
-    common.add_argument("--noisy", action="store_true", default=None,
-                        help="tomography-noise mode")
+    common.add_argument("--noisy", action="store_true", help="tomography-noise mode")
 
     p = argparse.ArgumentParser(prog="pdlsim", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("b2b", parents=[common], help="back-to-back source state")
+    sub.add_parser("b2b", parents=[common], help="back-to-back source state").set_defaults(run=cmd_b2b)
 
     sp = sub.add_parser("sweep-pdl", parents=[common], help="magnitude x orientation sweep")
+    sp.set_defaults(run=cmd_sweep_pdl)
     sp.add_argument("--pdl-db", type=_float_list("magnitude", 0), default=[1.25, 2.55, 3.7, 5.1, 6.3],
                     help="comma list of emulator magnitudes in dB")
     sp.add_argument("--orientations", type=_COUNT, default=50)
 
     cp = sub.add_parser("compensate", parents=[common], help="designed compensator vs angle")
+    cp.set_defaults(run=cmd_compensate)
     cp.add_argument("--pdl-db", type=_PDL_DB, default=5.1)
     cp.add_argument("--theta-count", type=_COUNT, default=25)
     cp.add_argument("--theta-list", type=_float_list("theta"), default=None,
@@ -450,11 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--pmd-q", type=_pmd_q, default=0.0)
 
     tp = sub.add_parser("tradeoff", parents=[common], help="concurrence/rate envelope")
+    tp.set_defaults(run=cmd_tradeoff)
     tp.add_argument("--pdl-db", type=_PDL_DB, default=5.1)
     tp.add_argument("--orientations", type=_COUNT, default=64)
     tp.add_argument("--pmd-q", type=_pmd_q, default=0.0)
 
     ep = sub.add_parser("entropy-feedback", parents=[common], help="marginal-entropy feedback sweep")
+    ep.set_defaults(run=cmd_entropy_feedback)
     ep.add_argument("--pdl-db", type=_PDL_DB, default=5.27)
     ep.add_argument("--orientations", type=_COUNT, default=64)
     ep.add_argument("--pmd-q", type=_pmd_q, default=0.155)
@@ -471,29 +470,13 @@ def main(argv=None) -> int:
         return cmd_verify(args.seed)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-    except (OSError, ValueError) as err:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:  # a missing or bad config, an --out that is no directory
         parser.error(str(err))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.noisy:
-        cfg = dataclasses.replace(cfg, noisy=True)
-
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = dataclasses.replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                              noisy=cfg.noisy or args.noisy)
     try:
-        if args.command == "b2b":
-            paths = cmd_b2b(cfg, out_dir)
-        elif args.command == "sweep-pdl":
-            paths = cmd_sweep_pdl(cfg, out_dir, args.pdl_db, args.orientations)
-        elif args.command == "compensate":
-            thetas = args.theta_list
-            if thetas is None:
-                thetas = list(np.linspace(0.0, np.pi, args.theta_count))
-            paths = cmd_compensate(cfg, out_dir, args.pdl_db, thetas, args.pmd_q)
-        elif args.command == "tradeoff":
-            paths = cmd_tradeoff(cfg, out_dir, args.pdl_db, args.orientations, args.pmd_q)
-        else:
-            paths = cmd_entropy_feedback(cfg, out_dir, args.pdl_db, args.orientations, args.pmd_q)
+        paths = args.run(cfg, args.out, args)
     except ExtinctionError as err:  # the arguments ask for a channel no pair survives
         parser.error(str(err))
     for path in paths:

@@ -265,6 +265,47 @@ def test_b2b_noisy_determinism(tmp_path):
     assert abs(metrics["concurrence"] - 0.925) < 0.06  # shot noise envelope
 
 
+def files_of(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_config_noisy_runs_as_the_noisy_flag(tmp_path):
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("run.noisy = yes\n")
+    main(["b2b", "--config", str(cfg), "--out", str(tmp_path / "config")])
+    main(["b2b", "--noisy", "--out", str(tmp_path / "flag")])
+    main(["b2b", "--out", str(tmp_path / "exact")])
+    assert files_of(tmp_path / "config") == files_of(tmp_path / "flag")
+    assert files_of(tmp_path / "config") != files_of(tmp_path / "exact")
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("run.seed = 5\nrun.noisy = yes\n")
+    main(["b2b", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "config")])
+    main(["b2b", "--noisy", "--seed", "7", "--out", str(tmp_path / "seed7")])
+    main(["b2b", "--noisy", "--seed", "5", "--out", str(tmp_path / "seed5")])
+    assert files_of(tmp_path / "config") == files_of(tmp_path / "seed7")
+    assert files_of(tmp_path / "config") != files_of(tmp_path / "seed5")
+
+
+def test_theta_list_overrides_theta_count(tmp_path):
+    main(["compensate", "--theta-list", "0.5", "--theta-count", "3", "--out", str(tmp_path)])
+    d = read_csv(tmp_path / "compensate.csv")
+    assert d.shape == () and float(d["theta"]) == 0.5
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_an_out_that_is_no_directory_is_a_usage_error(tmp_path, sub, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["b2b", "--out", str(taken / sub)])
+    assert exc.value.code == 2
+    assert str(taken) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "not a directory\n"
+
+
 def test_sweep_pdl_law_and_shape(tmp_path):
     main(["sweep-pdl", "--out", str(tmp_path), "--orientations", "6"])
     d = read_csv(tmp_path / "sweep_pdl.csv")

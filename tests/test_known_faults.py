@@ -1,7 +1,7 @@
 """Open defects, each pinned as a strict xfail that states the right behaviour.
 
-All three come from the inexact Wootters concurrence route (ROADMAP item 1).
-A fix makes a test pass, and strict=True then fails the run until its marker
+The first three come from the inexact Wootters concurrence route (ROADMAP
+item 1), the last from the SVD in `channels.concat_pdl`. A fix makes a test pass, and strict=True then fails the run until its marker
 is removed.
 """
 
@@ -39,3 +39,13 @@ def test_wootters_matches_the_identity_on_random_filtered_states():
     el_a, el_b = (PdlElement(rng.uniform(0, 5, 500), [0.0, 0.0, 1.0]) for _ in range(2))
     batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b))
     assert np.abs(concurrences(batch.rho) - batch.concurrence).max() <= 1e-11
+
+
+@pytest.mark.xfail(strict=True, raises=(RuntimeWarning, ValueError),
+                   reason="concat_pdl's SVD gives the arm-A product a singular value of 0 at "
+                          "some angles, so log(s_max / s_min) is inf")
+def test_compensate_at_400_db_is_a_usage_error(tmp_path):
+    # as at 300 dB, where the channel extinguishes the state
+    with pytest.raises(SystemExit) as exc:
+        main(["compensate", "--pdl-db", "400", "--out", str(tmp_path)])
+    assert exc.value.code == 2
