@@ -1,8 +1,8 @@
 """Open defects, each pinned as a strict xfail that states the right behaviour.
 
 The first three come from the inexact Wootters concurrence route (ROADMAP
-item 1), the last from the SVD in `channels.concat_pdl`. A fix makes a test pass, and strict=True then fails the run until its marker
-is removed.
+item 1), the last from the SVD in `channels.concat_pdl`. A fix makes a test
+pass, and strict=True then fails the run until its marker is removed.
 """
 
 import numpy as np
