@@ -15,11 +15,14 @@ concurrences and qubit-A linear entropies. Exact rows (from `propagate`) and
 measured rows (from `instrument.measure`) are read through it alike.
 `propagate` is the one state-through-channel kernel: it sends a base state
 through stacks of local filters, one row per candidate channel, and
-renormalizes each row. Its result, a `FilteredBatch`, takes each row's
-concurrence from the local-filter identity
-C((A x B) rho (A x B)^dag / p) = |det A| |det B| C(rho) / p, with one
-Wootters call on the base state (one per row for a stack of bases); every
-other batch, the measured ones included, takes Wootters of its own rows.
+renormalizes each row. The base is a `ChannelBatch` or a bare state (or
+stack of states), which it wraps as a rate-1 batch. Its result, a
+`FilteredBatch`, keeps that base batch and takes each row's concurrence from
+the local-filter identity C((A x B) rho (A x B)^dag / p) = |det A| |det B|
+C(rho) / p, reading the base batch's cached concurrence: one Wootters call on
+the base state (one per row for a stack of bases), however many kernel calls
+share the batch. Every other batch, the measured ones included, takes
+Wootters of its own rows.
 `apply_local` is its one-row case, giving a one-state batch; the search, the
 CLI sweeps and the verify suites pass whole stacks.
 """
@@ -122,12 +125,17 @@ class PdlElement:
         object.__setattr__(self, "gamma", np.broadcast_to(gamma, shape)[()])
         object.__setattr__(self, "axis", np.broadcast_to(axis, shape + (3,)))
 
+    @classmethod
+    def _stored(cls, gamma, axis) -> "PdlElement":
+        """Elements of magnitudes and unit axes already checked, taken as they are."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "gamma", gamma)
+        object.__setattr__(element, "axis", axis)
+        return element
+
     def __getitem__(self, index) -> "PdlElement":
         """Row or sub-stack `index` as stored: neither checked nor renormalized again."""
-        row = object.__new__(PdlElement)
-        object.__setattr__(row, "gamma", self.gamma[index])
-        object.__setattr__(row, "axis", self.axis[index])
-        return row
+        return PdlElement._stored(self.gamma[index], self.axis[index])
 
     @property
     def gamma_db(self) -> float | np.ndarray:
@@ -187,19 +195,19 @@ class ChannelBatch:
 class FilteredBatch(ChannelBatch):
     """A `ChannelBatch` of local filters applied to base states, as `propagate` gives it.
 
-    base holds the unfiltered state (4, 4), or one per row, and det_ab the
-    products |det m_a| |det m_b| of each row's filters. Each live row's
-    concurrence is the local-filter identity det_ab C(base) / rate, with
-    C(base) from Wootters; it is computed when first read.
+    base is the batch of the unfiltered state (4, 4), or of one per row, and
+    det_ab the products |det m_a| |det m_b| of each row's filters. Each live
+    row's concurrence is the local-filter identity det_ab C(base) / rate, with
+    C(base) the base batch's concurrence; it is computed when first read.
     """
 
-    base: np.ndarray
+    base: ChannelBatch
     det_ab: np.ndarray
 
     @cached_property
     def concurrence(self) -> np.ndarray:
         """det_ab C(base) / rate on live rows, 0 on extinct ones."""
-        c = self.det_ab * concurrences(self.base)
+        c = self.det_ab * self.base.concurrence
         return np.divide(c, self.rate, out=np.zeros_like(c), where=~self.extinct)
 
 
@@ -235,16 +243,18 @@ def _abs_dets(m: np.ndarray) -> np.ndarray:
     return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
-def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
+def propagate(base, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
     """Apply local filter stacks (m_a on qubit A, m_b on qubit B) and renormalize.
 
     m_a and m_b are (N, 2, 2) stacks, either of which may be a single (1, 2, 2)
-    filter shared by every row; rho is one state (4, 4) or one per row
-    (N, 4, 4). Every filter must be trace-nonincreasing (singular values
-    <= 1), else ValueError. Each live row's normalized state passes
-    check_state; rows whose rate falls below EXTINCTION_RATE are flagged
-    rather than raised, see ChannelBatch. Concurrences come from the
-    local-filter identity, see FilteredBatch. For a PDL filter |ad - bc| is
+    filter shared by every row; base holds one state (4, 4) or one per row
+    (N, 4, 4), as a `ChannelBatch` whose states are filtered (its rates are
+    not carried over) or as a bare array, wrapped as a rate-1 batch. Calls
+    given one batch share its one Wootters call. Every filter must be
+    trace-nonincreasing (singular values <= 1), else ValueError. Each live
+    row's normalized state passes check_state; rows whose rate falls below
+    EXTINCTION_RATE are flagged rather than raised, see ChannelBatch.
+    Concurrences come from the local-filter identity, see FilteredBatch. For a PDL filter |ad - bc| is
     e^-gamma after cancelling terms near 1, so its relative error grows as
     eps e^gamma: over 20 000 random axes at most 4e-14 at 5 Np, 4e-12 at
     10 Np and 1e-7 at 20 Np.
@@ -255,14 +265,20 @@ def propagate(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatc
         sv = _max_singular_values(m)
         if sv.size and sv.max() > 1 + 1e-9:
             raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
+    if not isinstance(base, ChannelBatch):
+        base = np.asarray(base)
+        base = ChannelBatch(base, np.ones(base.shape[:-2]))
     # Kronecker product of each row pair, laid out as np.kron lays out one pair
     big = (m_a[:, :, None, :, None] * m_b[:, None, :, None, :]).reshape(-1, 4, 4)
-    filtered = big @ rho @ np.swapaxes(big.conj(), -1, -2)
+    filtered = big @ base.rho @ np.swapaxes(big.conj(), -1, -2)
     rate = np.trace(filtered, axis1=-2, axis2=-1).real
     live = ~(rate < EXTINCTION_RATE)
-    states = np.zeros_like(filtered)
-    states[live] = check_states(filtered[live] / rate[live, None, None])
-    return FilteredBatch(states, rate, rho, _abs_dets(m_a) * _abs_dets(m_b))
+    if live.all():
+        states = check_states(filtered / rate[:, None, None])
+    else:
+        states = np.zeros_like(filtered)
+        states[live] = check_states(filtered[live] / rate[live, None, None])
+    return FilteredBatch(states, rate, base, _abs_dets(m_a) * _abs_dets(m_b))
 
 
 def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
@@ -273,7 +289,7 @@ def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBa
     ExtinctionError when the post-selection rate falls below EXTINCTION_RATE.
     """
     batch = propagate(rho, np.asarray(m_a)[None], np.asarray(m_b)[None])
-    return FilteredBatch(batch.rho[0], batch.rate[0], rho, batch.det_ab[0]).require_live()
+    return FilteredBatch(batch.rho[0], batch.rate[0], batch.base, batch.det_ab[0]).require_live()
 
 
 def pmd_dephase(rho: np.ndarray, element: PmdElement) -> np.ndarray:

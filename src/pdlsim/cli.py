@@ -14,6 +14,7 @@ byte-identical.
 
 import argparse
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -420,6 +421,7 @@ def _pmd_q(text: str) -> float:
     return q
 
 
+@functools.cache  # built once: no runner mutates the parsed arguments or their defaults
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="key=value config file")
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-pdl", parents=[common], help="magnitude x orientation sweep")
     sp.set_defaults(run=cmd_sweep_pdl)
-    sp.add_argument("--pdl-db", type=_float_list("magnitude", 0), default=[1.25, 2.55, 3.7, 5.1, 6.3],
+    sp.add_argument("--pdl-db", type=_float_list("magnitude", 0), default=(1.25, 2.55, 3.7, 5.1, 6.3),
                     help="comma list of emulator magnitudes in dB")
     sp.add_argument("--orientations", type=_COUNT, default=50)
 

@@ -9,22 +9,29 @@ refine trial starts from the best point so far, and until a trial improves
 every later one is known: the rest of its sweep, then whole sweeps from the
 same point with halved steps. So a refine batch stacks that plan, up to
 `REFINE_LOOKAHEAD` sweeps past the current one, into one element and one
-`propagate` call, records its rows (each record holding its row of the stack)
-in order up to the first improvement, and plans the next batch from the new
-point: the trace is the one a trial-at-a-time loop gives, whatever the
-look-ahead. When the config holds a `Rig`, the kernel's batch is replaced by
-the one `measure(batch, rig, "cand", indices)` estimates from it, read the
-same way: each kernel call's live rows are measured in one call, row i at the
-trace index it is recorded at, so a row dropped after an improvement costs
-one measurement and the trace is the one a candidate-by-candidate loop gives.
+`propagate` call, keeps its rows in order up to the first improvement, and
+plans the next batch from the new point: the trace is the one a
+trial-at-a-time loop gives, whatever the look-ahead. The kept rows of every
+call are joined once, at the end, into a `Trace`: read-only arrays of the
+candidates' magnitudes, axes, objectives, rates and qubit-A entropies, read
+row by row as `EvalRecord`s built on access. The base state is wrapped as one
+`ChannelBatch` that every kernel call shares, so an exact search makes one
+Wootters call, on its base. When the config holds a `Rig`, the kernel's batch
+is replaced by the one `measure(batch, rig, "cand", indices)` estimates from
+it, read the same way: each kernel call's live rows are measured in one call,
+row i at the trace index it is recorded at, so a row dropped after an
+improvement costs one measurement and the trace is the one a
+candidate-by-candidate loop gives.
 """
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channels import (
+    ChannelBatch,
     PdlElement,
     PmdElement,
     axis_from_polar,
@@ -75,13 +82,50 @@ class EvalRecord:
     linear_entropy_a: float
 
 
+@dataclass(frozen=True, eq=False)
+class Trace(Sequence):
+    """The ordered evaluation trace: one row per candidate, held as read-only arrays.
+
+    gamma (N,) and axis (N, 3) are the candidate elements as the search
+    stacked them; concurrence, rate and linear_entropy_a (N,) are each
+    candidate's objective, rate and qubit-A linear entropy (0s if extinct).
+    `trace[i]` builds the `EvalRecord` of row i on access, its element a row
+    as stored (as `element[i]` gives it) and its values Python floats; a
+    slice gives the `Trace` of those rows.
+    """
+
+    gamma: np.ndarray
+    axis: np.ndarray
+    concurrence: np.ndarray
+    rate: np.ndarray
+    linear_entropy_a: np.ndarray
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.gamma)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(*(column[index] for column in self._columns()))
+        i = operator.index(index)
+        return EvalRecord(PdlElement._stored(self.gamma[i], self.axis[i]),
+                          float(self.concurrence[i]), float(self.rate[i]),
+                          float(self.linear_entropy_a[i]))
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Winning candidate plus the full ordered evaluation trace."""
 
     best: PdlElement
     best_concurrence: float
-    evaluations: tuple[EvalRecord, ...]
+    evaluations: Trace
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -111,17 +155,24 @@ def optimize_compensator(
     base = check_state(base)
     if pmd_a is not None:
         base = pmd_dephase(base, pmd_a)
+    base = ChannelBatch(base, 1.0)  # shared by every kernel call: one Wootters call
     m_a = pdl_operator(pdl_a)
 
-    records: list[EvalRecord] = []
+    kept = []  # per kernel call: the columns of its recorded rows, in trace order
+    recorded = 0
 
-    def evaluate(elements: PdlElement) -> tuple[list[float], list[float], list[float]]:
-        """Rates, objectives and S_A of a stack of elements in one kernel call, 0s if extinct."""
+    def evaluate(elements: PdlElement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Objectives, rates and S_A of a stack of elements in one kernel call, 0s if extinct."""
         batch = propagate(base, m_a[None], pdl_operator(elements))
-        # row i would be recorded at trace index len(records) + i
-        batch = measure(batch, cfg.rig, "cand", range(len(records), len(records) + len(batch.rate)))
-        rate = np.where(batch.extinct, 0.0, batch.rate)
-        return rate.tolist(), batch.concurrence.tolist(), batch.entropy_a.tolist()
+        # row i would be recorded at trace index recorded + i
+        batch = measure(batch, cfg.rig, "cand", range(recorded, recorded + len(batch.rate)))
+        return batch.concurrence, np.where(batch.extinct, 0.0, batch.rate), batch.entropy_a
+
+    def record(elements: PdlElement, columns, n: int) -> None:
+        """Keep the first n rows of one kernel call."""
+        nonlocal recorded
+        kept.append([elements.gamma[:n], elements.axis[:n], *(c[:n] for c in columns)])
+        recorded += n
 
     if cfg.gamma_grid is not None:
         grid = cfg.gamma_grid
@@ -131,11 +182,10 @@ def optimize_compensator(
         grid = tuple(np.linspace(0.7 * pdl_a.gamma, 1.3 * pdl_a.gamma, 7))
     axes = fibonacci_sphere(cfg.sphere_points)
     lattice = PdlElement(np.repeat(grid, len(axes)), np.tile(axes, (len(grid), 1)))
-    rates, objs, s_as = evaluate(lattice)
-    records.extend([EvalRecord(lattice[i], obj, rate, s_a)
-                    for i, (rate, obj, s_a) in enumerate(zip(rates, objs, s_as))])
-    best_c = max(objs)
-    best_el = records[objs.index(best_c)].element  # the first maximum: ties keep the earliest
+    columns = evaluate(lattice)
+    record(lattice, columns, len(lattice.gamma))
+    first = int(np.argmax(columns[0]))  # the first maximum: ties keep the earliest
+    best_c, best_el = float(columns[0][first]), lattice[first]
 
     # polish: coordinate descent on (theta, phi, gamma) with interval halving.
     # A refine state is (move index, sweep, angle step, gamma step, best at
@@ -184,11 +234,13 @@ def optimize_compensator(
             points.append(tuple(p))
         th, ph, g = np.array(points).T
         trials = PdlElement(g, axis_from_polar(th, ph))
-        for i, (rate, obj, s_a) in enumerate(zip(*evaluate(trials))):
-            records.append(EvalRecord(trials[i], obj, rate, s_a))
+        columns = evaluate(trials)
+        for i, obj in enumerate(columns[0].tolist()):
             state = after(plan[i], max(best_c, obj))
             if obj > best_c:
-                best_c, best_el, point = obj, records[-1].element, points[i]
+                best_c, best_el, point = obj, trials[i], points[i]
                 break
+        record(trials, columns, i + 1)
 
-    return SearchResult(best=best_el, best_concurrence=best_c, evaluations=tuple(records))
+    trace = Trace(*(np.concatenate(column) for column in zip(*kept)))
+    return SearchResult(best=best_el, best_concurrence=best_c, evaluations=trace)

@@ -1,3 +1,5 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pdlsim.channels import (
 )
 from pdlsim.compensation import (
     SearchConfig,
+    Trace,
     fibonacci_sphere,
     optimize_compensator,
 )
@@ -160,6 +163,50 @@ def test_entropy_recorded_along_trace():
     assert abs(best_rec.concurrence - res.best_concurrence) < 1e-15
     # restored state has a near maximally mixed arm-A marginal
     assert best_rec.linear_entropy_a > 0.99
+
+
+def test_trace_is_a_read_only_sequence_of_records():
+    cfg = SearchConfig(sphere_points=32, refine_iters=3)
+    res = optimize_compensator(PdlElement(0.3, np.array([0.6, 0.0, 0.8])),
+                               bell_state(BellKind.PHI_PLUS), cfg)
+    trace = res.evaluations
+    n = len(trace)
+    assert isinstance(trace, Sequence) and n > 7 * 32
+    columns = (trace.gamma, trace.axis, trace.concurrence, trace.rate, trace.linear_entropy_a)
+    assert [c.shape for c in columns] == [(n,), (n, 3), (n,), (n,), (n,)]
+    for column in columns:
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    records = list(trace)  # iteration ends at the last row
+    assert len(records) == n
+    for i, rec in enumerate(records):
+        assert [type(v) for v in (rec.concurrence, rec.rate, rec.linear_entropy_a)] == [float] * 3
+        assert (rec.concurrence, rec.rate, rec.linear_entropy_a) == (
+            trace.concurrence[i], trace.rate[i], trace.linear_entropy_a[i])
+        # the element is the stored row, not a checked and renormalized copy
+        assert rec.element.gamma == trace.gamma[i]
+        assert np.shares_memory(rec.element.axis, trace.axis)
+        assert rec.element.axis.tobytes() == trace.axis[i].tobytes()
+    for i in (-1, -n, np.int64(3)):
+        assert trace[i].element.gamma == records[i].element.gamma
+        assert trace[i].concurrence == records[i].concurrence
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    with pytest.raises(TypeError):
+        trace[1.0]
+    part = trace[5:-3:2]
+    assert isinstance(part, Trace) and len(part) == len(range(5, n - 3, 2))
+    assert not part.concurrence.flags.writeable
+    assert [r.concurrence for r in part] == [r.concurrence for r in records[5:-3:2]]
+    assert len(trace[n:]) == 0
+    # the winner is the first maximum of the trace
+    first = int(np.argmax(trace.concurrence))
+    assert (trace.concurrence[:first] < res.best_concurrence).all()
+    assert res.best_concurrence == trace.concurrence[first]
+    assert res.best.gamma == trace.gamma[first]
+    assert res.best.axis.tobytes() == trace.axis[first].tobytes()
 
 
 def test_noisy_search_smoke():

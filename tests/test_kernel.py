@@ -5,8 +5,9 @@ np.kron + matmul + eigvals loop written out here: the filtered states, rates
 and entropies, Wootters of the filtered states, and the local-filter identity
 that gives the batch's concurrence. The same holds for stacked
 element aggregation, and the search's pinned traces hold however its refine
-stage batches trials. The noisy search and the noisy CLI commands measure
-each kernel batch in one tomography call.
+stage batches trials. An exact search makes one Wootters call, on its base
+state. The noisy search and the noisy CLI commands measure each kernel batch
+in one tomography call.
 """
 
 import contextlib
@@ -589,9 +590,10 @@ def test_default_search_makes_fewer_kernel_calls(monkeypatch):
     assert len(calls) < 51
 
 
-def test_exact_search_calls_wootters_once_per_kernel_call(monkeypatch):
-    # the identity needs Wootters of the base state only; every filtered row
-    # through Wootters was about 1100 rows per default search
+@pytest.mark.parametrize("kind", ["default", "pdl", "pmd", "zero-pdl", "grid"])
+def test_exact_search_calls_wootters_once(kind, monkeypatch):
+    # the identity needs Wootters of the base state only, and every kernel
+    # call of a search shares one base batch
     calls, rows = [], []
 
     def counting_propagate(rho, m_a, m_b):
@@ -604,10 +606,10 @@ def test_exact_search_calls_wootters_once_per_kernel_call(monkeypatch):
 
     monkeypatch.setattr(compensation, "propagate", counting_propagate)
     monkeypatch.setattr(channels, "concurrences", counting_concurrences)
-    agg, base, _, _ = search_case("pdl")
-    res = optimize_compensator(agg, base, SearchConfig())
-    assert sum(calls) > 1000 and len(res.evaluations) > 1000
-    assert rows == [(4, 4)] * len(calls)
+    agg, base, cfg, pmd = search_case("pdl" if kind == "default" else kind)
+    res = optimize_compensator(agg, base, SearchConfig() if kind == "default" else cfg, pmd)
+    assert len(calls) > 1 and sum(calls) >= len(res.evaluations)
+    assert rows == [(4, 4)]
 
 
 def test_noisy_search_measures_once_per_kernel_call(monkeypatch):
@@ -680,6 +682,15 @@ def test_compensate_designs_all_angles_in_one_call(tmp_path, argv, monkeypatch):
         assert main(["compensate", *argv, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "compensate.csv").read_text().splitlines()
     assert rows == [(len(lines) - 1,)]
+
+
+def test_cli_parser_is_built_once_and_keeps_its_defaults(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep-pdl", "--pdl-db", "0.5,7", "--out", str(tmp_path / "explicit")]) == 0
+        assert main(["sweep-pdl", "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "sweep_pdl.csv").read_bytes()).hexdigest()
+    assert got == CSV_PINS[("sweep-pdl",)]["sweep_pdl.csv"]
 
 
 @pytest.mark.parametrize("argv", list(CSV_PINS))

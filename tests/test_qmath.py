@@ -6,12 +6,14 @@ import pytest
 from pdlsim.qmath import (
     PAULI,
     SIGMA0,
+    TOL,
     BellKind,
     bell_diagonal,
     bell_state,
     bell_vector,
     bell_weights,
     check_state,
+    check_states,
     concurrence,
     correlation_of,
     eigvals_desc,
@@ -177,6 +179,13 @@ def test_reduced_qubit():
         assert abs(np.trace(reduced_qubit(rho, "B")).real - 1) < 1e-12
     with pytest.raises(ValueError):
         reduced_qubit(rho, "C")
+    # bit-equal to np.trace over the 6-d view, signed zeros included
+    stack = np.array([random_density(rng) for _ in range(24)]).reshape(2, 12, 4, 4)
+    stack[0, 0] = -0.0
+    stack[0, 1].imag[:] = -0.0
+    r = stack.reshape(2, 12, 2, 2, 2, 2)
+    for which, axes in (("A", (-3, -1)), ("B", (-4, -2))):
+        assert reduced_qubit(stack, which).tobytes() == np.trace(r, 0, *axes).tobytes()
 
 
 def test_reduced_qubit_product_state():
@@ -227,6 +236,39 @@ def test_check_state():
         check_state(np.full((4, 4), np.nan))
     with pytest.raises(ValueError):
         check_state(np.eye(2, dtype=complex) / 2)  # not 4x4
+
+
+def spectrum_state(rng, lo):
+    """A unit-trace Hermitian U diag(lo, 0.2, 0.3, 0.5 - lo) U^dag with a random unitary U."""
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return (u * np.array([lo, 0.2, 0.3, 0.5 - lo])) @ u.conj().T
+
+
+@pytest.mark.parametrize("lo", [-TOL * (1 + 1e-3), -TOL * (1 - 1e-3), -TOL + 5e-13],
+                         ids=["below-tol", "above-tol", "inside-certificate-margin"])
+def test_check_states_decides_as_the_smallest_eigenvalue(lo):
+    # -TOL + 5e-13 lies inside the Cholesky certificate's 1e-12 margin, so
+    # the eigenvalues decide it
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        m = spectrum_state(rng, lo)
+        if np.linalg.eigvalsh(symmetrize(m)).min() < -TOL:
+            with pytest.raises(ValueError, match="negative eigenvalue .* beyond tolerance"):
+                check_states(m)
+        else:
+            assert check_states(m).tobytes() == symmetrize(m).tobytes()
+
+
+def test_check_states_quotes_the_worst_eigenvalue_of_a_stack():
+    rng = np.random.default_rng(103)
+    stack = np.array([random_density(rng) for _ in range(896)])
+    stack[448] = spectrum_state(rng, -2 * TOL)
+    lo = np.linalg.eigvalsh(symmetrize(stack)).min()
+    assert lo < -TOL
+    with pytest.raises(ValueError, match=f"^negative eigenvalue {re.escape(str(lo))} beyond "
+                                         "tolerance$"):
+        check_states(stack)
+    assert check_states(np.delete(stack, 448, axis=0)).shape == (895, 4, 4)
 
 
 def test_symmetrize():
