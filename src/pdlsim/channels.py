@@ -70,11 +70,9 @@ def _check_gamma(g, name: str) -> np.ndarray:
     return _checked(g, 0.0, np.finfo(float).max, f"{name} must be finite and >= 0")
 
 
-def gamma_from_db(db: float) -> float:
-    """PDL magnitude in nepers from the usual dB figure 10*log10(Tmax/Tmin)."""
-    if not db >= 0:
-        raise ValueError(f"PDL in dB must be >= 0, got {db}")
-    return db / DB_PER_NEPER
+def gamma_from_db(db):
+    """PDL magnitudes in nepers of the usual dB figures 10*log10(Tmax/Tmin), element by element."""
+    return (_checked(db, 0.0, np.inf, "PDL in dB must be >= 0") / DB_PER_NEPER)[()]
 
 
 def db_from_gamma(gamma):
@@ -150,6 +148,8 @@ class PmdElement:
     axis: np.ndarray = field(default_factory=lambda: CANONICAL_AXIS.copy())
 
     def __post_init__(self):
+        if np.ndim(self.q) != 0:
+            raise ValueError(f"dephasing weight q must be one number, got shape {np.shape(self.q)}")
         if not 0.0 <= self.q <= 0.5:
             raise ValueError(f"dephasing weight q must be in [0, 0.5], got {self.q}")
         object.__setattr__(self, "axis", unit_axis(self.axis))
@@ -249,7 +249,8 @@ def propagate(base, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
     m_a and m_b are (N, 2, 2) stacks, either of which may be a single (1, 2, 2)
     filter shared by every row; base holds one state (4, 4) or one per row
     (N, 4, 4), as a `ChannelBatch` whose states are filtered (its rates are
-    not carried over) or as a bare array, wrapped as a rate-1 batch. Calls
+    not carried over) or as a bare array, wrapped as a rate-1 batch; other
+    shapes raise ValueError quoting all three. Calls
     given one batch share its one Wootters call. Every filter must be
     trace-nonincreasing (singular values <= 1), else ValueError. Each live
     row's normalized state passes check_state; rows whose rate falls below
@@ -261,16 +262,23 @@ def propagate(base, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
     """
     m_a = np.asarray(m_a, dtype=complex)
     m_b = np.asarray(m_b, dtype=complex)
+    if not isinstance(base, ChannelBatch):
+        base = np.asarray(base)
+        base = ChannelBatch(base, np.ones(base.shape[:-2]))
+    rho = base.rho
+    if not (m_a.shape[1:] == m_b.shape[1:] == (2, 2) and rho.ndim in (2, 3)
+            and rho.shape[-2:] == (4, 4)
+            and len({len(m_a), len(m_b), *rho.shape[:-2]} - {1}) <= 1):
+        raise ValueError(f"propagate needs filters (N, 2, 2) and base states (4, 4) or "
+                         f"(N, 4, 4), each N 1 or one common length, got m_a {m_a.shape}, "
+                         f"m_b {m_b.shape}, base {rho.shape}")
     for name, m in (("m_a", m_a), ("m_b", m_b)):
         sv = _max_singular_values(m)
         if sv.size and sv.max() > 1 + 1e-9:
             raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
-    if not isinstance(base, ChannelBatch):
-        base = np.asarray(base)
-        base = ChannelBatch(base, np.ones(base.shape[:-2]))
     # Kronecker product of each row pair, laid out as np.kron lays out one pair
     big = (m_a[:, :, None, :, None] * m_b[:, None, :, None, :]).reshape(-1, 4, 4)
-    filtered = big @ base.rho @ np.swapaxes(big.conj(), -1, -2)
+    filtered = big @ rho @ np.swapaxes(big.conj(), -1, -2)
     rate = np.trace(filtered, axis1=-2, axis2=-1).real
     live = ~(rate < EXTINCTION_RATE)
     if live.all():

@@ -239,7 +239,7 @@ def cmd_sweep_pdl(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> li
     t = correlation_of(base)
     axes = fibonacci_sphere(args.orientations)
     raw = np.tile(axes, (len(args.pdl_db), 1))
-    ems = PdlElement(np.repeat([gamma_from_db(db) for db in args.pdl_db], len(axes)), raw)
+    ems = PdlElement(np.repeat(gamma_from_db(args.pdl_db), len(axes)), raw)
     kappas = kappa(t, src_el.axis, ems.axis)
     batch = propagate(base, pdl_operator(ems) @ pdl_operator(src_el), SIGMA0[None])
     aggs = concat_pdl(src_el, ems)

@@ -13,8 +13,8 @@ same point with halved steps. So a refine batch stacks that plan, up to
 plans the next batch from the new point: the trace is the one a
 trial-at-a-time loop gives, whatever the look-ahead. The kept rows of every
 call are joined once, at the end, into a `Trace`: read-only arrays of the
-candidates' magnitudes, axes, objectives, rates and qubit-A entropies, read
-row by row as `EvalRecord`s built on access. The base state is wrapped as one
+candidates' magnitudes, axes, objectives, rates and qubit-A entropies, whose
+row i is the `Trace` `trace[i]`. The base state is wrapped as one
 `ChannelBatch` that every kernel call shares, so an exact search makes one
 Wootters call, on its base. When the config holds a `Rig`, the kernel's batch
 is replaced by the one `measure(batch, rig, "cand", indices)` estimates from
@@ -72,16 +72,6 @@ class SearchConfig:
             object.__setattr__(self, "gamma_grid", grid)
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One candidate evaluation along the search trace."""
-
-    element: PdlElement
-    concurrence: float
-    rate: float
-    linear_entropy_a: float
-
-
 @dataclass(frozen=True, eq=False)
 class Trace(Sequence):
     """The ordered evaluation trace: one row per candidate, held as read-only arrays.
@@ -89,9 +79,8 @@ class Trace(Sequence):
     gamma (N,) and axis (N, 3) are the candidate elements as the search
     stacked them; concurrence, rate and linear_entropy_a (N,) are each
     candidate's objective, rate and qubit-A linear entropy (0s if extinct).
-    `trace[i]` builds the `EvalRecord` of row i on access, its element a row
-    as stored (as `element[i]` gives it) and its values Python floats; a
-    slice gives the `Trace` of those rows.
+    `trace[i]` is row i as a `Trace` of numpy scalars and a (3,) axis view,
+    and a slice the `Trace` of those rows, as `PdlElement` indexes a stack.
     """
 
     gamma: np.ndarray
@@ -101,22 +90,19 @@ class Trace(Sequence):
     linear_entropy_a: np.ndarray
 
     def __post_init__(self):
-        for column in self._columns():
-            column.setflags(write=False)
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.gamma)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace(*(column[index] for column in self._columns()))
-        i = operator.index(index)
-        return EvalRecord(PdlElement._stored(self.gamma[i], self.axis[i]),
-                          float(self.concurrence[i]), float(self.rate[i]),
-                          float(self.linear_entropy_a[i]))
+    def __getitem__(self, index) -> "Trace":
+        return Trace(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @property
+    def element(self) -> PdlElement:
+        """The candidate elements as stored: the whole stack, or row i's element."""
+        return PdlElement._stored(self.gamma, self.axis)
 
 
 @dataclass(frozen=True)
@@ -148,10 +134,12 @@ def optimize_compensator(
     """Best channel-B PDL element against the (optionally noisy) concurrence.
 
     The state entering the channels is `base`, dephased by `pmd_a` when given;
-    `pdl_a` is the aggregate arm-A PDL. Candidates are evaluated in a fixed
-    deterministic order; ties keep the earliest candidate. Extinction
-    candidates stay in the trace with objective 0.
+    `pdl_a` is the aggregate arm-A PDL, one element. Candidates are evaluated
+    in a fixed deterministic order; ties keep the earliest candidate.
+    Extinction candidates stay in the trace with objective 0.
     """
+    if np.ndim(pdl_a.gamma) != 0:
+        raise ValueError(f"pdl_a must be one element, got a stack of shape {np.shape(pdl_a.gamma)}")
     base = check_state(base)
     if pmd_a is not None:
         base = pmd_dephase(base, pmd_a)

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import theory
 from .channels import (
-    DB_PER_NEPER,
     ChannelBatch,
     PdlElement,
     angle_from_aggregate,
     concat_pdl,
+    gamma_from_db,
     pdl_operator,
     propagate,
 )
@@ -55,7 +55,7 @@ from .qmath import (
 )
 
 DEFAULT_SEED = 20260822
-GAMMA_MAX = 7 / DB_PER_NEPER  # 7 dB in nepers
+GAMMA_MAX = gamma_from_db(7)
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def orientation_independence(rng, per_magnitude=100):
     """Single-channel concurrence depends on PDL magnitude only, never its axis."""
     c0 = 0.925
     rho = bell_diagonal([c0, -c0, 1.0])
-    gammas = np.array([1.25, 2.55, 3.7, 5.1, 6.3]) / DB_PER_NEPER
+    gammas = gamma_from_db([1.25, 2.55, 3.7, 5.1, 6.3])
     elements = PdlElement(np.repeat(gammas, per_magnitude), _axes(rng, 5 * per_magnitude))
     batch = propagate(rho, pdl_operator(elements), SIGMA0[None]).require_live()
     vals = concurrences(batch.rho).reshape(len(gammas), per_magnitude)
@@ -210,7 +210,7 @@ def compensation_optimality(rng, alternatives=500):
     """
     worst = 0.0
     problems = [
-        (bell_state(BellKind.PHI_PLUS), PdlElement(5.1 / DB_PER_NEPER, (0.0, 0.0, 1.0))),
+        (bell_state(BellKind.PHI_PLUS), PdlElement(gamma_from_db(5.1), (0.0, 0.0, 1.0))),
         (bell_diagonal([0.69, -0.69, 1.0]), _elements(rng, 1)[0]),
     ]
     for rho, el_a in problems:
@@ -252,7 +252,7 @@ def envelope_bounds(rng, cases=300):
     t = correlation_of(rho)
     worst = 0.0
     for gamma_db in (2.0, 5.1):
-        g = gamma_db / DB_PER_NEPER
+        g = gamma_from_db(gamma_db)
         # the envelope is the laws at kappa = +/-1 (c0 = 1 for a Bell state)
         c_min, c_max = theory.predicted_concurrence(1.0, g, g, [1.0, -1.0])
         rate_min, rate_max = theory.predicted_rate(g, g, [-1.0, 1.0])

@@ -43,6 +43,13 @@ def test_db_neper_conversion():
         assert abs(db_from_gamma(gamma_from_db(db)) - db) < 1e-12
     with pytest.raises(ValueError):
         gamma_from_db(-0.1)
+    # a stack converts element by element and quotes its first bad entry
+    dbs = [0.0, 1.25, 5.1, 7.0]
+    assert gamma_from_db(dbs).tobytes() == (np.array(dbs) / DB_PER_NEPER).tobytes()
+    assert gamma_from_db(5.1) == 5.1 / DB_PER_NEPER
+    for bad, first in (([1.0, -0.5, -2.0], "-0.5"), ([1.0, np.nan, -1.0], "nan")):
+        with pytest.raises(ValueError, match=f"PDL in dB must be >= 0, got {first}$"):
+            gamma_from_db(bad)
 
 
 def test_unit_axis():
@@ -131,6 +138,9 @@ def test_pmd_element_validation():
         PmdElement(0.51)
     with pytest.raises(ValueError):
         PmdElement(-0.01)
+    with pytest.raises(ValueError, match=re.escape("q must be one number, got shape (2,)")):
+        PmdElement(np.array([0.1, 0.2]))
+    assert PmdElement(np.float64(0.155)).q == 0.155
 
 
 def test_pmd_dephase_limits():

@@ -1,3 +1,4 @@
+import re
 from collections.abc import Sequence
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_entropy_recorded_along_trace():
     assert best_rec.linear_entropy_a > 0.99
 
 
-def test_trace_is_a_read_only_sequence_of_records():
+def test_trace_is_a_read_only_sequence_of_rows():
     cfg = SearchConfig(sphere_points=32, refine_iters=3)
     res = optimize_compensator(PdlElement(0.3, np.array([0.6, 0.0, 0.8])),
                                bell_state(BellKind.PHI_PLUS), cfg)
@@ -178,28 +179,30 @@ def test_trace_is_a_read_only_sequence_of_records():
         assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0
-    records = list(trace)  # iteration ends at the last row
-    assert len(records) == n
-    for i, rec in enumerate(records):
-        assert [type(v) for v in (rec.concurrence, rec.rate, rec.linear_entropy_a)] == [float] * 3
-        assert (rec.concurrence, rec.rate, rec.linear_entropy_a) == (
-            trace.concurrence[i], trace.rate[i], trace.linear_entropy_a[i])
+    # the element of the whole trace is the stack as stored
+    assert trace.element.gamma is trace.gamma and trace.element.axis is trace.axis
+    rows = list(trace)  # iteration ends at the last row
+    assert len(rows) == n
+    for i, row in enumerate(rows):
+        assert isinstance(row, Trace)
+        values = (row.gamma, row.concurrence, row.rate, row.linear_entropy_a)
+        assert all(type(v) is np.float64 and isinstance(v, float) for v in values)
+        assert values == (trace.gamma[i], trace.concurrence[i], trace.rate[i],
+                          trace.linear_entropy_a[i])
         # the element is the stored row, not a checked and renormalized copy
-        assert rec.element.gamma == trace.gamma[i]
-        assert np.shares_memory(rec.element.axis, trace.axis)
-        assert rec.element.axis.tobytes() == trace.axis[i].tobytes()
+        assert row.element.gamma == trace.gamma[i]
+        assert np.shares_memory(row.element.axis, trace.axis)
+        assert row.element.axis.tobytes() == trace.axis[i].tobytes()
     for i in (-1, -n, np.int64(3)):
-        assert trace[i].element.gamma == records[i].element.gamma
-        assert trace[i].concurrence == records[i].concurrence
-    for i in (n, -n - 1):
+        assert trace[i].gamma == rows[i].gamma
+        assert trace[i].concurrence == rows[i].concurrence
+    for i in (n, -n - 1, 1.0):
         with pytest.raises(IndexError):
             trace[i]
-    with pytest.raises(TypeError):
-        trace[1.0]
     part = trace[5:-3:2]
     assert isinstance(part, Trace) and len(part) == len(range(5, n - 3, 2))
     assert not part.concurrence.flags.writeable
-    assert [r.concurrence for r in part] == [r.concurrence for r in records[5:-3:2]]
+    assert [r.concurrence for r in part] == [r.concurrence for r in rows[5:-3:2]]
     assert len(trace[n:]) == 0
     # the winner is the first maximum of the trace
     first = int(np.argmax(trace.concurrence))
@@ -207,6 +210,14 @@ def test_trace_is_a_read_only_sequence_of_records():
     assert res.best_concurrence == trace.concurrence[first]
     assert res.best.gamma == trace.gamma[first]
     assert res.best.axis.tobytes() == trace.axis[first].tobytes()
+
+
+@pytest.mark.parametrize("gamma", [[0.3, 0.4], [0.3]])
+def test_search_refuses_a_stack_of_arm_a_elements(gamma):
+    cfg = SearchConfig(sphere_points=32, refine_iters=0)
+    shape = re.escape(str(np.shape(gamma)))
+    with pytest.raises(ValueError, match=f"pdl_a must be one element, got a stack of shape {shape}"):
+        optimize_compensator(PdlElement(gamma), bell_state(BellKind.PHI_PLUS), cfg)
 
 
 def test_noisy_search_smoke():

@@ -410,6 +410,29 @@ def test_amplifying_filter_anywhere_in_a_stack_raises(row):
         propagate(rho, SIGMA0[None], stack)
 
 
+@pytest.mark.parametrize("m_a, m_b, base", [
+    (SIGMA0, SIGMA0[None], (4, 4)),
+    (np.stack([SIGMA0] * 3), np.stack([SIGMA0] * 2), (4, 4)),
+    (np.stack([SIGMA0] * 3), SIGMA0[None], (2, 4, 4)),
+    (SIGMA0[None], SIGMA0[None], (1, 1, 4, 4)),
+    (SIGMA0[None], SIGMA0[None], (2, 2)),
+], ids=["bare-filter", "stacks-of-3-and-2", "3-filters-2-bases", "4d-base", "2x2-base"])
+def test_mismatched_shapes_raise_quoting_them(m_a, m_b, base):
+    rho = np.broadcast_to(np.eye(base[-1]) / base[-1], base)
+    want = f"got m_a {np.shape(m_a)}, m_b {np.shape(m_b)}, base {base}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        propagate(rho, m_a, m_b)
+
+
+def test_apply_local_refuses_a_filter_stack():
+    stack = np.stack([SIGMA0] * 3)
+    with pytest.raises(ValueError, match=re.escape("got m_a (1, 3, 2, 2), m_b (1, 2, 2)")):
+        apply_local(bell_state(BellKind.PHI_PLUS), stack, SIGMA0)
+    # a leading length of 1 is shared by every row
+    batch = propagate(bell_state(BellKind.PHI_PLUS)[None], stack, SIGMA0[None])
+    assert batch.rate.shape == (3,)
+
+
 def max_singular_value_cases(rng):
     """Filter stacks (n, 2, 2): PDL filters near and at gamma = 0, cascades of two, random complex."""
     n = 2000
