@@ -42,9 +42,7 @@ from .qmath import (
     bell_state,
     bell_vector,
     concurrence,
-    concurrences,
     correlation_of,
-    fidelity_to_pure,
     purity,
     reduced_qubit,
 )
@@ -198,10 +196,11 @@ def _baseline_scale(cfg: RunConfig, pmd_q: float, chain_c: float) -> float:
 def cmd_b2b(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> list[Path]:
     """Back-to-back source state: density matrix CSV plus summary metrics."""
     rho = _observe(cfg, "b2b", source_state(cfg.rig().source), 0).rho
+    psi = bell_vector(BellKind.PHI_PLUS)
     metrics = [
         ("concurrence", concurrence(rho)),
         ("purity", purity(rho)),
-        ("fidelity", fidelity_to_pure(rho, bell_vector(BellKind.PHI_PLUS))),
+        ("fidelity", float((psi.conj() @ rho @ psi).real)),
         ("hh_vv_ratio", rho[0, 0].real / rho[3, 3].real),
     ]
     return [
@@ -220,7 +219,7 @@ def _checked_wootters(batch, what: str):
     """Wootters of a noiseless batch's rows, for its law checks, once the
     concurrence column the run writes (the local-filter identity) is within
     MAGNITUDE_TOL of it."""
-    wootters = concurrences(batch.rho)
+    wootters = concurrence(batch.rho)
     if np.max(np.abs(batch.concurrence - wootters), initial=0.0) > MAGNITUDE_TOL:
         raise RuntimeError(f"{what} concurrence disagrees with Wootters of its rows")
     return wootters

@@ -46,6 +46,16 @@ REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
 REFINE_LOOKAHEAD = 2  # sweeps a refine batch plans past the current one
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer >= least: ints and numpy ints, never floats."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Grid density, refinement control, and the rig that measures a noisy objective."""
@@ -57,13 +67,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("sphere_points", 32), ("refine_iters", 0)):
-            value = getattr(self, name)
-            try:
-                ok = operator.index(value) >= least  # ints and numpy ints, never floats
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         if self.gamma_grid is not None:
             grid = tuple(float(g) for g in self.gamma_grid)
             if len(grid) == 0 or not all(np.isfinite(g) and g >= 0 for g in grid):
@@ -116,8 +120,7 @@ class SearchResult:
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n near-uniform unit vectors (golden-angle spiral), rows on the sphere."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     i = np.arange(n)
     z = 1 - (2 * i + 1) / n
     r = np.sqrt(np.clip(1 - z * z, 0, None))

@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .channels import CANONICAL_AXIS, ChannelBatch, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_states, symmetrize
+from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_state, symmetrize
 
 MU_RANGE = (0.001, 0.1)
 
@@ -285,7 +285,7 @@ def project_physical(m: np.ndarray) -> np.ndarray:
             raise ValueError("projection exhausted all eigenvalues")
         vals[rows] = np.where(alive, vals[rows] + (deficit / n_alive)[:, None], vals[rows])
     repaired = m.copy()
-    repaired[bad] = check_states((vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
+    repaired[bad] = check_state((vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
     return repaired
 
 

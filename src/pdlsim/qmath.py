@@ -4,11 +4,10 @@ Jones convention: |H> = (1, 0), |V> = (0, 1), so sigma_3 = diag(1, -1) and
 Stokes components are ordered (s1, s2, s3) against (sigma_1, sigma_2, sigma_3).
 Density matrices are plain complex ndarrays; validators return a symmetrized
 canonical copy rather than wrapping arrays in a class. The state functions
-with a stack form (`check_states`, `concurrences`, `purity`, `reduced_qubit`,
-`linear_entropies`, `trace_distances`, `correlation_of`) take any leading
-batch axes and apply the single-state arithmetic row by row, one state giving
-a 0-d result; `check_state` and `concurrence` are the one-state case of the
-first two.
+(`check_state`, `concurrence`, `purity`, `reduced_qubit`, `linear_entropies`,
+`trace_distances`, `correlation_of`) take one state or a stack with any
+leading batch axes and apply the single-state arithmetic row by row, one
+state giving a 0-d result.
 """
 
 from enum import Enum
@@ -73,22 +72,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def check_state(m: np.ndarray) -> np.ndarray:
-    """Validate a 4x4 density matrix and return its symmetrized canonical copy.
+    """Validate density matrices (..., 4, 4) and return their symmetrized canonical copies.
 
     Requires finite entries, unit trace within TOL, and eigenvalues >= -TOL.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-    return check_states(m)
-
-
-def check_states(m: np.ndarray) -> np.ndarray:
-    """check_state applied to every matrix of a stack (..., d, d).
-
     Raises on any bad row, quoting the worst trace or eigenvalue in the stack.
     """
     m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
     m = symmetrize(m)
@@ -103,7 +94,7 @@ def check_states(m: np.ndarray) -> np.ndarray:
     # that above -TOL. A stack it does not certify is judged by its
     # eigenvalues, so the accept set and the message are theirs.
     try:
-        np.linalg.cholesky(m + (TOL - 1e-12) * np.eye(m.shape[-1]))
+        np.linalg.cholesky(m + (TOL - 1e-12) * np.eye(4))
     except np.linalg.LinAlgError:
         lo = np.linalg.eigvalsh(m).min()
         if lo < -TOL:
@@ -170,8 +161,8 @@ def eigvals_desc(m: np.ndarray) -> np.ndarray:
     return lam
 
 
-def concurrences(rho: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of every state in a stack (..., 4, 4).
+def concurrence(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of one state (4, 4) or of each state of a stack (..., 4, 4).
 
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
     descending eigenvalues of rho (sy x sy) rho* (sy x sy).
@@ -180,12 +171,7 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     m = rho @ _YY @ rho.conj() @ _YY
     s = np.sqrt(np.clip(eigvals_desc(m), 0.0, None))
     c = np.subtract.reduce(s, axis=-1)  # s1 - s2 - s3 - s4, left to right
-    return np.where(c > 0.0, c, 0.0)
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix (see `concurrences`)."""
-    return float(concurrences(rho))
+    return np.where(c > 0.0, c, 0.0)[()]
 
 
 def purity(rho: np.ndarray) -> np.ndarray:
@@ -212,15 +198,6 @@ def reduced_qubit(rho: np.ndarray, which: str) -> np.ndarray:
     if which == "B":
         return 0 + r[..., 0, :, 0, :] + r[..., 1, :, 1, :]
     raise ValueError(f"which must be 'A' or 'B', got {which!r}")
-
-
-def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
-    """<psi|rho|psi> for a target state psi normalized within TOL."""
-    psi = np.asarray(psi, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > TOL:
-        raise ValueError(f"psi is not normalized: |psi| = {nrm}")
-    return float((psi.conj() @ rho @ psi).real)
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

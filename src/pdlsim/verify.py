@@ -4,7 +4,7 @@ Each suite exercises one law along two independent routes (closed form vs
 brute-force filtered density matrix, designed optimum vs sampled alternatives,
 forward counts vs inverted state) and reports its worst observed error against
 a fixed tolerance. A suite that checks a propagated concurrence against a
-closed form reads Wootters of the filtered states, `concurrences(batch.rho)`,
+closed form reads Wootters of the filtered states, `concurrence(batch.rho)`,
 never `batch.concurrence`: that is the local-filter identity, the law under
 test. All suites are seeded and deterministic. Each suite draws
 each of its random inputs as one whole array, in a fixed order (Dirichlet
@@ -48,8 +48,8 @@ from .qmath import (
     BellKind,
     bell_diagonal,
     bell_state,
-    check_states,
-    concurrences,
+    check_state,
+    concurrence,
     correlation_of,
     trace_distances,
 )
@@ -104,7 +104,7 @@ def _elements(rng, n, gamma_max=GAMMA_MAX) -> PdlElement:
 def _bell_diagonals(weights) -> np.ndarray:
     """Bell-diagonal states (N, 4, 4) of Bell weights (N, 4), summed in BellKind order from 0."""
     w = np.asarray(weights).reshape(-1, 4, 1, 1)
-    return check_states(sum(w[:, k] * bell_state(kind) for k, kind in enumerate(BellKind)))
+    return check_state(sum(w[:, k] * bell_state(kind) for k, kind in enumerate(BellKind)))
 
 
 def _worst(*errors) -> float:
@@ -122,9 +122,9 @@ def oracle_equivalence(rng, cases=1000):
     rhos = _bell_diagonals(rng.dirichlet(np.ones(4), size=cases))
     el_a, el_b = _elements(rng, cases), _elements(rng, cases)
     kap = theory.kappa(correlation_of(rhos), el_a.axis, el_b.axis)
-    closed = theory.predicted_concurrence(concurrences(rhos), el_a.gamma, el_b.gamma, kap)
+    closed = theory.predicted_concurrence(concurrence(rhos), el_a.gamma, el_b.gamma, kap)
     batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b)).require_live()
-    worst = _worst(np.abs(closed - concurrences(batch.rho)))
+    worst = _worst(np.abs(closed - concurrence(batch.rho)))
     return worst, cases
 
 
@@ -143,10 +143,10 @@ def rate_conservation(rng, cases=400):
     el_b = PdlElement(totals - g_a, _axes(rng, 3 * cases))
     batch = propagate(np.repeat(rhos, 3, axis=0), pdl_operator(el_a),
                       pdl_operator(el_b)).require_live()
-    c = concurrences(batch.rho)
+    c = concurrence(batch.rho)
     products = (batch.rate * c).reshape(-1, 3)
     law = theory.conservation_residual(batch.rate, c, totals,
-                                       np.repeat(concurrences(rhos), 3))
+                                       np.repeat(concurrence(rhos), 3))
     return max(law, _worst(products.max(axis=1) - products.min(axis=1))), cases
 
 
@@ -158,7 +158,7 @@ def orientation_independence(rng, per_magnitude=100):
     gammas = gamma_from_db([1.25, 2.55, 3.7, 5.1, 6.3])
     elements = PdlElement(np.repeat(gammas, per_magnitude), _axes(rng, 5 * per_magnitude))
     batch = propagate(rho, pdl_operator(elements), SIGMA0[None]).require_live()
-    vals = concurrences(batch.rho).reshape(len(gammas), per_magnitude)
+    vals = concurrence(batch.rho).reshape(len(gammas), per_magnitude)
     worst = _worst(vals.max(axis=1) - vals.min(axis=1),
                    np.abs(vals - c0 / np.cosh(gammas)[:, None]))
     return worst, 5 * per_magnitude
@@ -218,7 +218,7 @@ def compensation_optimality(rng, alternatives=500):
         plan = theory.design_compensator(el_a, t)
         alts = _elements(rng, alternatives, 2 * el_a.gamma + 0.1)
         m_b = np.concatenate([pdl_operator(plan.element)[None], pdl_operator(alts)])
-        c = concurrences(propagate(rho, pdl_operator(el_a)[None], m_b).require_live().rho)
+        c = concurrence(propagate(rho, pdl_operator(el_a)[None], m_b).require_live().rho)
         designed = c[0]
         worst = max(worst, abs(designed - plan.predicted_concurrence), _worst(c[1:] - designed))
         res = optimize_compensator(el_a, rho, SearchConfig(sphere_points=64, refine_iters=20))
@@ -261,7 +261,7 @@ def envelope_bounds(rng, cases=300):
         axes = np.vstack([_axes(rng, cases), [[0.0, 0.0, -t[2]], [0.0, 0.0, t[2]]]])
         el_bs = PdlElement(g, axes)
         batch = propagate(rho, pdl_operator(el_a)[None], pdl_operator(el_bs)).require_live()
-        c = concurrences(batch.rho)
+        c = concurrence(batch.rho)
         c_norm, rate = c[:cases], batch.rate[:cases]
         worst = max(worst, _worst(c_min - c_norm, c_norm - c_max,
                                   rate_min - rate, rate - rate_max))

@@ -48,6 +48,12 @@ def test_fibonacci_sphere():
         assert np.sqrt(d2.min()) > np.sqrt(4 * np.pi / n) / 3
     with pytest.raises(ValueError):
         fibonacci_sphere(0)
+    # a float count is refused, whole or not
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.5"):
+        fibonacci_sphere(2.5)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        fibonacci_sphere(np.float64(3.0))
+    assert fibonacci_sphere(np.int64(3)).shape == (3, 3)
 
 
 def test_entropy_feedback_limits():

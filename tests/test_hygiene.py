@@ -211,10 +211,9 @@ def test_detector_flags_a_scalar_twin():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_scalar_twins_are_benchmark_traced(path):
-    """A one-value `f` beside its stacked `fs` stays only where the benchmark traces `f`."""
-    traced = traced_names(SPANS.read_text()).get(path.stem, ())
-    assert [f for f in scalar_twins(path.read_text()) if f not in traced] == []
+def test_no_scalar_twins(path):
+    """Each state function takes one value or a stack under one name: no `f` beside an `fs`."""
+    assert scalar_twins(path.read_text()) == []
 
 
 def test_traced_names_reader():

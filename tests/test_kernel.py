@@ -46,7 +46,6 @@ from pdlsim.qmath import (
     bell_state,
     check_state,
     concurrence,
-    concurrences,
 )
 from pdlsim.theory import design_compensator
 
@@ -125,11 +124,11 @@ def same_bits(a, b):
 
 
 def assert_rows_match(batch, wootters, i, rho, rate, c, identity, s_a):
-    """`wootters` is concurrences(batch.rho), one call over the whole stack."""
+    """`wootters` is concurrence(batch.rho), one call over the whole stack."""
     assert same_bits(batch.rho[i], rho)
     assert same_bits(batch.rate[i], rate)
     assert same_bits(wootters[i], c)  # Wootters, the brute force
-    assert same_bits(concurrences(batch.rho[i:i + 1])[0], c)
+    assert same_bits(concurrence(batch.rho[i:i + 1])[0], c)
     assert same_bits(batch.concurrence[i], identity)
     assert same_bits(batch.entropy_a[i], s_a)
 
@@ -244,7 +243,7 @@ def test_batch_matches_loop_and_one_row_calls(shared_base):
     bases = [states[0]] * n if shared_base else states
     batch = propagate(states[0] if shared_base else np.array(states), m_a, m_b)
     assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
-    wootters = concurrences(batch.rho)
+    wootters = concurrence(batch.rho)
     for i in range(n):
         rho, rate, c, identity, s_a = loop_channel(bases[i], loop_filter(els_a[i]),
                                                    loop_filter(els_b[i]))
@@ -262,7 +261,7 @@ def test_single_filter_broadcasts_over_the_stack():
     els_b = random_elements(rng, 40)
     batch = propagate(base, pdl_operator(el_a)[None], pdl_operator(els_b))
     flipped = propagate(base, pdl_operator(els_b), SIGMA0[None])
-    wootters, wootters_flipped = concurrences(batch.rho), concurrences(flipped.rho)
+    wootters, wootters_flipped = concurrence(batch.rho), concurrence(flipped.rho)
     for i in range(40):
         el_b = els_b[i]
         assert_rows_match(batch, wootters, i,
@@ -288,7 +287,7 @@ def test_extinct_rows_are_masked_in_a_batch():
         assert batch.concurrence[i] == 0.0 and batch.entropy_a[i] == 0.0
         with pytest.raises(ExtinctionError):
             ChannelBatch(batch.rho[i], batch.rate[i]).require_live()
-    wootters = concurrences(batch.rho)
+    wootters = concurrence(batch.rho)
     for i in (0, 3, 4):
         assert_rows_match(batch, wootters, i, *loop_channel(vv, m_a[i], m_b[i]))
     with pytest.raises(ExtinctionError):
@@ -312,7 +311,7 @@ def sqrt_wootters(rho):
     """Wootters concurrence of a stack from the singular values of r (sy x sy) r*, r = sqrt(rho).
 
     Exact on rank-deficient filtered states, where the eigenvalues of the
-    non-Hermitian rho rho~ that `qmath.concurrences` roots lose about 1e-6.
+    non-Hermitian rho rho~ that `qmath.concurrence` roots lose about 1e-6.
     """
     lam, u = np.linalg.eigh(rho)
     r = (u * np.sqrt(np.where(lam < 1e-12, 0.0, lam))[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
@@ -623,12 +622,12 @@ def test_exact_search_calls_wootters_once(kind, monkeypatch):
         calls.append(len(m_b))
         return propagate(rho, m_a, m_b)
 
-    def counting_concurrences(rho):
+    def counting_concurrence(rho):
         rows.append(np.shape(rho))
-        return concurrences(rho)
+        return concurrence(rho)
 
     monkeypatch.setattr(compensation, "propagate", counting_propagate)
-    monkeypatch.setattr(channels, "concurrences", counting_concurrences)
+    monkeypatch.setattr(channels, "concurrence", counting_concurrence)
     agg, base, cfg, pmd = search_case("pdl" if kind == "default" else kind)
     res = optimize_compensator(agg, base, SearchConfig() if kind == "default" else cfg, pmd)
     assert len(calls) > 1 and sum(calls) >= len(res.evaluations)

@@ -13,11 +13,9 @@ from pdlsim.qmath import (
     bell_vector,
     bell_weights,
     check_state,
-    check_states,
     concurrence,
     correlation_of,
     eigvals_desc,
-    fidelity_to_pure,
     linear_entropies,
     purity,
     reduced_qubit,
@@ -143,6 +141,16 @@ def test_concurrence_range_random_states():
         assert -1e-12 <= c <= 1 + 1e-9
 
 
+def test_concurrence_takes_one_state_or_a_stack():
+    rng = np.random.default_rng(17)
+    rhos = np.array([random_density(rng) for _ in range(12)]).reshape(3, 4, 4, 4)
+    stacked = concurrence(rhos)
+    assert stacked.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        one = concurrence(rhos[idx])
+        assert isinstance(one, np.float64) and one.tobytes() == stacked[idx].tobytes()
+
+
 def test_concurrence_separable_zero():
     rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
     assert concurrence(rho) == 0.0
@@ -196,14 +204,6 @@ def test_reduced_qubit_product_state():
     assert np.allclose(reduced_qubit(rho, "B"), qb, atol=1e-12)
 
 
-def test_fidelity_to_pure():
-    rho = bell_state(BellKind.PHI_PLUS)
-    assert abs(fidelity_to_pure(rho, bell_vector(BellKind.PHI_PLUS)) - 1) < 1e-12
-    assert abs(fidelity_to_pure(rho, bell_vector(BellKind.PSI_MINUS))) < 1e-12
-    with pytest.raises(ValueError):
-        fidelity_to_pure(rho, np.array([1.0, 0, 0, 1.0]))  # unnormalized
-
-
 def test_trace_distance():
     a = bell_state(BellKind.PHI_PLUS)
     b = bell_state(BellKind.PHI_MINUS)
@@ -236,6 +236,10 @@ def test_check_state():
         check_state(np.full((4, 4), np.nan))
     with pytest.raises(ValueError):
         check_state(np.eye(2, dtype=complex) / 2)  # not 4x4
+    with pytest.raises(ValueError, match="expected 4x4 matrices"):
+        check_state(np.stack([np.eye(2, dtype=complex) / 2] * 4))  # a stack of 2x2
+    stack = check_state(np.array([bell_state(kind) for kind in BellKind]).reshape(2, 2, 4, 4))
+    assert stack.shape == (2, 2, 4, 4) and (stack[0, 0] == rho).all()
 
 
 def spectrum_state(rng, lo):
@@ -246,7 +250,7 @@ def spectrum_state(rng, lo):
 
 @pytest.mark.parametrize("lo", [-TOL * (1 + 1e-3), -TOL * (1 - 1e-3), -TOL + 5e-13],
                          ids=["below-tol", "above-tol", "inside-certificate-margin"])
-def test_check_states_decides_as_the_smallest_eigenvalue(lo):
+def test_check_state_decides_as_the_smallest_eigenvalue(lo):
     # -TOL + 5e-13 lies inside the Cholesky certificate's 1e-12 margin, so
     # the eigenvalues decide it
     rng = np.random.default_rng(101)
@@ -254,12 +258,12 @@ def test_check_states_decides_as_the_smallest_eigenvalue(lo):
         m = spectrum_state(rng, lo)
         if np.linalg.eigvalsh(symmetrize(m)).min() < -TOL:
             with pytest.raises(ValueError, match="negative eigenvalue .* beyond tolerance"):
-                check_states(m)
+                check_state(m)
         else:
-            assert check_states(m).tobytes() == symmetrize(m).tobytes()
+            assert check_state(m).tobytes() == symmetrize(m).tobytes()
 
 
-def test_check_states_quotes_the_worst_eigenvalue_of_a_stack():
+def test_check_state_quotes_the_worst_eigenvalue_of_a_stack():
     rng = np.random.default_rng(103)
     stack = np.array([random_density(rng) for _ in range(896)])
     stack[448] = spectrum_state(rng, -2 * TOL)
@@ -267,8 +271,8 @@ def test_check_states_quotes_the_worst_eigenvalue_of_a_stack():
     assert lo < -TOL
     with pytest.raises(ValueError, match=f"^negative eigenvalue {re.escape(str(lo))} beyond "
                                          "tolerance$"):
-        check_states(stack)
-    assert check_states(np.delete(stack, 448, axis=0)).shape == (895, 4, 4)
+        check_state(stack)
+    assert check_state(np.delete(stack, 448, axis=0)).shape == (895, 4, 4)
 
 
 def test_symmetrize():
