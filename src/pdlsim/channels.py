@@ -16,8 +16,11 @@ linear entropies. Exact rows (from `propagate`) and measured rows (from
 `instrument.measure`) are read through it alike.
 `propagate` is the one state-through-channel kernel: it sends a base state
 through stacks of local filters, one row per candidate channel, and
-renormalizes each row. The base is a `ChannelBatch` or a bare state (or
-stack of states), which it wraps as a rate-1 batch. Its result, a
+renormalizes each row. A filter stack is checked trace-nonincreasing once,
+when it is wrapped as a `FilterStack`: `propagate` wraps bare arrays itself,
+and a caller that shares one filter over many calls wraps it once. The
+base is a `ChannelBatch` or a bare state (or stack of states), which it
+wraps as a rate-1 batch. Its result, a
 `FilteredBatch`, keeps that base batch and takes each row's concurrence from
 the local-filter identity C((A x B) rho (A x B)^dag / p) = |det A| |det B|
 C(rho) / p, reading the base batch's cached concurrence: one Wootters call on
@@ -28,7 +31,7 @@ Wootters of its own rows.
 CLI sweeps and the verify suites pass whole stacks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +44,7 @@ from .qmath import (
     concurrence,
     linear_entropies,
     reduced_qubit,
+    traces,
 )
 
 EXTINCTION_RATE = 1e-12  # post-selection rates below this extinguish the state
@@ -109,8 +113,9 @@ class PdlElement:
     gamma (...) and axis (..., 3) broadcast against each other; a scalar
     gamma with one (3,) axis is one element. Every magnitude must be finite
     and >= 0 and every axis unit within TOL; a bad element raises quoting the
-    first one. Axes are stored renormalized, and `element[i]` gives row i of
-    a stack as stored, without checking or renormalizing it again.
+    first one. Both are stored read-only, the axes renormalized, and
+    `element[i]` gives row i of a stack as stored, without checking or
+    renormalizing it again.
     """
 
     gamma: float | np.ndarray
@@ -119,9 +124,12 @@ class PdlElement:
     def __post_init__(self):
         gamma = _check_gamma(self.gamma, "gamma")
         axis = unit_axis(self.axis)
-        shape = np.broadcast_shapes(gamma.shape, axis.shape[:-1])
-        object.__setattr__(self, "gamma", np.broadcast_to(gamma, shape)[()])
-        object.__setattr__(self, "axis", np.broadcast_to(axis, shape + (3,)))
+        if gamma.shape != axis.shape[:-1]:
+            shape = np.broadcast_shapes(gamma.shape, axis.shape[:-1])
+            gamma, axis = np.broadcast_to(gamma, shape), np.broadcast_to(axis, shape + (3,))
+        gamma.setflags(write=False)
+        object.__setattr__(self, "gamma", gamma[()])
+        object.__setattr__(self, "axis", axis)
 
     @classmethod
     def _stored(cls, gamma, axis) -> "PdlElement":
@@ -243,16 +251,50 @@ def _abs_dets(m: np.ndarray) -> np.ndarray:
     return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
-def propagate(base, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
+@dataclass(frozen=True, eq=False)
+class FilterStack:
+    """Local filters (N, 2, 2), checked trace-nonincreasing once, when built.
+
+    m holds a read-only copy of the matrices and abs_det |ad - bc| of each.
+    A matrix with a singular value above 1 + 1e-9 raises ValueError naming
+    the stack `name` ("m_a" or "m_b" in `propagate`'s messages). `propagate`
+    takes a stack as it is and wraps bare arrays itself, so a filter that
+    many calls share (a search's arm-A filter) is wrapped, and checked, once.
+    """
+
+    m: np.ndarray
+    name: InitVar[str]
+    abs_det: np.ndarray = field(init=False)
+
+    def __post_init__(self, name):
+        m = np.array(self.m, dtype=complex)
+        if m.ndim != 3 or m.shape[1:] != (2, 2):
+            raise ValueError(f"{name} must be filters (N, 2, 2), got shape {m.shape}")
+        sv = _max_singular_values(m)
+        if sv.size and sv.max() > 1 + 1e-9:
+            raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "abs_det", _abs_dets(m))
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of the matrices, which `np.shape` reads as a bare stack's."""
+        return self.m.shape
+
+
+def propagate(base, m_a, m_b) -> FilteredBatch:
     """Apply local filter stacks (m_a on qubit A, m_b on qubit B) and renormalize.
 
-    m_a and m_b are (N, 2, 2) stacks, either of which may be a single (1, 2, 2)
-    filter shared by every row; base holds one state (4, 4) or one per row
-    (N, 4, 4), as a `ChannelBatch` whose states are filtered (its rates are
-    not carried over) or as a bare array, wrapped as a rate-1 batch; other
-    shapes raise ValueError quoting all three. Calls given one batch share its
-    one Wootters call. Every filter must be trace-nonincreasing (singular
-    values <= 1), else ValueError. The live rows' normalized states pass one
+    m_a and m_b are (N, 2, 2) stacks, bare or as `FilterStack`s, either of
+    which may be a single (1, 2, 2) filter shared by every row; base holds
+    one state (4, 4) or one per row (N, 4, 4), as a `ChannelBatch` whose
+    states are filtered (its rates are not carried over) or as a bare array,
+    wrapped as a rate-1 batch; other shapes raise ValueError quoting all
+    three. Calls given one batch share its one Wootters call. Every filter
+    must be trace-nonincreasing (singular values <= 1), else ValueError: a
+    bare stack is checked here, when it is wrapped, and a `FilterStack` was
+    checked when it was built. The live rows' normalized states pass one
     stacked check_state; rows whose rate falls below EXTINCTION_RATE are
     flagged rather than raised, see ChannelBatch. Concurrences come from the
     local-filter identity, see FilteredBatch. For a PDL filter |ad - bc| is
@@ -260,33 +302,34 @@ def propagate(base, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:
     eps e^gamma: over 20 000 random axes at most 4e-14 at 5 Np, 4e-12 at
     10 Np and 1e-7 at 20 Np.
     """
-    m_a = np.asarray(m_a, dtype=complex)
-    m_b = np.asarray(m_b, dtype=complex)
     if not isinstance(base, ChannelBatch):
         base = np.asarray(base)
         base = ChannelBatch(base, np.ones(base.shape[:-2]))
     rho = base.rho
-    if not (m_a.shape[1:] == m_b.shape[1:] == (2, 2) and rho.ndim in (2, 3)
+    sa, sb = np.shape(m_a), np.shape(m_b)
+    if not (sa[1:] == sb[1:] == (2, 2) and rho.ndim in (2, 3)
             and rho.shape[-2:] == (4, 4)
-            and len({len(m_a), len(m_b), *rho.shape[:-2]} - {1}) <= 1):
+            and len({sa[0], sb[0], *rho.shape[:-2]} - {1}) <= 1):
         raise ValueError(f"propagate needs filters (N, 2, 2) and base states (4, 4) or "
-                         f"(N, 4, 4), each N 1 or one common length, got m_a {m_a.shape}, "
-                         f"m_b {m_b.shape}, base {rho.shape}")
-    for name, m in (("m_a", m_a), ("m_b", m_b)):
-        sv = _max_singular_values(m)
-        if sv.size and sv.max() > 1 + 1e-9:
-            raise ValueError(f"{name} is not trace-nonincreasing: max singular value {sv.max()}")
+                         f"(N, 4, 4), each N 1 or one common length, got m_a {sa}, "
+                         f"m_b {sb}, base {rho.shape}")
+    m_a, m_b = (m if isinstance(m, FilterStack) else FilterStack(m, name)
+                for name, m in (("m_a", m_a), ("m_b", m_b)))
     # Kronecker product of each row pair, laid out as np.kron lays out one pair
-    big = (m_a[:, :, None, :, None] * m_b[:, None, :, None, :]).reshape(-1, 4, 4)
-    filtered = big @ rho @ np.swapaxes(big.conj(), -1, -2)
-    rate = np.trace(filtered, axis1=-2, axis2=-1).real
+    big = (m_a.m[:, :, None, :, None] * m_b.m[:, None, :, None, :]).reshape(-1, 4, 4)
+    if rho.ndim == 2:  # one base state: one (4N, 4) @ (4, 4) product
+        left = (big.reshape(-1, 4) @ rho).reshape(-1, 4, 4)
+    else:
+        left = big @ rho
+    filtered = left @ np.swapaxes(big.conj(), -1, -2)
+    rate = traces(filtered).real
     live = ~(rate < EXTINCTION_RATE)
     if live.all():
         states = check_state(filtered / rate[:, None, None])
     else:
         states = np.zeros_like(filtered)
         states[live] = check_state(filtered[live] / rate[live, None, None])
-    return FilteredBatch(states, rate, base, _abs_dets(m_a) * _abs_dets(m_b))
+    return FilteredBatch(states, rate, base, m_a.abs_det * m_b.abs_det)
 
 
 def apply_local(rho: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> FilteredBatch:

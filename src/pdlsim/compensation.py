@@ -16,12 +16,13 @@ call are joined once, at the end, into a `Trace`: read-only arrays of the
 candidates' magnitudes, axes, objectives, rates and qubit-A entropies, whose
 row i is the `Trace` `trace[i]`. The base state is wrapped as one
 `ChannelBatch` that every kernel call shares, so an exact search makes one
-Wootters call, on its base. When the config holds a `Rig`, the kernel's batch
-is replaced by the one `measure(batch, rig, "cand", indices)` estimates from
-it, read the same way: each kernel call's live rows are measured in one call,
-row i at the trace index it is recorded at, so a row dropped after an
-improvement costs one measurement and the trace is the one a
-candidate-by-candidate loop gives.
+Wootters call, on its base, and the arm-A filter as one `FilterStack`, so it
+is checked trace-nonincreasing once. When the config holds a `Rig`, the
+kernel's batch is replaced by the one `measure(batch, rig, "cand", indices)`
+estimates from it, read the same way: each kernel call's live rows are
+measured in one call, row i at the trace index it is recorded at, so a row
+dropped after an improvement costs one measurement and the trace is the one
+a candidate-by-candidate loop gives.
 """
 
 import operator
@@ -32,6 +33,7 @@ import numpy as np
 
 from .channels import (
     ChannelBatch,
+    FilterStack,
     PdlElement,
     PmdElement,
     axis_from_polar,
@@ -147,14 +149,14 @@ def optimize_compensator(
     if pmd_a is not None:
         base = pmd_dephase(base, pmd_a)
     base = ChannelBatch(base, 1.0)  # shared by every kernel call: one Wootters call
-    m_a = pdl_operator(pdl_a)
+    m_a = FilterStack(pdl_operator(pdl_a)[None], "m_a")  # checked once, here
 
     kept = []  # per kernel call: the columns of its recorded rows, in trace order
     recorded = 0
 
     def evaluate(elements: PdlElement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Objectives, rates and S_A of a stack of elements in one kernel call, 0s if extinct."""
-        batch = propagate(base, m_a[None], pdl_operator(elements))
+        batch = propagate(base, m_a, pdl_operator(elements))
         # row i would be recorded at trace index recorded + i
         batch = measure(batch, cfg.rig, "cand", range(recorded, recorded + len(batch.rate)))
         return batch.concurrence, np.where(batch.extinct, 0.0, batch.rate), batch.entropy_a
@@ -226,12 +228,13 @@ def optimize_compensator(
         th, ph, g = np.array(points).T
         trials = PdlElement(g, axis_from_polar(th, ph))
         columns = evaluate(trials)
-        for i, obj in enumerate(columns[0].tolist()):
-            state = after(plan[i], max(best_c, obj))
-            if obj > best_c:
-                best_c, best_el, point = obj, trials[i], points[i]
-                break
-        record(trials, columns, i + 1)
+        # without an improvement, `state` is already the one after the plan
+        n, improved = len(plan), np.flatnonzero(columns[0] > best_c)
+        if improved.size:
+            i = int(improved[0])
+            best_c, best_el, point = float(columns[0][i]), trials[i], points[i]
+            state, n = after(plan[i], best_c), i + 1
+        record(trials, columns, n)
 
     trace = Trace(*(np.concatenate(column) for column in zip(*kept)))
     return SearchResult(best=best_el, best_concurrence=best_c, evaluations=trace)

@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .channels import CANONICAL_AXIS, ChannelBatch, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_state, symmetrize
+from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_state, symmetrize, traces
 
 MU_RANGE = (0.001, 0.1)
 
@@ -249,7 +249,7 @@ def reconstruct(counts, settings: Schedule) -> np.ndarray:
     x = settings.pinv @ counts[..., None]
     op = np.swapaxes(x, -1, -2) @ _HERM_BASIS.reshape(16, 16)
     op = op.reshape(counts.shape[:-1] + (4, 4))
-    trace = np.trace(op, axis1=-2, axis2=-1).real
+    trace = traces(op).real
     if (np.abs(trace) < 1e-12).any():
         raise ValueError("reconstructed operator has vanishing trace")
     return symmetrize(op / trace[..., None, None])
@@ -265,7 +265,7 @@ def project_physical(m: np.ndarray) -> np.ndarray:
     idempotent. Every trace must be 1 within TOL.
     """
     m = symmetrize(np.asarray(m, dtype=complex))
-    trace = np.trace(m, axis1=-2, axis2=-1).real
+    trace = traces(m).real
     dev = np.abs(trace - 1)
     if dev.size and dev.max() > TOL:
         raise ValueError(f"trace {trace.flat[dev.argmax()]} is not 1 within {TOL}")

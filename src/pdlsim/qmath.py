@@ -7,7 +7,8 @@ canonical copy rather than wrapping arrays in a class. The state functions
 (`check_state`, `concurrence`, `purity`, `reduced_qubit`, `linear_entropies`,
 `trace_distances`, `correlation_of`) take one state or a stack with any
 leading batch axes and apply the single-state arithmetic row by row, one
-state giving a 0-d result.
+state giving a 0-d result. Their traces come from `traces`, which adds the
+diagonals of a whole stack in np.trace's order.
 """
 
 from enum import Enum
@@ -71,6 +72,26 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
+def traces(m: np.ndarray) -> np.ndarray:
+    """Trace of one matrix (d, d) or of each matrix of a stack (..., d, d), d = 2 or 4.
+
+    The bits are np.trace's: where np.trace reduces each diagonal on its own,
+    this adds the diagonal entries across the whole stack in its order,
+    pairwise for complex entries and left to right for real ones, summed from
+    0, which fixes the sign of zero traces. NaN comes where np.trace gives
+    NaN, with an unspecified sign bit.
+    """
+    m = np.asarray(m)
+    if m.shape[-2:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"expected 2x2 or 4x4 matrices, got {m.shape}")
+    d = [m[..., k, k] for k in range(m.shape[-1])]
+    if len(d) == 2:
+        return 0 + (d[0] + d[1])
+    if np.iscomplexobj(m):
+        return 0 + ((d[0] + d[1]) + (d[2] + d[3]))
+    return 0 + d[0] + d[1] + d[2] + d[3]
+
+
 def check_state(m: np.ndarray) -> np.ndarray:
     """Validate density matrices (..., 4, 4) and return their symmetrized canonical copies.
 
@@ -85,7 +106,7 @@ def check_state(m: np.ndarray) -> np.ndarray:
     m = symmetrize(m)
     if m.size == 0:
         return m
-    tr = np.trace(m, axis1=-2, axis2=-1).real
+    tr = traces(m).real
     dev = np.abs(tr - 1.0)
     if dev.max() > TOL:
         raise ValueError(f"trace {tr.flat[dev.argmax()]} is not 1 within {TOL}")
@@ -138,7 +159,7 @@ def correlation_of(rho: np.ndarray) -> np.ndarray:
     Gives (..., 3); every entry must be real within TOL.
     """
     rho = np.asarray(rho)
-    t = np.stack([np.trace(rho @ ss, axis1=-2, axis2=-1) for ss in _CORRELATORS], axis=-1)
+    t = np.stack([traces(rho @ ss) for ss in _CORRELATORS], axis=-1)
     real = np.abs(t.imag) <= TOL  # False for NaN
     if not real.all():
         k = np.flatnonzero(~real)[0]  # the first bad entry, entries running t1, t2, t3
@@ -175,14 +196,17 @@ def concurrence(rho: np.ndarray) -> np.ndarray:
 
 
 def purity(rho: np.ndarray) -> np.ndarray:
-    """Tr(rho^2), in [1/d, 1], of one state (d, d) or of each state of a stack (..., d, d)."""
+    """Tr(rho^2), in [1/d, 1], of one state (d, d) or of each state of a stack (..., d, d).
+
+    d is 2 (one qubit) or 4 (a pair).
+    """
     rho = np.asarray(rho)
-    return np.trace(rho @ rho, axis1=-2, axis2=-1).real[()]
+    return traces(rho @ rho).real[()]
 
 
 def linear_entropies(q: np.ndarray) -> np.ndarray:
     """Normalized linear entropy 2(1 - Tr q^2) of each single-qubit state of a stack (..., 2, 2)."""
-    return 2.0 * (1.0 - np.trace(q @ q, axis1=-2, axis2=-1).real)
+    return 2.0 * (1.0 - traces(q @ q).real)
 
 
 def reduced_qubit(rho: np.ndarray, which: str) -> np.ndarray:

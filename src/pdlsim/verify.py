@@ -52,6 +52,7 @@ from .qmath import (
     concurrence,
     correlation_of,
     trace_distances,
+    traces,
 )
 
 DEFAULT_SEED = 20260822
@@ -233,7 +234,7 @@ def tomography_roundtrip(rng, cases=40):
     det = DetectorModel(dark_prob=0.0)
     g = rng.normal(size=(cases - 1, 4, 4)) + 1j * rng.normal(size=(cases - 1, 4, 4))
     m = g @ np.swapaxes(g.conj(), -1, -2)
-    rhos = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    rhos = m / traces(m).real[:, None, None]
     batch = propagate(rhos, SIGMA0[None], SIGMA0[None]).require_live()
     first = source_state(src)
     states = ChannelBatch(np.concatenate([first.rho[None], batch.rho]),

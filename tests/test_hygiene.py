@@ -156,6 +156,34 @@ def test_cli_states_no_closed_form():
     assert closed_form_calls((SRC / "cli.py").read_text()) == []
 
 
+def stacked_traces(source: str) -> list[str]:
+    """Calls to `np.trace` (or `numpy.trace`) given an offset or axes: stacked traces."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+                and node.func.attr == "trace"
+                and (len(node.args) > 1 or any(k.arg != "out" for k in node.keywords))):
+            found.append(node.lineno)
+    return [f"np.trace (line {line})" for line in sorted(found)]
+
+
+def test_detector_flags_a_stacked_trace():
+    source = (
+        "t = np.trace(m, axis1=-2, axis2=-1).real\n"
+        "u = numpy.trace(m, 0, -2, -1)\n"
+        "v = np.trace(m) + m.trace(axis1=1, axis2=2) + traces(m)\n"
+        "w = [np.trace(rho @ s, axis2=-1, axis1=-2) for s in PAULI]\n"
+    )
+    assert stacked_traces(source) == ["np.trace (line 1)", "np.trace (line 2)", "np.trace (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_stacked_traces_go_through_qmath_traces(path):
+    """`qmath.traces` adds the diagonals of a whole stack at once, in np.trace's order."""
+    assert stacked_traces(path.read_text()) == []
+
+
 # the two-arm laws, the two residuals and the designed arm-B magnitude: no
 # other theory.py function restates them
 THEORY_LAWS = ("_scaled_rate", "predicted_concurrence", "magnitude_residual",

@@ -24,6 +24,7 @@ from pdlsim.channels import (
     CANONICAL_AXIS,
     ChannelBatch,
     ExtinctionError,
+    FilterStack,
     PdlElement,
     PmdElement,
     apply_local,
@@ -199,6 +200,27 @@ def test_gamma_and_axis_broadcast():
         PdlElement(np.zeros(4), axes)
 
 
+def test_elements_are_stored_read_only_whether_or_not_they_broadcast():
+    axes = fibonacci_sphere(6)
+    gammas = np.linspace(0.1, 0.6, 6)
+    stacks = [PdlElement(gammas, axes), PdlElement(0.5, axes), PdlElement(gammas, CANONICAL_AXIS),
+              PdlElement(np.array([[0.1], [0.2]]), axes)]
+    for stack in stacks:
+        assert not stack.gamma.flags.writeable and not stack.axis.flags.writeable
+        first = (0,) * stack.gamma.ndim
+        row = stack[first]
+        assert same_bits(row.gamma, stack.gamma[first]) and same_bits(row.axis, stack.axis[first])
+    # shapes that agree are stored as checked, and the caller's array stays writeable
+    stack = PdlElement(gammas, axes)
+    assert gammas.flags.writeable and not np.shares_memory(stack.gamma, gammas)
+    for i in range(6):
+        assert same_bits(stack[i].gamma, stack.gamma[i]) and stack[i].gamma == gammas[i]
+        assert np.shares_memory(stack[i].axis, stack.axis)
+        assert same_bits(stack[i].axis, PdlElement(gammas[i], axes[i]).axis)
+    one = PdlElement(0.5, CANONICAL_AXIS)
+    assert type(one.gamma) is np.float64 and not one.axis.flags.writeable
+
+
 def loop_concat(first, second):
     """Cascade aggregate of one pair: filter product, SVD, Stokes image of vh[0]."""
     _, sv, vh = np.linalg.svd(pdl_operator(second) @ pdl_operator(first))
@@ -235,23 +257,30 @@ def test_concat_stack_matches_loop_and_one_row_case():
 
 @pytest.mark.parametrize("shared_base", [True, False])
 def test_batch_matches_loop_and_one_row_calls(shared_base):
+    # a shared base goes through one (4N, 4) @ (4, 4) product, so no row's
+    # bits may depend on the stack size N
     rng = np.random.default_rng(103 + shared_base)
-    n = 90
+    n = 896
     states = random_states(rng, n)
     els_a, els_b = random_elements(rng, n), random_elements(rng, n)
     m_a, m_b = pdl_operator(els_a), pdl_operator(els_b)
     bases = [states[0]] * n if shared_base else states
-    batch = propagate(states[0] if shared_base else np.array(states), m_a, m_b)
-    assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
-    wootters = concurrence(batch.rho)
+    rows = []
     for i in range(n):
         rho, rate, c, identity, s_a = loop_channel(bases[i], loop_filter(els_a[i]),
                                                    loop_filter(els_b[i]))
-        assert_rows_match(batch, wootters, i, rho, rate, c, identity, s_a)
+        rows.append((rho, rate, c, identity, s_a))
         one = apply_local(bases[i], pdl_operator(els_a[i]), pdl_operator(els_b[i]))
         assert same_bits(one.rho, rho) and same_bits(one.rate, rate)
         assert same_bits(concurrence(one.rho), c) and same_bits(one.concurrence, identity)
         assert same_bits(one.entropy_a, s_a)
+    for size in [*range(1, 18), 90, n]:
+        batch = propagate(states[0] if shared_base else np.array(states[:size]),
+                          m_a[:size], m_b[:size])
+        assert isinstance(batch, ChannelBatch) and not batch.extinct.any()
+        wootters = concurrence(batch.rho)
+        for i in range(size):
+            assert_rows_match(batch, wootters, i, *rows[i])
 
 
 def test_single_filter_broadcasts_over_the_stack():
@@ -407,6 +436,43 @@ def test_amplifying_filter_anywhere_in_a_stack_raises(row):
         propagate(rho, stack, SIGMA0[None])
     with pytest.raises(ValueError, match="m_b is not trace-nonincreasing"):
         propagate(rho, SIGMA0[None], stack)
+
+
+def test_filter_stack_is_checked_once_when_built(monkeypatch):
+    rng = np.random.default_rng(139)
+    m = pdl_operator(random_elements(rng, 7))
+    stack = FilterStack(m, "m_a")
+    assert not stack.m.flags.writeable and not np.shares_memory(stack.m, m) and m.flags.writeable
+    assert same_bits(stack.m, m) and same_bits(stack.abs_det, channels._abs_dets(m))
+    m[3] = m[3] * 1.01
+    with pytest.raises(ValueError, match="^m_a is not trace-nonincreasing"):
+        FilterStack(m, "m_a")
+    for shape in [(2, 2), (1, 3, 2, 2), (4, 3, 3)]:
+        with pytest.raises(ValueError, match=re.escape(f"m_b must be filters (N, 2, 2), got "
+                                                       f"shape {shape}")):
+            FilterStack(np.zeros(shape), "m_b")
+    # propagate checks a bare stack and takes a built one as it is
+    checked = []
+    monkeypatch.setattr(channels, "_max_singular_values",
+                        lambda m: checked.append(len(m)) or np.zeros(len(m)))
+    propagate(bell_state(BellKind.PHI_PLUS), stack, SIGMA0[None])
+    assert checked == [1]
+    propagate(bell_state(BellKind.PHI_PLUS), stack, FilterStack(SIGMA0[None], "m_b"))
+    assert checked == [1, 1]
+
+
+def test_wrapped_stacks_give_the_bare_stacks_bits():
+    rng = np.random.default_rng(149)
+    m_a, m_b = pdl_operator(random_elements(rng, 50)), pdl_operator(random_elements(rng, 50))
+    one = pdl_operator(PdlElement(0.7, random_axis(rng)))[None]
+    for base in (random_states(rng, 1)[0], np.array(random_states(rng, 50))):
+        for a, b in [(m_a, m_b), (one, m_b), (m_a, one)]:
+            bare = propagate(base, a, b)
+            a_wrapped, b_wrapped = FilterStack(a, "m_a"), FilterStack(b, "m_b")
+            for wrapped in [(a_wrapped, b), (a, b_wrapped), (a_wrapped, b_wrapped)]:
+                got = propagate(base, *wrapped)
+                for name in ("rho", "rate", "det_ab", "concurrence", "entropy_a"):
+                    assert same_bits(getattr(got, name), getattr(bare, name))
 
 
 @pytest.mark.parametrize("m_a, m_b, base", [
@@ -610,6 +676,27 @@ def test_default_search_makes_fewer_kernel_calls(monkeypatch):
     optimize_compensator(agg, base, SearchConfig())
     # 51 calls when each refine batch held the rest of one sweep
     assert len(calls) < 51
+
+
+def test_search_checks_its_arm_a_filter_once(monkeypatch):
+    calls, checked = [], []
+    max_singular_values = channels._max_singular_values
+
+    def counting_propagate(rho, m_a, m_b):
+        calls.append(len(m_b))
+        return propagate(rho, m_a, m_b)
+
+    def counting_check(m):
+        checked.append(m.copy())
+        return max_singular_values(m)
+
+    monkeypatch.setattr(compensation, "propagate", counting_propagate)
+    monkeypatch.setattr(channels, "_max_singular_values", counting_check)
+    agg, base, _, _ = search_case("pdl")
+    optimize_compensator(agg, base, SearchConfig())
+    # each arm-B stack once, and the arm-A filter once, not once per kernel call
+    assert len(calls) > 1 and len(checked) == len(calls) + 1
+    assert sum(same_bits(m, pdl_operator(agg)[None]) for m in checked) == 1
 
 
 @pytest.mark.parametrize("kind", ["default", "pdl", "pmd", "zero-pdl", "grid"])

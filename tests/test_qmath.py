@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from pdlsim.qmath import (
     reduced_qubit,
     symmetrize,
     trace_distances,
+    traces,
 )
 
 BELL_CORRELATIONS = {
@@ -194,6 +196,47 @@ def test_reduced_qubit():
     r = stack.reshape(2, 12, 2, 2, 2, 2)
     for which, axes in (("A", (-3, -1)), ("B", (-4, -2))):
         assert reduced_qubit(stack, which).tobytes() == np.trace(r, 0, *axes).tobytes()
+
+
+# signed zeros, infinities, NaN, subnormals and magnitudes whose sums overflow
+EDGE_ENTRIES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, 1e308, -1e308,
+                1.0, -0.5]
+
+
+def nan_blind_bits(t):
+    """dtype, shape and bytes of a trace or a stack of them, every NaN made np.nan.
+
+    np.trace leaves the sign bit of a NaN sum unspecified; every other bit counts.
+    """
+    t = np.asarray(t)
+    parts = np.array(t).reshape(-1).view(float)  # real, or real and imaginary parts interleaved
+    parts[np.isnan(parts)] = np.nan
+    return t.dtype, t.shape, parts.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_traces_match_np_trace_bit_for_bit(d):
+    rng = np.random.default_rng(190 + d)
+    diagonals = np.array(list(itertools.product(EDGE_ENTRIES, repeat=d)))  # 20 736 at d = 4
+    # random magnitudes from 1e-20 to 1e20, where the order of the sums shows
+    spread = rng.normal(size=(2000, d)) * 10.0 ** rng.integers(-20, 21, size=(2000, d))
+    idx = np.arange(d)
+    for diag in (diagonals, spread):
+        for dtype in (float, complex):
+            m = rng.normal(size=(len(diag), d, d)).astype(dtype)  # off the diagonal: ignored
+            m[:, idx, idx] = diag
+            if dtype is complex:
+                m.imag[:, idx, idx] = diag[rng.permutation(len(diag))]
+            stacks = [m, m[0], m[:0], m[:1], m[:6].reshape(2, 3, d, d),
+                      m[:5].reshape(5, 1, d, d)]
+            with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308
+                for s in stacks:
+                    assert nan_blind_bits(traces(s)) == nan_blind_bits(
+                        np.trace(s, axis1=-2, axis2=-1))
+                for one in m[::23]:
+                    assert nan_blind_bits(traces(one)) == nan_blind_bits(np.trace(one))
+    with pytest.raises(ValueError, match=re.escape("expected 2x2 or 4x4 matrices, got (3, 3)")):
+        traces(np.eye(3))
 
 
 def test_reduced_qubit_product_state():
