@@ -16,11 +16,11 @@ linear entropies. Exact rows (from `propagate`) and measured rows (from
 `instrument.measure`) are read through it alike.
 `propagate` is the one state-through-channel kernel: it sends a base state
 through stacks of local filters, one row per candidate channel, and
-renormalizes each row. A filter stack is checked trace-nonincreasing once,
-when it is wrapped as a `FilterStack`: `propagate` wraps bare arrays itself,
-and a caller that shares one filter over many calls wraps it once. The
-base is a `ChannelBatch` or a bare state (or stack of states), which it
-wraps as a rate-1 batch. Its result, a
+renormalizes each row. A filter stack is checked, its (N, 2, 2) shape and
+that it is trace-nonincreasing, once, when it is wrapped as a `FilterStack`:
+`propagate` wraps bare arrays itself, and a caller that shares one filter
+over many calls wraps it once. The base is a `ChannelBatch` or a bare state
+(or stack of states), which it wraps as a rate-1 batch. Its result, a
 `FilteredBatch`, keeps that base batch and takes each row's concurrence from
 the local-filter identity C((A x B) rho (A x B)^dag / p) = |det A| |det B|
 C(rho) / p, reading the base batch's cached concurrence: one Wootters call on
@@ -150,7 +150,7 @@ class PdlElement:
 
 @dataclass(frozen=True, eq=False)
 class PmdElement:
-    """First-order PMD dephasing: phase-flip weight q about a unit Stokes axis."""
+    """First-order PMD dephasing: phase-flip weight q in [0, 0.5] about a unit Stokes axis."""
 
     q: float
     axis: np.ndarray = field(default_factory=lambda: CANONICAL_AXIS.copy())
@@ -158,8 +158,8 @@ class PmdElement:
     def __post_init__(self):
         if np.ndim(self.q) != 0:
             raise ValueError(f"dephasing weight q must be one number, got shape {np.shape(self.q)}")
-        if not 0.0 <= self.q <= 0.5:
-            raise ValueError(f"dephasing weight q must be in [0, 0.5], got {self.q}")
+        q = _checked(self.q, 0.0, 0.5, "dephasing weight q must be in [0, 0.5]")
+        object.__setattr__(self, "q", float(q))
         object.__setattr__(self, "axis", unit_axis(self.axis))
 
 
@@ -253,13 +253,14 @@ def _abs_dets(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FilterStack:
-    """Local filters (N, 2, 2), checked trace-nonincreasing once, when built.
+    """Local filters (N, 2, 2), checked once, when built: the one check of a filter stack.
 
     m holds a read-only copy of the matrices and abs_det |ad - bc| of each.
-    A matrix with a singular value above 1 + 1e-9 raises ValueError naming
-    the stack `name` ("m_a" or "m_b" in `propagate`'s messages). `propagate`
-    takes a stack as it is and wraps bare arrays itself, so a filter that
-    many calls share (a search's arm-A filter) is wrapped, and checked, once.
+    A shape other than (N, 2, 2), or a matrix with a singular value above
+    1 + 1e-9 (not trace-nonincreasing), raises ValueError naming the stack
+    `name` ("m_a" or "m_b" in `propagate`'s messages). `propagate` takes a
+    stack as it is and wraps bare arrays itself, so a filter that many calls
+    share (a search's arm-A filter) is wrapped, and checked, once.
     """
 
     m: np.ndarray
@@ -277,11 +278,6 @@ class FilterStack:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "abs_det", _abs_dets(m))
 
-    @property
-    def shape(self) -> tuple:
-        """Shape of the matrices, which `np.shape` reads as a bare stack's."""
-        return self.m.shape
-
 
 def propagate(base, m_a, m_b) -> FilteredBatch:
     """Apply local filter stacks (m_a on qubit A, m_b on qubit B) and renormalize.
@@ -290,31 +286,29 @@ def propagate(base, m_a, m_b) -> FilteredBatch:
     which may be a single (1, 2, 2) filter shared by every row; base holds
     one state (4, 4) or one per row (N, 4, 4), as a `ChannelBatch` whose
     states are filtered (its rates are not carried over) or as a bare array,
-    wrapped as a rate-1 batch; other shapes raise ValueError quoting all
-    three. Calls given one batch share its one Wootters call. Every filter
-    must be trace-nonincreasing (singular values <= 1), else ValueError: a
-    bare stack is checked here, when it is wrapped, and a `FilterStack` was
-    checked when it was built. The live rows' normalized states pass one
-    stacked check_state; rows whose rate falls below EXTINCTION_RATE are
-    flagged rather than raised, see ChannelBatch. Concurrences come from the
-    local-filter identity, see FilteredBatch. For a PDL filter |ad - bc| is
-    e^-gamma after cancelling terms near 1, so its relative error grows as
-    eps e^gamma: over 20 000 random axes at most 4e-14 at 5 Np, 4e-12 at
-    10 Np and 1e-7 at 20 Np.
+    wrapped as a rate-1 batch. Calls given one batch share its one Wootters
+    call. `FilterStack` checks each stack's shape and that its filters are
+    trace-nonincreasing (singular values <= 1), here when it wraps a bare
+    array; this function then checks the base's shape and the common length
+    N, else ValueError quoting all three shapes. The live rows' normalized
+    states pass one stacked check_state; rows whose rate falls below
+    EXTINCTION_RATE are flagged rather than raised, see ChannelBatch.
+    Concurrences come from the local-filter identity, see FilteredBatch. For
+    a PDL filter |ad - bc| is e^-gamma after cancelling terms near 1, so its
+    relative error grows as eps e^gamma: over 20 000 random axes at most
+    4e-14 at 5 Np, 4e-12 at 10 Np and 1e-7 at 20 Np.
     """
     if not isinstance(base, ChannelBatch):
         base = np.asarray(base)
         base = ChannelBatch(base, np.ones(base.shape[:-2]))
-    rho = base.rho
-    sa, sb = np.shape(m_a), np.shape(m_b)
-    if not (sa[1:] == sb[1:] == (2, 2) and rho.ndim in (2, 3)
-            and rho.shape[-2:] == (4, 4)
-            and len({sa[0], sb[0], *rho.shape[:-2]} - {1}) <= 1):
-        raise ValueError(f"propagate needs filters (N, 2, 2) and base states (4, 4) or "
-                         f"(N, 4, 4), each N 1 or one common length, got m_a {sa}, "
-                         f"m_b {sb}, base {rho.shape}")
     m_a, m_b = (m if isinstance(m, FilterStack) else FilterStack(m, name)
                 for name, m in (("m_a", m_a), ("m_b", m_b)))
+    rho = base.rho
+    if not (rho.ndim in (2, 3) and rho.shape[-2:] == (4, 4)
+            and len({len(m_a.m), len(m_b.m), *rho.shape[:-2]} - {1}) <= 1):
+        raise ValueError(f"propagate needs base states (4, 4) or (N, 4, 4) and filters "
+                         f"(N, 2, 2), each N 1 or one common length, got m_a {m_a.m.shape}, "
+                         f"m_b {m_b.m.shape}, base {rho.shape}")
     # Kronecker product of each row pair, laid out as np.kron lays out one pair
     big = (m_a.m[:, :, None, :, None] * m_b.m[:, None, :, None, :]).reshape(-1, 4, 4)
     if rho.ndim == 2:  # one base state: one (4N, 4) @ (4, 4) product

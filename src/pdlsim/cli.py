@@ -22,7 +22,6 @@ import numpy as np
 
 from . import theory, verify as verify_mod
 from .channels import (
-    CANONICAL_AXIS,
     ExtinctionError,
     PdlElement,
     PmdElement,
@@ -63,11 +62,9 @@ class RunConfig:
     noisy: bool = False
 
     def __post_init__(self):
-        if self.pulses < 1:
-            raise ValueError(f"tomo.pulses must be >= 1, got {self.pulses}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"run.seed must fit in 64 bits, got {self.seed}")
-        self.rig()  # the source and detector ranges, checked by their constructors
+        self.rig()  # the source and detector ranges and the pulse count, checked by Rig
 
     def rig(self) -> Rig:
         """The tomography bench these knobs describe, for noisy runs and the source model."""
@@ -182,7 +179,7 @@ def _chain_state(pmd_q: float):
     """Ideal-chain input and its baseline concurrence for the protocol commands."""
     rho = bell_state(BellKind.PHI_PLUS)
     if pmd_q != 0:  # PmdElement rejects a weight outside [0, 0.5]
-        rho = pmd_dephase(rho, PmdElement(pmd_q, CANONICAL_AXIS.copy()))
+        rho = pmd_dephase(rho, PmdElement(pmd_q))
     return rho, concurrence(rho)
 
 
@@ -303,7 +300,7 @@ def _orientation_rows(cfg, args, command_id):
     base, chain_c = _chain_state(args.pmd_q)
     t = correlation_of(base)
     g = gamma_from_db(args.pdl_db)
-    el_a = PdlElement(g, CANONICAL_AXIS.copy())
+    el_a = PdlElement(g)
     u = design_compensator(el_a, t).element.axis  # kappa = -1; -u gives kappa = +1
     axes = np.vstack([fibonacci_sphere(args.orientations), u, -u])
     kappas = kappa(t, el_a.axis, axes)

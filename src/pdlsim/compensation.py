@@ -25,7 +25,6 @@ dropped after an improvement costs one measurement and the trace is the one
 a candidate-by-candidate loop gives.
 """
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -36,31 +35,26 @@ from .channels import (
     FilterStack,
     PdlElement,
     PmdElement,
+    _check_gamma,
     axis_from_polar,
     pdl_operator,
     pmd_dephase,
     propagate,
 )
-from .instrument import Rig, measure
+from .instrument import Rig, _check_count, measure
 from .qmath import check_state
 
 REFINE_TOL = 1e-6  # a refine sweep gaining less than this halves the steps
 REFINE_LOOKAHEAD = 2  # sweeps a refine batch plans past the current one
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """ValueError unless value is an integer >= least: ints and numpy ints, never floats."""
-    try:
-        ok = operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid density, refinement control, and the rig that measures a noisy objective."""
+    """Grid density, refinement control, and the rig that measures a noisy objective.
+
+    The counts go through `instrument._check_count`, and gamma_grid, a nonempty
+    1-D list stored as a tuple of floats, through `channels._check_gamma`.
+    """
 
     sphere_points: int = 128
     gamma_grid: tuple[float, ...] | None = None
@@ -71,11 +65,11 @@ class SearchConfig:
         for name, least in (("sphere_points", 32), ("refine_iters", 0)):
             _check_count(name, getattr(self, name), least)
         if self.gamma_grid is not None:
-            grid = tuple(float(g) for g in self.gamma_grid)
-            if len(grid) == 0 or not all(np.isfinite(g) and g >= 0 for g in grid):
-                raise ValueError(f"gamma_grid must be nonempty with every gamma finite "
-                                 f"and >= 0, got {grid}")
-            object.__setattr__(self, "gamma_grid", grid)
+            grid = _check_gamma(self.gamma_grid, "gamma_grid")
+            if grid.ndim != 1 or grid.size == 0:
+                raise ValueError(f"gamma_grid must be a nonempty list of magnitudes, "
+                                 f"got shape {grid.shape}")
+            object.__setattr__(self, "gamma_grid", tuple(grid.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

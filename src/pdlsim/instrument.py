@@ -31,10 +31,21 @@ from itertools import product
 
 import numpy as np
 
-from .channels import CANONICAL_AXIS, ChannelBatch, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, PAULI, TOL, bell_diagonal, check_state, symmetrize, traces
+from .channels import ChannelBatch, PdlElement, apply_local, pdl_operator
+from .qmath import SIGMA0, _PAULI_PRODUCTS, _check_unit_traces, bell_diagonal, check_state
+from .qmath import symmetrize, traces
 
 MU_RANGE = (0.001, 0.1)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer >= least: ints and numpy ints, no floats or bools."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -100,7 +111,7 @@ def calibrate_source(
         )
     return SourceModel(
         werner_v=float(v),
-        source_pdl=PdlElement(float(gamma_s), CANONICAL_AXIS.copy()),
+        source_pdl=PdlElement(float(gamma_s)),
         mu=mu,
     )
 
@@ -124,12 +135,6 @@ ANALYZERS = {
 }
 for _vec in ANALYZERS.values():
     _vec.setflags(write=False)
-
-_HERM_BASIS = np.array(
-    [np.kron(si, sj) for si in (SIGMA0, *PAULI) for sj in (SIGMA0, *PAULI)]
-)
-_HERM_BASIS.setflags(write=False)
-
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -155,7 +160,7 @@ class Schedule:
 
 def _schedule(labels: list[str]) -> Schedule:
     kets = np.array([np.kron(ANALYZERS[a], ANALYZERS[b]) for a, b in labels])
-    model = np.einsum("ki,mij,kj->km", kets.conj(), _HERM_BASIS, kets).real
+    model = np.einsum("ki,mij,kj->km", kets.conj(), _PAULI_PRODUCTS, kets).real
     # "HVDARL" lists the analyzers as three orthogonal pairs, one per basis
     groups = np.array([3 * ("HVDARL".index(a) // 2) + "HVDARL".index(b) // 2
                        for a, b in labels])
@@ -247,7 +252,7 @@ def reconstruct(counts, settings: Schedule) -> np.ndarray:
     counts = counts / np.where(normalize, group_tot[..., groups], 1.0)
     # stacked matrix-vector products keep each row's bits independent of the stack
     x = settings.pinv @ counts[..., None]
-    op = np.swapaxes(x, -1, -2) @ _HERM_BASIS.reshape(16, 16)
+    op = np.swapaxes(x, -1, -2) @ _PAULI_PRODUCTS.reshape(16, 16)
     op = op.reshape(counts.shape[:-1] + (4, 4))
     trace = traces(op).real
     if (np.abs(trace) < 1e-12).any():
@@ -262,13 +267,10 @@ def project_physical(m: np.ndarray) -> np.ndarray:
     repeatedly zero the most negative eigenvalue and spread its deficit
     uniformly over the remaining nonzero eigenvalues until all are
     nonnegative. Physical inputs pass through unchanged; the operation is
-    idempotent. Every trace must be 1 within TOL.
+    idempotent. Every trace must be 1 within TOL, checked as `check_state` checks it.
     """
     m = symmetrize(np.asarray(m, dtype=complex))
-    trace = traces(m).real
-    dev = np.abs(trace - 1)
-    if dev.size and dev.max() > TOL:
-        raise ValueError(f"trace {trace.flat[dev.argmax()]} is not 1 within {TOL}")
+    _check_unit_traces(m)
     vals, vecs = np.linalg.eigh(m)
     bad = vals.min(axis=-1) < 0
     if not bad.any():
@@ -291,7 +293,10 @@ def project_physical(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rig:
-    """A tomography bench: calibrated source, detectors, pulses per setting, master seed."""
+    """A tomography bench: calibrated source, detectors, pulses per setting, master seed.
+
+    `_check_count`, the package's one count check, takes pulses >= 1 and seed >= 0.
+    """
 
     source: SourceModel
     detector: DetectorModel
@@ -299,14 +304,8 @@ class Rig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("pulses", "seed"):
-            try:
-                operator.index(getattr(self, name))  # ints and numpy ints, never floats
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}") from None
-        if self.pulses < 1:
-            raise ValueError(f"pulses must be >= 1, got {self.pulses}")
+        _check_count("pulses", self.pulses, 1)
+        _check_count("seed", self.seed, 0)
 
 
 def measure(batch: ChannelBatch, rig: Rig | None, label: str, indices) -> ChannelBatch:

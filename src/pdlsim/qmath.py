@@ -26,10 +26,11 @@ for _m in (SIGMA0, SIGMA1, SIGMA2, SIGMA3):
 TOL = 1e-9  # slack on unit traces and norms, eigenvalue signs and imaginary parts
 EIG_CLAMP = 1e-12  # eigenvalue magnitudes below this read as exact zeros
 
+# sigma_i x sigma_j for i, j = 0..3, row-major: the two-qubit Pauli product basis
+_PAULI_PRODUCTS = np.array([np.kron(si, sj) for si in (SIGMA0, *PAULI) for sj in (SIGMA0, *PAULI)])
+_PAULI_PRODUCTS.setflags(write=False)
 # sigma_j x sigma_j for j = 1, 2, 3: the Bell-diagonal correlators
-_CORRELATORS = tuple(np.kron(s, s) for s in PAULI)
-for _m in _CORRELATORS:
-    _m.setflags(write=False)
+_CORRELATORS = tuple(_PAULI_PRODUCTS[5::5])
 _YY = _CORRELATORS[1]
 
 
@@ -92,11 +93,19 @@ def traces(m: np.ndarray) -> np.ndarray:
     return 0 + d[0] + d[1] + d[2] + d[3]
 
 
+def _check_unit_traces(m: np.ndarray) -> None:
+    """ValueError quoting the worst trace of a stack (..., d, d) off 1 by more than TOL."""
+    tr = traces(m).real
+    dev = np.abs(tr - 1.0)
+    if dev.size and dev.max() > TOL:
+        raise ValueError(f"trace {tr.flat[dev.argmax()]} is not 1 within {TOL}")
+
+
 def check_state(m: np.ndarray) -> np.ndarray:
     """Validate density matrices (..., 4, 4) and return their symmetrized canonical copies.
 
-    Requires finite entries, unit trace within TOL, and eigenvalues >= -TOL.
-    Raises on any bad row, quoting the worst trace or eigenvalue in the stack.
+    Requires finite entries, unit trace within TOL (`_check_unit_traces`), and
+    eigenvalues >= -TOL. Raises on any bad row, quoting the worst trace or eigenvalue.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
@@ -104,12 +113,7 @@ def check_state(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
     m = symmetrize(m)
-    if m.size == 0:
-        return m
-    tr = traces(m).real
-    dev = np.abs(tr - 1.0)
-    if dev.max() > TOL:
-        raise ValueError(f"trace {tr.flat[dev.argmax()]} is not 1 within {TOL}")
+    _check_unit_traces(m)
     # A Cholesky factor of m + s I certifies every eigenvalue of m above
     # -s - 16 eps (its backward error at unit trace), and s = TOL - 1e-12 puts
     # that above -TOL. A stack it does not certify is judged by its
@@ -139,14 +143,24 @@ def bell_weights(t) -> np.ndarray:
     )
 
 
+def _physical_weights(t) -> np.ndarray:
+    """Bell weights of the triple t, else ValueError: t has 3 components, each weight >= -TOL."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3,):
+        raise ValueError(f"correlation triple must have 3 components, got shape {t.shape}")
+    w = bell_weights(t)
+    if not w.min() >= -TOL:  # NaN fails it
+        raise ValueError(f"unphysical correlation triple {tuple(t.tolist())}: weight {w.min()}")
+    return w
+
+
 def bell_diagonal(t) -> np.ndarray:
     """Bell-diagonal density matrix (1/4)(I + sum_j t_j sigma_j x sigma_j).
 
-    The triple t must give nonnegative Bell weights within TOL.
+    t must have 3 components and nonnegative Bell weights within TOL, as
+    `_physical_weights` checks for this and `theory.design_compensator`.
     """
-    w = bell_weights(t)
-    if not w.min() >= -TOL:  # NaN fails it
-        raise ValueError(f"unphysical correlation triple {tuple(t)}: weight {w.min()}")
+    _physical_weights(t)
     rho = np.eye(4, dtype=complex)
     for tj, ss in zip(t, _CORRELATORS):
         rho = rho + float(tj) * ss
@@ -206,7 +220,7 @@ def purity(rho: np.ndarray) -> np.ndarray:
 
 def linear_entropies(q: np.ndarray) -> np.ndarray:
     """Normalized linear entropy 2(1 - Tr q^2) of each single-qubit state of a stack (..., 2, 2)."""
-    return 2.0 * (1.0 - traces(q @ q).real)
+    return 2.0 * (1.0 - purity(q))
 
 
 def reduced_qubit(rho: np.ndarray, which: str) -> np.ndarray:

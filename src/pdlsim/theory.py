@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PdlElement, _check_gamma, _checked, unit_axis
-from .qmath import TOL, bell_weights
+from .qmath import TOL, _physical_weights
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -34,10 +34,7 @@ def kappa(t, axis_a, axis_b) -> np.ndarray:
     """Alignment factor sum_j a_j b_j t_j, in [-1, 1], of triples and axes (..., 3)."""
     a = unit_axis(axis_a)
     b = unit_axis(axis_b)
-    t = np.asarray(t, dtype=float)
-    bounded = (np.abs(t) <= 1 + TOL).all(axis=-1)  # False for NaN
-    if not bounded.all():
-        raise ValueError(f"correlation components must lie in [-1, 1], got {t[~bounded][0]}")
+    t = _checked(t, -1 - TOL, 1 + TOL, "correlation components must lie in [-1, 1]")
     return np.clip(np.sum(a * b * t, axis=-1), -1.0, 1.0)[()]
 
 
@@ -159,13 +156,13 @@ def design_compensator(element_a: PdlElement, t) -> CompensatorPlan:
     C' = c0 / (cosh gamma_a sqrt(1 - m^2 tanh^2 gamma_a)). m = 1 (Bell states,
     or an axis on a unit-correlation direction) restores c0 completely. The
     plan's C' and rate are `predicted_concurrence` and `predicted_rate` at the
-    designed element, so C' lies in [0, c0] by construction. Every arm-A
-    element needs m > 0, else ValueError.
+    designed element, so C' lies in [0, c0] by construction. t must have 3
+    components and give nonnegative Bell weights within TOL, as
+    `qmath.bell_diagonal` requires; every arm-A element needs m > 0. Either
+    fault raises ValueError.
     """
     t = np.asarray(t, dtype=float)
-    w = bell_weights(t)
-    if not w.min() >= -TOL:  # NaN fails it
-        raise ValueError(f"unphysical correlation triple {tuple(t)}")
+    w = _physical_weights(t)
     c0 = max(0.0, 2 * w.max() - 1)
     ta = t * element_a.axis
     # row-wise |T a| by matmul, bit-equal to np.linalg.norm of each row

@@ -141,6 +141,12 @@ def test_pmd_element_validation():
     with pytest.raises(ValueError, match=re.escape("q must be one number, got shape (2,)")):
         PmdElement(np.array([0.1, 0.2]))
     assert PmdElement(np.float64(0.155)).q == 0.155
+    assert type(PmdElement(np.float64(0.155)).q) is float and type(PmdElement(0).q) is float
+    # a missing weight is refused naming it, not with a TypeError from <=
+    with pytest.raises(ValueError, match=re.escape("weight q must be in [0, 0.5], got nan")):
+        PmdElement(None)
+    with pytest.raises(ValueError, match=re.escape("q must be in [0, 0.5], got 0.51")):
+        PmdElement(0.51)
 
 
 def test_pmd_dephase_limits():

@@ -120,7 +120,8 @@ def test_range_errors_are_usage_errors(tmp_path, argv, flag, capsys):
 
 def test_config_range_errors_quote_the_line(tmp_path):
     p = tmp_path / "range.cfg"
-    for text, msg in (("run.seed = 3\ntomo.pulses = 0\n", "tomo.pulses must be >= 1, got 0"),
+    # tomo.pulses is checked by the Rig the config describes
+    for text, msg in (("run.seed = 3\ntomo.pulses = 0\n", "pulses must be an integer >= 1, got 0"),
                       ("\n\nrun.seed = -1\n", "run.seed must fit in 64 bits, got -1")):
         p.write_text(text)
         lineno = text.count("\n")

@@ -81,6 +81,31 @@ def test_search_config_validation():
     assert (cfg.sphere_points, cfg.refine_iters) == (40, 2)
 
 
+def test_gamma_grid_must_be_a_nonempty_list():
+    # a bare number and a nested list are refused naming the argument, not with a TypeError
+    for grid, shape in ((0.5, ()), ([[0.1, 0.2]], (1, 2)), ((), (0,))):
+        msg = f"gamma_grid must be a nonempty list of magnitudes, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            SearchConfig(gamma_grid=grid)
+    with pytest.raises(ValueError, match=re.escape("gamma_grid must be finite and >= 0, got -0.2")):
+        SearchConfig(gamma_grid=(0.1, -0.2))
+    grid = SearchConfig(gamma_grid=np.array([0.2, 1])).gamma_grid
+    assert grid == (0.2, 1.0) and all(type(g) is float for g in grid)
+
+
+def test_a_bool_is_no_count():
+    src, det = calibrate_source(0.925, 1.38), DetectorModel()
+    for make, name in ((lambda v: Rig(src, det, pulses=v), "pulses"),
+                       (lambda v: Rig(src, det, seed=v), "seed"),
+                       (fibonacci_sphere, "n"),
+                       (lambda v: SearchConfig(refine_iters=v), "refine_iters"),
+                       (lambda v: SearchConfig(sphere_points=v), "sphere_points")):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= \\d+, got "):
+                make(flag)
+    assert Rig(src, det, pulses=1, seed=0).pulses == 1 and len(fibonacci_sphere(1)) == 1
+
+
 def test_optimizer_bell_recovers_designed_element():
     cfg = SearchConfig(sphere_points=128, refine_iters=40)
     res = optimize_compensator(PdlElement(G51), bell_state(BellKind.PHI_PLUS), cfg)

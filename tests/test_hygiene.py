@@ -336,3 +336,38 @@ def test_detector_flags_a_looped_draw():
 
 def test_verify_draws_whole_arrays():
     assert looped_draws((SRC / "verify.py").read_text()) == []
+
+
+# domain rules stated once: each message below is raised at one place in the package
+ONE_HOME_RULES = ("is not 1 within", "unphysical correlation triple", "must be an integer")
+
+
+def raise_sites(source: str, phrase: str) -> list[int]:
+    """Lines of the `raise` statements whose message text contains `phrase`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            text = "".join(n.value for n in ast.walk(node)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if phrase in text:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_flags_each_raise_site():
+    source = (
+        "def f(x):\n    if x:\n        raise ValueError(f'trace {x} is not 1 within {TOL}')\n"
+        "    raise ValueError(f'{name} must be an integer, '\n                     f'got {x!r}')\n"
+        "msg = 'trace is not 1 within'\n"
+        "def g():\n    raise TypeError('is not 1')\n"
+    )
+    assert raise_sites(source, "is not 1 within") == [3]
+    assert raise_sites(source, "must be an integer") == [4]
+    assert raise_sites(source, "unphysical correlation triple") == []
+
+
+@pytest.mark.parametrize("phrase", ONE_HOME_RULES)
+def test_each_domain_rule_has_one_raise_site(phrase):
+    sites = [f"{path.name}:{line}" for path in MODULES
+             for line in raise_sites(path.read_text(), phrase)]
+    assert len(sites) == 1, sites

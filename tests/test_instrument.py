@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -317,19 +318,19 @@ def test_measure_without_a_rig_returns_the_batch(monkeypatch):
 def test_rig_validation():
     src, det = calibrate_source(0.925, 1.38), DetectorModel()
     assert Rig(src, det).pulses == 1_000_000 and Rig(src, det).seed == 0
-    for pulses in (0, -5, np.int64(0)):
-        with pytest.raises(ValueError, match=f"pulses must be >= 1, got {pulses}"):
-            Rig(src, det, pulses=pulses)
     # a count is an integer: NaN and fractions are refused, not drawn from
-    for pulses in (float("nan"), 2.5, 1e6):
-        with pytest.raises(ValueError, match=f"^pulses must be an integer, got {pulses!r}$"):
+    for pulses in (0, -5, np.int64(0), float("nan"), 2.5, 1e6):
+        msg = f"pulses must be an integer >= 1, got {pulses!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             Rig(src, det, pulses=pulses)
     assert Rig(src, det, pulses=np.int64(5)).pulses == 5
-    # a master seed is an integer too: 1.5 would hash as 1
-    for seed in (1.5, 1.0, float("nan")):
-        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+    # a master seed is an integer too: 1.5 would hash as 1, and -1 is no 64-bit seed
+    for seed in (1.5, 1.0, float("nan"), -1, np.int64(-3)):
+        msg = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             Rig(src, det, seed=seed)
     assert Rig(src, det, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert Rig(src, det, seed=0).seed == 0
 
 
 def test_measure_refuses_float_indices():

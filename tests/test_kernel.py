@@ -484,14 +484,18 @@ def test_wrapped_stacks_give_the_bare_stacks_bits():
 ], ids=["bare-filter", "stacks-of-3-and-2", "3-filters-2-bases", "4d-base", "2x2-base"])
 def test_mismatched_shapes_raise_quoting_them(m_a, m_b, base):
     rho = np.broadcast_to(np.eye(base[-1]) / base[-1], base)
-    want = f"got m_a {np.shape(m_a)}, m_b {np.shape(m_b)}, base {base}"
+    if np.ndim(m_a) != 3:  # a filter's shape is FilterStack's to check
+        want = f"m_a must be filters (N, 2, 2), got shape {np.shape(m_a)}"
+    else:
+        want = f"got m_a {np.shape(m_a)}, m_b {np.shape(m_b)}, base {base}"
     with pytest.raises(ValueError, match=re.escape(want)):
         propagate(rho, m_a, m_b)
 
 
 def test_apply_local_refuses_a_filter_stack():
     stack = np.stack([SIGMA0] * 3)
-    with pytest.raises(ValueError, match=re.escape("got m_a (1, 3, 2, 2), m_b (1, 2, 2)")):
+    with pytest.raises(ValueError,
+                       match=re.escape("m_a must be filters (N, 2, 2), got shape (1, 3, 2, 2)")):
         apply_local(bell_state(BellKind.PHI_PLUS), stack, SIGMA0)
     # a leading length of 1 is shared by every row
     batch = propagate(bell_state(BellKind.PHI_PLUS)[None], stack, SIGMA0[None])

@@ -90,6 +90,13 @@ def test_bell_diagonal_rejects_unphysical_triple():
         bell_diagonal([float("nan"), -0.5, 1.0])  # NaN weights fail the check
 
 
+def test_bell_diagonal_needs_three_components():
+    for t in ([0.5, 0.5], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]], 0.5):
+        msg = f"correlation triple must have 3 components, got shape {np.shape(t)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            bell_diagonal(t)
+
+
 def test_correlation_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(100):

@@ -254,6 +254,15 @@ def test_design_compensator_degenerate():
     for t in ((1.0, 1.0, 1.0), (float("nan"), -1.0, 1.0)):
         with pytest.raises(ValueError, match="^unphysical correlation triple"):
             design_compensator(PdlElement(0.5), t)
+    # the weights are bell_diagonal's: the same check and the same message
+    with pytest.raises(ValueError) as theirs:
+        bell_diagonal((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
+        design_compensator(PdlElement(0.5), (1.0, 1.0, 1.0))
+    # a pair is no triple: refused naming it, not with an unpacking error
+    with pytest.raises(ValueError, match=re.escape("correlation triple must have 3 components, "
+                                                   "got shape (2,)")):
+        design_compensator(PdlElement(0.5), (1.0, 1.0))
 
 
 def _bits(x):
