@@ -32,8 +32,8 @@ from itertools import product
 import numpy as np
 
 from .channels import ChannelBatch, PdlElement, apply_local, pdl_operator
-from .qmath import SIGMA0, _PAULI_PRODUCTS, _check_unit_traces, bell_diagonal, check_state
-from .qmath import symmetrize, traces
+from .qmath import SIGMA0, _PAULI_PRODUCTS, _check_finite, _check_unit_traces, bell_diagonal
+from .qmath import check_state, symmetrize, traces
 
 MU_RANGE = (0.001, 0.1)
 
@@ -267,9 +267,12 @@ def project_physical(m: np.ndarray) -> np.ndarray:
     repeatedly zero the most negative eigenvalue and spread its deficit
     uniformly over the remaining nonzero eigenvalues until all are
     nonnegative. Physical inputs pass through unchanged; the operation is
-    idempotent. Every trace must be 1 within TOL, checked as `check_state` checks it.
+    idempotent. Entries must be finite and every trace 1 within TOL, checked
+    as `check_state` checks them.
     """
-    m = symmetrize(np.asarray(m, dtype=complex))
+    m = np.asarray(m, dtype=complex)
+    _check_finite(m)
+    m = symmetrize(m)
     _check_unit_traces(m)
     vals, vecs = np.linalg.eigh(m)
     bad = vals.min(axis=-1) < 0

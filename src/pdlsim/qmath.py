@@ -24,7 +24,7 @@ for _m in (SIGMA0, SIGMA1, SIGMA2, SIGMA3):
     _m.setflags(write=False)
 
 TOL = 1e-9  # slack on unit traces and norms, eigenvalue signs and imaginary parts
-EIG_CLAMP = 1e-12  # eigenvalue magnitudes below this read as exact zeros
+EIG_CLAMP = 1e-12  # state eigenvalues below this read as exact zeros
 
 # sigma_i x sigma_j for i, j = 0..3, row-major: the two-qubit Pauli product basis
 _PAULI_PRODUCTS = np.array([np.kron(si, sj) for si in (SIGMA0, *PAULI) for sj in (SIGMA0, *PAULI)])
@@ -93,6 +93,12 @@ def traces(m: np.ndarray) -> np.ndarray:
     return 0 + d[0] + d[1] + d[2] + d[3]
 
 
+def _check_finite(m: np.ndarray) -> None:
+    """ValueError unless every entry of a matrix or stack is finite."""
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
+
+
 def _check_unit_traces(m: np.ndarray) -> None:
     """ValueError quoting the worst trace of a stack (..., d, d) off 1 by more than TOL."""
     tr = traces(m).real
@@ -110,8 +116,7 @@ def check_state(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("density matrix has non-finite entries")
+    _check_finite(m)
     m = symmetrize(m)
     _check_unit_traces(m)
     # A Cholesky factor of m + s I certifies every eigenvalue of m above
@@ -181,31 +186,18 @@ def correlation_of(rho: np.ndarray) -> np.ndarray:
     return t.real
 
 
-def eigvals_desc(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of m (or of each matrix in a stack) in descending order.
-
-    Raises if any spectrum is not real within TOL. Magnitudes below EIG_CLAMP
-    are zeroed so downstream square roots stay exact on rank-deficient
-    products.
-    """
-    lam = np.linalg.eigvals(np.asarray(m, dtype=complex))
-    if lam.size and np.abs(lam.imag).max() > TOL:
-        raise ValueError(f"spectrum is not real: max imag {np.abs(lam.imag).max()}")
-    lam = np.sort(lam.real, axis=-1)[..., ::-1]
-    lam[np.abs(lam) < EIG_CLAMP] = 0.0
-    return lam
-
-
 def concurrence(rho: np.ndarray) -> np.ndarray:
     """Wootters concurrence of one state (4, 4) or of each state of a stack (..., 4, 4).
 
-    C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
-    descending eigenvalues of rho (sy x sy) rho* (sy x sy).
+    C = max(0, l1 - l2 - l3 - l4), Wootters' l_i taken as the descending
+    singular values of r (sy x sy) r*, r = sqrt(rho) from `eigh` of rho with
+    its eigenvalues below EIG_CLAMP zeroed: no non-Hermitian eigensolver.
     """
-    rho = np.asarray(rho)
-    m = rho @ _YY @ rho.conj() @ _YY
-    s = np.sqrt(np.clip(eigvals_desc(m), 0.0, None))
-    c = np.subtract.reduce(s, axis=-1)  # s1 - s2 - s3 - s4, left to right
+    w, v = np.linalg.eigh(np.asarray(rho))
+    w = np.where(w < EIG_CLAMP, 0.0, w)
+    r = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    lam = np.linalg.svd(r @ _YY @ r.conj(), compute_uv=False)
+    c = np.subtract.reduce(lam, axis=-1)  # l1 - l2 - l3 - l4, left to right
     return np.where(c > 0.0, c, 0.0)[()]
 
 

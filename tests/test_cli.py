@@ -211,6 +211,20 @@ def test_weakly_entangled_chain_passes_the_row_checks(tmp_path, command):
     assert main([command, "--pmd-q", "0.49999", "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("tradeoff", "--pdl-db", "80"),
+    ("tradeoff", "--pdl-db", "60", "--pmd-q", "0.155"),
+    ("compensate", "--pdl-db", "90"),
+    ("compensate", "--pdl-db", "100"),
+    ("sweep-pdl", "--pdl-db", "75"),
+    ("sweep-pdl", "--pdl-db", "150"),
+], ids=["tradeoff-80dB", "tradeoff-60dB-pmd", "compensate-90dB", "compensate-100dB",
+        "sweep-pdl-75dB", "sweep-pdl-150dB"])
+def test_large_losses_pass_the_row_checks(tmp_path, argv):
+    # Wootters from the eigenvalues of rho rho~ misses these laws by about 1e-6
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(pulses=0)

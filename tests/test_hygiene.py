@@ -184,6 +184,44 @@ def test_stacked_traces_go_through_qmath_traces(path):
     assert stacked_traces(path.read_text()) == []
 
 
+# states and their products are Hermitian or go through an SVD: eigh,
+# eigvalsh and svd give real spectra without a reality check
+NON_HERMITIAN_EIGENSOLVERS = ("eig", "eigvals")
+
+
+def non_hermitian_eigensolves(source: str) -> list[str]:
+    """Calls to `np.linalg.eig` or `np.linalg.eigvals` (or `numpy.linalg.`), and imports of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in NON_HERMITIAN_EIGENSOLVERS]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in NON_HERMITIAN_EIGENSOLVERS
+              and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+              and isinstance(node.func.value.value, ast.Name)
+              and node.func.value.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.func.attr))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_detector_flags_a_non_hermitian_eigensolve():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvals, svd\n"
+        "lam = np.linalg.eig(m)[0] + np.linalg.eigvalsh(h)\n"
+        "mu = numpy.linalg.eigvals(m @ m)\n"
+        "w = scipy.linalg.eig(m) + np.linalg.eigh(h)[0] + linalg.eigvals(m)\n"
+    )
+    assert non_hermitian_eigensolves(source) == [
+        "eigvals (line 2)", "eig (line 3)", "eigvals (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_non_hermitian_eigensolvers(path):
+    assert non_hermitian_eigensolves(path.read_text()) == []
+
+
 # the two-arm laws, the two residuals and the designed arm-B magnitude: no
 # other theory.py function restates them
 THEORY_LAWS = ("_scaled_rate", "predicted_concurrence", "magnitude_residual",
@@ -339,7 +377,8 @@ def test_verify_draws_whole_arrays():
 
 
 # domain rules stated once: each message below is raised at one place in the package
-ONE_HOME_RULES = ("is not 1 within", "unphysical correlation triple", "must be an integer")
+ONE_HOME_RULES = ("is not 1 within", "unphysical correlation triple", "must be an integer",
+                  "non-finite entries")
 
 
 def raise_sites(source: str, phrase: str) -> list[int]:

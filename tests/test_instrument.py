@@ -477,6 +477,22 @@ def test_project_physical():
         project_physical(np.eye(4, dtype=complex))
 
 
+def one_entry(value):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = value
+    return m
+
+
+@pytest.mark.parametrize("m", [np.full((4, 4), np.nan), one_entry(np.inf), one_entry(-np.inf)],
+                         ids=["nan", "inf", "-inf"])
+def test_project_physical_refuses_non_finite_entries(m):
+    # NaN passes a trace check (NaN > TOL is False) and inf warns in symmetrize
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        project_physical(m)
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        project_physical(np.stack([bell_state(BellKind.PHI_PLUS), m]))
+
+
 def test_noisy_reconstruction_sanity():
     src = calibrate_source(0.925, 1.38)
     det = DetectorModel()

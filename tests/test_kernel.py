@@ -1,7 +1,7 @@
 """The batched state-through-channel kernel `channels.propagate`.
 
 A batch must reproduce, bit for bit, both its own one-row case and a plain
-np.kron + matmul + eigvals loop written out here: the filtered states, rates
+np.kron + matmul + eigh + svd loop written out here: the filtered states, rates
 and entropies, Wootters of the filtered states, and the local-filter identity
 that gives the batch's concurrence. The same holds for stacked
 element aggregation, and the search's pinned traces hold however its refine
@@ -93,10 +93,10 @@ def loop_filter(element):
 
 
 def loop_wootters(rho):
-    lam = np.linalg.eigvals(rho @ _YY @ rho.conj() @ _YY)
-    lam = np.sort(lam.real)[::-1]
-    lam[np.abs(lam) < 1e-12] = 0.0
-    s = np.sqrt(np.clip(lam, 0.0, None))
+    w, v = np.linalg.eigh(rho)
+    w[w < 1e-12] = 0.0
+    r = (v * np.sqrt(w)) @ v.conj().T  # sqrt(rho)
+    s = np.linalg.svd(r @ _YY @ r.conj(), compute_uv=False)
     return max(0.0, s[0] - s[1] - s[2] - s[3])
 
 
@@ -336,18 +336,6 @@ def random_rank_states(rng, n, rank):
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def sqrt_wootters(rho):
-    """Wootters concurrence of a stack from the singular values of r (sy x sy) r*, r = sqrt(rho).
-
-    Exact on rank-deficient filtered states, where the eigenvalues of the
-    non-Hermitian rho rho~ that `qmath.concurrence` roots lose about 1e-6.
-    """
-    lam, u = np.linalg.eigh(rho)
-    r = (u * np.sqrt(np.where(lam < 1e-12, 0.0, lam))[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
-    s = np.linalg.svd(r @ _YY @ r.conj(), compute_uv=False)
-    return np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
-
-
 @pytest.mark.parametrize("rank", [1, 2, 4])
 def test_identity_matches_wootters_on_random_states(rank):
     rng = np.random.default_rng(211 + rank)
@@ -355,7 +343,16 @@ def test_identity_matches_wootters_on_random_states(rank):
     els_a, els_b = random_elements(rng, 500, 5.0), random_elements(rng, 500, 5.0)
     batch = propagate(rhos, pdl_operator(els_a), pdl_operator(els_b))
     assert not batch.extinct.any()
-    assert np.abs(batch.concurrence - sqrt_wootters(batch.rho)).max() <= 1e-11
+    assert np.abs(batch.concurrence - concurrence(batch.rho)).max() <= 1e-11
+
+
+def test_wootters_matches_the_identity_on_random_filtered_states():
+    # Wootters from the eigenvalues of rho rho~ is off by up to 1.7e-7 here
+    rng = np.random.default_rng(7)
+    rhos = random_rank_states(rng, 500, 4)
+    el_a, el_b = (PdlElement(rng.uniform(0, 5, 500), [0.0, 0.0, 1.0]) for _ in range(2))
+    batch = propagate(rhos, pdl_operator(el_a), pdl_operator(el_b))
+    assert np.abs(concurrence(batch.rho) - batch.concurrence).max() <= 1e-11
 
 
 def test_pdl_filter_dets_are_exp_minus_gamma():
@@ -540,13 +537,16 @@ def test_slightly_amplifying_filter_in_a_cascade_stack_raises(row):
 # before the kernel existed (numpy 2.4, OpenBLAS 0.3.31, x86-64). Another
 # numeric stack may round differently and need fresh pins.
 SEARCH_PINS = {
+    # all five re-recorded when Wootters moved to the singular values of
+    # sqrt(rho) (sy x sy) sqrt(rho)*: every element and rate held, and the
+    # concurrences moved by at most 2.2e-16 (exact) and 3.1e-13 (noisy).
     # exact pins recorded from the local-filter identity's concurrences
-    "pdl": "a893ad026a811a36bd8360394f842420999727ef0c9dbb4f85d94c43a3a0d6b0",
-    "pmd": "398838f16663b1091978bc2d2cfbd6a2f079b098f4ec8900e82ef75b13836919",
+    "pdl": "540013d7b5804ee8015c5d1e37c75e56e180211ae1c61b01d6c879ed460a88e7",
+    "pmd": "d1c3b83c50b9ca75ac817c185188d7daacf0400cf4eea8060a65cac02d8a5266",
     # recorded from one sub-stream per measured state, batch-measured rows
-    "noisy": "5200ee58891daad4fbaacc7929b6622c067aedf5cf376db0693aceab0776b324",
-    "zero-pdl": "f7b987f79dc18354eae177c9fdff75423d3ee57c921dda15958026367d56a98b",
-    "grid": "a829eebcbc27c4d97f4d88f865c64bfdffd14fa3f8607a3787495b6b19062121",
+    "noisy": "abc664f20ddd3a4b05742e572046bfeb3ee5afc7a2b8656ffa2a14be5a74cb76",
+    "zero-pdl": "aef6d2ee6c8eab070df6991336490441cc08147f18216e0dbe4022640f312dd7",
+    "grid": "d753ff3970dcf58a360bfdea59181baef05da8245aca93e1145f165edaf76bed",
 }
 CSV_PINS = {
     ("sweep-pdl",): {

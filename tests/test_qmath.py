@@ -16,7 +16,6 @@ from pdlsim.qmath import (
     check_state,
     concurrence,
     correlation_of,
-    eigvals_desc,
     linear_entropies,
     purity,
     reduced_qubit,
@@ -259,20 +258,6 @@ def test_trace_distance():
     b = bell_state(BellKind.PHI_MINUS)
     assert abs(trace_distances(a, a)) < 1e-12
     assert abs(trace_distances(a, b) - 1.0) < 1e-10  # orthogonal pure states
-
-
-def test_eigvals_desc():
-    lam = eigvals_desc(np.diag([0.1, 0.5, 0.4, 0.0]).astype(complex))
-    assert np.allclose(lam, [0.5, 0.4, 0.1, 0.0], atol=1e-12)
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        rho = random_density(rng)
-        assert abs(eigvals_desc(rho).sum() - 1) < 1e-10
-    # tiny magnitudes are clamped to exact zero
-    lam = eigvals_desc(np.diag([1.0, -1e-15, 1e-14, 0.0]).astype(complex))
-    assert lam[1] == 0.0 and lam[2] == 0.0 and lam[3] == 0.0
-    with pytest.raises(ValueError):
-        eigvals_desc(np.array([[0, 1], [0, 0]], dtype=complex) + 1j * np.eye(2))
 
 
 def test_check_state():
